@@ -57,7 +57,7 @@ class Arena {
   }
 
   /// Total bytes handed out (diagnostics only).
-  [[nodiscard]] std::size_t bytes_used() const { return total_used_; }
+  [[nodiscard]] std::size_t bytes_used() const { return total_used_ + used_; }
 
   /// Releases every allocation at once.
   void reset() {

@@ -9,7 +9,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "compress/lzss.h"
-#include "pbio/decode.h"
+#include "pbio/encode.h"
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"

@@ -9,6 +9,7 @@ namespace sbq::pbio {
 
 namespace {
 
+using detail::CountingSink;
 using detail::sink_block;
 
 /// Layout-compatible view of any VarArray<T>.
@@ -112,59 +113,6 @@ void encode_record(const std::uint8_t* record, const FormatDesc& format,
   }
 }
 
-std::size_t record_wire_size(const std::uint8_t* record, const FormatDesc& format);
-
-std::size_t elements_wire_size(const std::uint8_t* base, const FieldDesc& field,
-                               std::size_t count) {
-  if (field.kind == TypeKind::kStruct) {
-    std::size_t total = 0;
-    const std::size_t elem = field.element_size();
-    for (std::size_t i = 0; i < count; ++i) {
-      total += record_wire_size(base + i * elem, *field.struct_format);
-    }
-    return total;
-  }
-  return count * field.element_size();
-}
-
-std::size_t record_wire_size(const std::uint8_t* record, const FormatDesc& format) {
-  std::size_t total = 0;
-  for (const FieldDesc& field : format.fields) {
-    const std::uint8_t* src = record + field.offset;
-    switch (field.arity) {
-      case Arity::kScalar:
-        if (field.kind == TypeKind::kString) {
-          const char* s = nullptr;
-          std::memcpy(&s, src, sizeof s);
-          total += 4 + (s == nullptr ? 0 : std::strlen(s));
-        } else if (field.kind == TypeKind::kStruct) {
-          total += record_wire_size(src, *field.struct_format);
-        } else {
-          total += scalar_size(field.kind);
-        }
-        break;
-      case Arity::kFixedArray:
-        total += elements_wire_size(src, field, field.fixed_count);
-        break;
-      case Arity::kVarArray: {
-        RawVarArray va;
-        std::memcpy(&va, src, sizeof va);
-        total += 4;
-        if (va.count > 0) {
-          total += elements_wire_size(static_cast<const std::uint8_t*>(va.data),
-                                      field, va.count);
-        }
-        break;
-      }
-    }
-  }
-  return total;
-}
-
-}  // namespace
-
-namespace {
-
 template <typename Reader>
 WireHeader read_header_impl(Reader& reader) {
   WireHeader h;
@@ -221,7 +169,10 @@ BufferChain encode_message_chain(const void* record, const FormatDesc& format,
 }
 
 std::size_t wire_size(const void* record, const FormatDesc& format) {
-  return record_wire_size(static_cast<const std::uint8_t*>(record), format);
+  CountingSink counter;
+  encode_record(static_cast<const std::uint8_t*>(record), format, counter,
+                host_byte_order());
+  return counter.size();
 }
 
 }  // namespace sbq::pbio

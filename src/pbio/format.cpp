@@ -91,16 +91,7 @@ std::string FormatDesc::canonical() const {
   return out;
 }
 
-FormatId FormatDesc::format_id() const {
-  // FNV-1a 64-bit over the canonical rendering.
-  const std::string c = canonical();
-  FormatId h = 0xCBF29CE484222325ull;
-  for (unsigned char ch : c) {
-    h ^= ch;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
+FormatId FormatDesc::format_id() const { return id_; }
 
 const FieldDesc* FormatDesc::field(std::string_view field_name) const {
   for (const auto& f : fields) {
@@ -225,6 +216,13 @@ FormatPtr FormatBuilder::build() {
   }
   desc_.native_align = max_align;
   desc_.native_size = (offset + max_align - 1) & ~(max_align - 1);
+  // FNV-1a 64-bit over the canonical rendering.
+  FormatId id = 0xCBF29CE484222325ull;
+  for (const unsigned char ch : desc_.canonical()) {
+    id ^= ch;
+    id *= 0x100000001B3ull;
+  }
+  desc_.id_ = id;
   return std::make_shared<const FormatDesc>(std::move(desc_));
 }
 

@@ -86,8 +86,9 @@ struct FormatDesc {
   std::uint32_t native_size = 0;
   std::uint32_t native_align = 1;
 
-  /// Structural 64-bit id (FNV-1a over the canonical rendering). Stable
-  /// across processes, so both peers compute the same id independently.
+  /// Structural 64-bit id (FNV-1a over the canonical rendering), computed
+  /// once by FormatBuilder::build(). Stable across processes, so both peers
+  /// compute the same id independently.
   [[nodiscard]] FormatId format_id() const;
 
   /// Canonical one-line rendering, e.g. "bond{count:u32,atoms:f64[]}".
@@ -102,6 +103,10 @@ struct FormatDesc {
 
   /// Maximum struct nesting depth (a flat format has depth 1).
   [[nodiscard]] std::size_t nesting_depth() const;
+
+ private:
+  friend class FormatBuilder;
+  FormatId id_ = 0;
 };
 
 using FormatPtr = std::shared_ptr<const FormatDesc>;

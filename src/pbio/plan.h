@@ -1,4 +1,17 @@
-// Compiled decode plans — the dynamic-code-generation analogue.
+// PBIO "receiver makes right" decoding through compiled plans — the
+// dynamic-code-generation analogue, and the only native-record decoder.
+//
+// The receiver decodes a payload described by the SENDER's format into a
+// record laid out per the RECEIVER's format. When the two formats are
+// structurally identical and the byte orders match, this is a straight
+// sequential copy; otherwise the decoder
+//   * swaps byte order per scalar (foreign-endian sender),
+//   * matches fields by NAME, so senders and receivers may disagree about
+//     field order or about which fields exist at all,
+//   * converts between numeric kinds (i32 → i64, f32 → f64, ...),
+//   * zero-fills receiver fields the sender did not supply — the exact
+//     mechanism SOAP-binQ's quality layer reuses to pad reduced-quality
+//     messages back to the application's full message type.
 //
 // The original PBIO used DILL dynamic binary code generation to emit a
 // specialized conversion routine per (sender format, receiver format) pair,
@@ -10,9 +23,14 @@
 // asymptotics: metadata work happens once per format pair, not per message.
 //
 // A plan is specific to sender format + receiver format + sender byte
-// order; PlanCache memoizes all three dimensions. decode_with_plan()
-// produces bit-identical records to pbio::decode_payload() — the property
-// suite asserts this on random formats.
+// order; PlanCache memoizes all three dimensions and compiles each shared
+// sub-format once. Callers own the cache and keep it across messages:
+// compiling costs more than executing.
+//
+// All storage for the decoded record (struct bytes, array elements, string
+// characters) comes from the caller's Arena and lives until the arena is
+// reset. Array counts read off the wire are checked against the bytes left
+// in the payload before any element storage is allocated.
 #pragma once
 
 #include <memory>
@@ -26,16 +44,14 @@
 namespace sbq::pbio {
 
 class DecodePlan;
+class PlanCache;
 using PlanPtr = std::shared_ptr<const DecodePlan>;
 
 /// A compiled conversion routine. Thread-safe to execute concurrently.
 class DecodePlan {
  public:
-  /// Compiles the conversion sender→receiver for payloads in `order`.
-  static PlanPtr compile(FormatPtr sender, FormatPtr receiver, ByteOrder order);
-
   /// Decodes one payload (no wire header) into a receiver-layout record
-  /// allocated from `arena`. Behaviour identical to decode_payload().
+  /// allocated from `arena`.
   void* execute(BytesView payload, Arena& arena) const;
 
   /// Introspection for tests/benches: number of flat operations, and how
@@ -43,12 +59,8 @@ class DecodePlan {
   [[nodiscard]] std::size_t op_count() const { return ops_.size(); }
   [[nodiscard]] std::size_t block_copy_bytes() const;
 
-  [[nodiscard]] const FormatDesc& sender() const { return *sender_; }
-  [[nodiscard]] const FormatDesc& receiver() const { return *receiver_; }
-  [[nodiscard]] ByteOrder order() const { return order_; }
-
  private:
-  friend class PlanCompiler;
+  friend class PlanCache;
 
   struct Op {
     enum class Kind : std::uint8_t {
@@ -57,7 +69,7 @@ class DecodePlan {
       kSkipScalar,       // consume one scalar, no destination
       kString,           // u32 len + bytes → arena C string (or skip)
       kScalarArray,      // [count] scalars (fixed or var) → inline/arena
-      kStruct,           // embedded struct via sub-plan
+      kStruct,           // embedded struct via sub-plan (or skip)
       kStructArray,      // fixed or var array of structs via sub-plan
     };
     Kind kind = Kind::kBlockCopy;
@@ -68,8 +80,11 @@ class DecodePlan {
     std::uint32_t fixed_count = 0;    // fixed arrays; 0 = read u32 count
     std::uint32_t native_elem_size = 0;
     std::uint32_t native_fixed_capacity = 0;  // fixed-array destination slots
+    std::size_t min_elem_wire = 0;    // arrays: fewest wire bytes per element
+                                      // (exact for scalar elements)
     bool bulk_copy_elements = false;  // same kind + host order: memcpy
-    PlanPtr sub_plan;                 // struct ops
+    const FormatDesc* wire_format = nullptr;  // struct ops: sender sub-format
+    PlanPtr sub_plan;  // struct ops with a destination
   };
 
   DecodePlan(FormatPtr sender, FormatPtr receiver, ByteOrder order,
@@ -79,15 +94,31 @@ class DecodePlan {
         order_(order),
         ops_(std::move(ops)) {}
 
-  void execute_into(ByteReader& reader, std::uint8_t* record, Arena& arena) const;
+  /// Compiles sender→receiver for payloads in `order`; sub-plans for
+  /// embedded structs come from `cache`.
+  static PlanPtr compile(FormatPtr sender, FormatPtr receiver, ByteOrder order,
+                         PlanCache& cache);
 
-  FormatPtr sender_;
+  void execute_into(ByteReader& reader, std::uint8_t* record, Arena& arena) const;
+  /// Reads an array op's element count, rejecting one the payload cannot hold.
+  std::uint32_t read_count(const Op& op, ByteReader& reader) const;
+  /// Destination elements of an array op: arena storage for a var array
+  /// (linked into the record), the inline slots for a fixed one.
+  struct Slots {
+    std::uint8_t* data = nullptr;
+    std::uint32_t count = 0;  // elements past this are read and dropped
+  };
+  static Slots array_slots(const Op& op, std::uint32_t count, std::uint8_t* record,
+                           Arena& arena);
+
+  FormatPtr sender_;  // owns the sub-formats that ops' wire_format point into
   FormatPtr receiver_;
   ByteOrder order_;
   std::vector<Op> ops_;
 };
 
-/// Memoizes plans by (sender id, receiver id, order). Thread-safe.
+/// Memoizes plans by (sender id, receiver id, order), sub-plans included,
+/// and is the only way to obtain a plan. Thread-safe.
 class PlanCache {
  public:
   PlanPtr get(const FormatPtr& sender, const FormatPtr& receiver, ByteOrder order);
@@ -116,10 +147,22 @@ class PlanCache {
   std::size_t compiles_ = 0;
 };
 
-/// Convenience: full message decode through a plan (header + payload),
-/// compiling (or fetching) the plan from `cache`.
-void* decode_message_planned(BytesView message, const FormatPtr& sender_format,
-                             const FormatPtr& receiver_format, PlanCache& cache,
-                             Arena& arena);
+/// Decodes a full message (header + payload). `sender_format` must be the
+/// format announced under the header's format id (callers resolve it through
+/// their FormatCache). Returns the record in `receiver_format` layout, via
+/// the plan for the header's byte order, compiled on first use in `cache`.
+void* decode_message(BytesView message, const FormatPtr& sender_format,
+                     const FormatPtr& receiver_format, PlanCache& cache,
+                     Arena& arena);
+
+/// Typed convenience wrapper.
+template <typename T>
+const T* decode_message_as(BytesView message, const FormatPtr& sender_format,
+                           const FormatPtr& receiver_format, PlanCache& cache,
+                           Arena& arena) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return static_cast<const T*>(
+      decode_message(message, sender_format, receiver_format, cache, arena));
+}
 
 }  // namespace sbq::pbio

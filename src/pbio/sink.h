@@ -1,15 +1,17 @@
 // Internal sink abstraction for the PBIO encoders. Not part of the public
 // API.
 //
-// The native and dynamic encoders are written once as templates over a Sink
-// with ByteBuffer's append_* surface; three sinks instantiate them:
-//   * ByteBuffer    — the flat-Bytes path (pre-chain behavior, kept for the
-//                     copy baseline and for callers that want one buffer),
+// Each encoder — the native-record walker (encode.cpp) and the Value walker
+// (value_codec.cpp) — is written once as a template over a Sink with
+// ByteBuffer's append_* surface; three sinks instantiate it:
+//   * ByteBuffer    — one flat buffer (encode_message, encode_value_message,
+//                     the Fig. 4/5 marshal paths),
 //   * ChainWriter   — the zero-copy path: bulk blocks become borrowed chain
 //                     segments via sink_block(),
-//   * CountingSink  — a size-only dry run, used to emit the wire header's
-//                     payload length up front so the chain path never needs
-//                     to patch across segments.
+//   * CountingSink  — a size-only dry run and the only size walker
+//                     (wire_size, value_wire_size); it lets the chain path
+//                     emit the header's payload length up front instead of
+//                     patching across segments.
 // All three produce/account byte-identical wire images; tests assert it.
 #pragma once
 

@@ -190,6 +190,17 @@ TEST(Arena, GrowsPastChunkSize) {
   EXPECT_NE(after, nullptr);
 }
 
+TEST(Arena, BytesUsedCountsTheCurrentChunk) {
+  Arena arena(64);
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  (void)arena.allocate(1024);
+  EXPECT_GE(arena.bytes_used(), 1024u);
+  (void)arena.allocate(16);
+  EXPECT_GE(arena.bytes_used(), 1040u);
+  arena.reset();
+  EXPECT_EQ(arena.bytes_used(), 0u);
+}
+
 TEST(Arena, CopyPreservesBytes) {
   Arena arena;
   const char src[] = "payload";

@@ -13,6 +13,8 @@
 #include "core/message.h"
 #include "http/parser.h"
 #include "net/pipe.h"
+#include "pbio/encode.h"
+#include "pbio/plan.h"
 #include "pbio/value_codec.h"
 #include "qos/quality_file.h"
 #include "soap/envelope.h"
@@ -170,6 +172,91 @@ TEST_P(FuzzSeeds, PbioDecoderSurvivesRandomAndMutatedMessages) {
   }
 }
 
+// The native decoder (compiled plans) under the same contract, for two
+// receivers: one equal to the sender (block-copy fast paths) and one that
+// drops a field and reorders the rest (skip and by-name matching paths).
+class NativeDecodeTarget {
+ public:
+  NativeDecodeTarget() {
+    const auto point = pbio::FormatBuilder("pt")
+                           .add_scalar("x", pbio::TypeKind::kFloat64)
+                           .add_scalar("n", pbio::TypeKind::kInt32)
+                           .build();
+    sender_ = pbio::FormatBuilder("nf")
+                  .add_scalar("a", pbio::TypeKind::kInt32)
+                  .add_string("s")
+                  .add_var_array("v", pbio::TypeKind::kFloat64)
+                  .add_struct("c", point)
+                  .add_struct_var_array("pts", point)
+                  .build();
+    receivers_ = {sender_, pbio::FormatBuilder("nf")
+                               .add_struct("c", point)
+                               .add_var_array("v", pbio::TypeKind::kFloat64)
+                               .add_string("s")
+                               .add_scalar("a", pbio::TypeKind::kInt32)
+                               .build()};
+    const pbio::Value point_value = pbio::Value::record({{"x", 0.5}, {"n", 3}});
+    valid_ = pbio::encode_value_message(
+        pbio::Value::record({{"a", 7},
+                             {"s", "text"},
+                             {"v", pbio::Value::array({1.5, 2.5})},
+                             {"c", point_value},
+                             {"pts", pbio::Value::array({point_value, point_value})}}),
+        *sender_);
+  }
+
+  [[nodiscard]] const Bytes& valid() const { return valid_; }
+  [[nodiscard]] const pbio::FormatDesc& sender() const { return *sender_; }
+
+  /// Decodes `wire` for every receiver and returns how many accepted it;
+  /// the rest must have thrown an sbq::Error (anything else escapes).
+  int decode_all(BytesView wire) {
+    int decoded = 0;
+    for (const pbio::FormatPtr& receiver : receivers_) {
+      Arena arena;
+      try {
+        (void)pbio::decode_message(wire, sender_, receiver, plans_, arena);
+        ++decoded;
+      } catch (const Error&) {
+      }
+    }
+    return decoded;
+  }
+
+ private:
+  pbio::FormatPtr sender_;
+  std::vector<pbio::FormatPtr> receivers_;
+  pbio::PlanCache plans_;
+  Bytes valid_;
+};
+
+TEST_P(FuzzSeeds, PbioNativeDecoderSurvivesRandomAndMutatedMessages) {
+  NativeDecodeTarget target;
+  ASSERT_EQ(target.decode_all(BytesView{target.valid()}), 2);
+  for (int i = 0; i < 60; ++i) {
+    Bytes wire = target.valid();
+    const int mutations = 1 + static_cast<int>(rng_.next_below(5));
+    for (int m = 0; m < mutations; ++m) {
+      wire[rng_.next_below(wire.size())] =
+          static_cast<std::uint8_t>(rng_.next_below(256));
+    }
+    (void)target.decode_all(BytesView{wire});
+  }
+  for (int i = 0; i < 30; ++i) {
+    (void)target.decode_all(BytesView{random_bytes(rng_, 200)});
+  }
+  // A well-formed header over a random payload reaches the plan itself.
+  for (int i = 0; i < 60; ++i) {
+    const Bytes payload = random_bytes(rng_, 120);
+    ByteBuffer wire;
+    wire.append_u64(target.sender().format_id(), ByteOrder::kLittle);
+    wire.append_u8(static_cast<std::uint8_t>(rng_.next_below(2)));
+    wire.append_u32(static_cast<std::uint32_t>(payload.size()), ByteOrder::kLittle);
+    wire.append(BytesView{payload});
+    (void)target.decode_all(wire.view());
+  }
+}
+
 TEST_P(FuzzSeeds, FormatDeserializerSurvivesRandomBytes) {
   for (int i = 0; i < 40; ++i) {
     const Bytes junk = random_bytes(rng_, 160);
@@ -313,6 +400,27 @@ TEST(TruncationSweep, EveryBitFlipInBinEnvelopeFailsCleanly) {
         (void)decode_full_bin(BytesView{flipped});
       } catch (const Error&) {
       }
+    }
+  }
+}
+
+TEST(TruncationSweep, EveryPbioNativePrefixThrowsTypedError) {
+  NativeDecodeTarget target;
+  const Bytes& wire = target.valid();
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    EXPECT_EQ(target.decode_all(BytesView(wire.data(), n)), 0)
+        << "prefix of " << n << "/" << wire.size() << " bytes decoded";
+  }
+}
+
+TEST(TruncationSweep, EveryBitFlipInPbioNativeMessageFailsCleanly) {
+  NativeDecodeTarget target;
+  const Bytes& wire = target.valid();
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes flipped = wire;
+      flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+      (void)target.decode_all(BytesView{flipped});
     }
   }
 }

@@ -9,7 +9,8 @@
 
 #include "ImagingService_stubs.h"
 #include "core/transports.h"
-#include "pbio/decode.h"
+#include "pbio/encode.h"
+#include "pbio/plan.h"
 #include "pbio/value_codec.h"
 
 namespace {
@@ -43,8 +44,10 @@ TEST(GeneratedStubs, NativeRecordRoundTrip) {
 
   const sbq::Bytes wire = sbq::pbio::encode_message(&request, *format_frame_request());
   sbq::Arena arena;
+  sbq::pbio::PlanCache plans;
   const auto* back = sbq::pbio::decode_message_as<frame_request>(
-      sbq::BytesView{wire}, *format_frame_request(), *format_frame_request(), arena);
+      sbq::BytesView{wire}, format_frame_request(), format_frame_request(), plans,
+      arena);
   EXPECT_STREQ(back->camera, "east-dome");
   EXPECT_EQ(back->region.w, 320);
   EXPECT_DOUBLE_EQ(back->exposure_ms, 12.5);

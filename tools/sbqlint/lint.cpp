@@ -395,10 +395,8 @@ Config default_config() {
       "src/common/buffer_chain.cpp",  // owned-storage views + coalesce copy
       "src/net/tcp.cpp",           // sockaddr casts for the BSD socket API
       "src/net/poller.cpp",        // epoll_data / eventfd counter plumbing
-      "src/pbio/detail.cpp",       // wire codec: scalar (de)serialization
       "src/pbio/encode.cpp",       // wire codec: native-layout encode
-      "src/pbio/decode.cpp",       // wire codec: receiver-makes-right decode
-      "src/pbio/plan.cpp",         // wire codec: compiled decode plans
+      "src/pbio/plan.cpp",         // wire codec: receiver-makes-right decode
   };
   config.clock_allowlist = {"src/common/clock.h"};
   config.clock_banned = {
