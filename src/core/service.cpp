@@ -109,8 +109,16 @@ std::shared_ptr<qos::QualityManager> ServiceRuntime::quality_for(
   if (quality_factory_) {
     if (const auto client_id = request.headers.get(kHeaderClientId)) {
       std::lock_guard lock(clients_mu_);
-      auto& manager = client_quality_[std::string(*client_id)];
-      if (!manager) manager = quality_factory_();
+      std::string id(*client_id);
+      if (const auto it = client_quality_.find(id); it != client_quality_.end()) {
+        return it->second;
+      }
+      auto manager = quality_factory_();
+      if (client_order_.size() == kMaxClientQualityManagers) {
+        client_quality_.erase(client_order_.front());
+        client_order_.pop_front();
+      }
+      client_order_.push_back(client_quality_.emplace(std::move(id), manager).first);
       return manager;
     }
   }

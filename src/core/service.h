@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -77,11 +78,15 @@ class ServiceRuntime {
   /// QualityManager per distinct X-SOAP-Client-Id, so two clients on very
   /// different links each get their own RTT state and message-type
   /// selection. Requests without a client id fall back to the shared
-  /// manager set by set_quality_manager().
+  /// manager set by set_quality_manager(). The client id is untrusted, so
+  /// the table holds at most kMaxClientQualityManagers managers: a new id
+  /// at the cap evicts the oldest-inserted one, and an evicted client that
+  /// comes back starts over with a fresh manager.
+  static constexpr std::size_t kMaxClientQualityManagers = 1024;
   using QualityFactory = std::function<std::shared_ptr<qos::QualityManager>()>;
   void set_quality_factory(QualityFactory factory);
 
-  /// Number of distinct per-client managers created so far.
+  /// Number of per-client managers currently held.
   [[nodiscard]] std::size_t client_quality_count() const;
 
   /// Attaches server-side load monitoring — the degrade/shed rungs of the
@@ -155,7 +160,9 @@ class ServiceRuntime {
   std::atomic<bool> draining_{false};
   QualityFactory quality_factory_;
   mutable std::mutex clients_mu_;
-  std::map<std::string, std::shared_ptr<qos::QualityManager>> client_quality_;  // sbqlint:guarded_by(clients_mu_)
+  using ClientQualityMap = std::map<std::string, std::shared_ptr<qos::QualityManager>>;
+  ClientQualityMap client_quality_;  // sbqlint:guarded_by(clients_mu_)
+  std::deque<ClientQualityMap::iterator> client_order_;  // sbqlint:guarded_by(clients_mu_)
   std::string wsdl_document_;
   mutable std::mutex stats_mu_;
   EndpointStats stats_;  // sbqlint:guarded_by(stats_mu_)

@@ -1,144 +1,111 @@
 #include "pbio/value.h"
 
 #include <cstdio>
+#include <type_traits>
 
 namespace sbq::pbio {
 
 namespace {
-const char* kind_label(Value::Kind k) {
-  switch (k) {
-    case Value::Kind::kNull: return "null";
-    case Value::Kind::kInt: return "int";
-    case Value::Kind::kUInt: return "uint";
-    case Value::Kind::kFloat: return "float";
-    case Value::Kind::kChar: return "char";
-    case Value::Kind::kString: return "string";
-    case Value::Kind::kArray: return "array";
-    case Value::Kind::kRecord: return "record";
-  }
-  return "?";
-}
+// Indexed by the variant's alternative order.
+constexpr const char* kKindLabels[] = {"null",   "int",   "uint",  "float",
+                                       "char",   "string", "array", "record"};
 }  // namespace
 
-void Value::require(Kind k, const char* what) const {
-  if (kind_ != k) {
-    throw CodecError(std::string("value is ") + kind_label(kind_) + ", wanted " + what);
-  }
+void Value::wrong_kind(const char* what) const {
+  throw CodecError(std::string("value is ") + kKindLabels[data_.index()] + ", wanted " + what);
 }
 
-std::int64_t Value::as_i64() const {
-  switch (kind_) {
-    case Kind::kInt: return int_;
-    case Kind::kUInt: return static_cast<std::int64_t>(uint_);
-    case Kind::kFloat: return static_cast<std::int64_t>(float_);
-    case Kind::kChar: return static_cast<std::int64_t>(char_);
-    default: throw CodecError(std::string("value is ") + kind_label(kind_) + ", wanted numeric");
-  }
+template <class T>
+const T& Value::get(const char* what) const {
+  if (const T* p = std::get_if<T>(&data_)) return *p;
+  wrong_kind(what);
 }
+
+template <class T>
+T& Value::get(const char* what) {
+  if (T* p = std::get_if<T>(&data_)) return *p;
+  wrong_kind(what);
+}
+
+// Every arithmetic alternative converts with static_cast; the rest throw.
+template <class R>
+R Value::numeric(const char* what) const {
+  return std::visit(
+      [&](const auto& x) -> R {
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(x)>>) {
+          return static_cast<R>(x);
+        } else {
+          wrong_kind(what);
+        }
+      },
+      data_);
+}
+
+std::int64_t Value::as_i64() const { return numeric<std::int64_t>("numeric"); }
 
 std::uint64_t Value::as_u64() const {
-  switch (kind_) {
-    case Kind::kInt: return static_cast<std::uint64_t>(int_);
-    case Kind::kUInt: return uint_;
-    case Kind::kFloat: return static_cast<std::uint64_t>(float_);
-    case Kind::kChar: return static_cast<std::uint64_t>(static_cast<unsigned char>(char_));
-    default: throw CodecError(std::string("value is ") + kind_label(kind_) + ", wanted numeric");
-  }
+  if (const char* c = std::get_if<char>(&data_)) return static_cast<unsigned char>(*c);
+  return numeric<std::uint64_t>("numeric");
 }
 
-double Value::as_f64() const {
-  switch (kind_) {
-    case Kind::kInt: return static_cast<double>(int_);
-    case Kind::kUInt: return static_cast<double>(uint_);
-    case Kind::kFloat: return float_;
-    case Kind::kChar: return static_cast<double>(char_);
-    default: throw CodecError(std::string("value is ") + kind_label(kind_) + ", wanted numeric");
-  }
-}
+double Value::as_f64() const { return numeric<double>("numeric"); }
 
 char Value::as_char() const {
-  switch (kind_) {
-    case Kind::kChar: return char_;
-    case Kind::kInt: return static_cast<char>(int_);
-    case Kind::kUInt: return static_cast<char>(uint_);
-    default: throw CodecError(std::string("value is ") + kind_label(kind_) + ", wanted char");
-  }
+  if (std::holds_alternative<double>(data_)) wrong_kind("char");
+  return numeric<char>("char");
 }
 
-const std::string& Value::as_string() const {
-  require(Kind::kString, "string");
-  return str_;
-}
+const std::string& Value::as_string() const { return get<std::string>("string"); }
 
 Value Value::empty_array() {
   Value v;
-  v.kind_ = Kind::kArray;
+  v.data_.emplace<std::vector<Value>>();
   return v;
 }
 
 Value Value::array(std::initializer_list<Value> elements) {
-  Value v = empty_array();
-  v.children_.assign(elements.begin(), elements.end());
+  Value v;
+  v.data_.emplace<std::vector<Value>>(elements);
   return v;
 }
 
-std::size_t Value::array_size() const {
-  require(Kind::kArray, "array");
-  return children_.size();
-}
+std::size_t Value::array_size() const { return elements().size(); }
 
 const Value& Value::at(std::size_t i) const {
-  require(Kind::kArray, "array");
-  if (i >= children_.size()) {
-    throw CodecError("array index " + std::to_string(i) + " out of range");
-  }
-  return children_[i];
+  const auto& elems = elements();
+  if (i >= elems.size()) throw CodecError("array index " + std::to_string(i) + " out of range");
+  return elems[i];
 }
 
-void Value::push_back(Value v) {
-  require(Kind::kArray, "array");
-  children_.push_back(std::move(v));
-}
+void Value::push_back(Value v) { get<std::vector<Value>>("array").push_back(std::move(v)); }
 
-const std::vector<Value>& Value::elements() const {
-  require(Kind::kArray, "array");
-  return children_;
-}
+const std::vector<Value>& Value::elements() const { return get<std::vector<Value>>("array"); }
 
 Value Value::empty_record() {
   Value v;
-  v.kind_ = Kind::kRecord;
+  v.data_.emplace<std::vector<NamedValue>>();
   return v;
 }
 
 Value Value::record(std::initializer_list<NamedValue> fields) {
-  Value v = empty_record();
-  for (const auto& f : fields) {
-    v.names_.push_back(f.name);
-    v.children_.push_back(f.value);
-  }
+  Value v;
+  v.data_.emplace<std::vector<NamedValue>>(fields);
   return v;
 }
 
-std::size_t Value::field_count() const {
-  require(Kind::kRecord, "record");
-  return children_.size();
-}
+std::size_t Value::field_count() const { return get<std::vector<NamedValue>>("record").size(); }
 
 const std::string& Value::field_name(std::size_t i) const {
-  require(Kind::kRecord, "record");
-  return names_.at(i);
+  return get<std::vector<NamedValue>>("record").at(i).name;
 }
 
 const Value& Value::field_at(std::size_t i) const {
-  require(Kind::kRecord, "record");
-  return children_.at(i);
+  return get<std::vector<NamedValue>>("record").at(i).value;
 }
 
 const Value* Value::find_field(std::string_view name) const {
-  require(Kind::kRecord, "record");
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return &children_[i];
+  for (const NamedValue& f : get<std::vector<NamedValue>>("record")) {
+    if (f.name == name) return &f.value;
   }
   return nullptr;
 }
@@ -150,68 +117,43 @@ const Value& Value::field(std::string_view name) const {
 }
 
 void Value::set_field(std::string_view name, Value v) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kRecord;
-  require(Kind::kRecord, "record");
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) {
-      children_[i] = std::move(v);
+  if (std::holds_alternative<std::monostate>(data_)) data_.emplace<std::vector<NamedValue>>();
+  auto& fields = get<std::vector<NamedValue>>("record");
+  for (NamedValue& f : fields) {
+    if (f.name == name) {
+      f.value = std::move(v);
       return;
     }
   }
-  names_.emplace_back(name);
-  children_.push_back(std::move(v));
-}
-
-bool Value::operator==(const Value& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case Kind::kNull: return true;
-    case Kind::kInt: return int_ == other.int_;
-    case Kind::kUInt: return uint_ == other.uint_;
-    case Kind::kFloat: return float_ == other.float_;
-    case Kind::kChar: return char_ == other.char_;
-    case Kind::kString: return str_ == other.str_;
-    case Kind::kArray: return children_ == other.children_;
-    case Kind::kRecord: return names_ == other.names_ && children_ == other.children_;
-  }
-  return false;
+  fields.push_back({std::string(name), std::move(v)});
 }
 
 std::string Value::to_debug_string() const {
-  switch (kind_) {
-    case Kind::kNull:
-      return "null";
-    case Kind::kInt:
-      return std::to_string(int_);
-    case Kind::kUInt:
-      return std::to_string(uint_) + "u";
-    case Kind::kFloat: {
+  struct Render {
+    std::string operator()(std::monostate) const { return "null"; }
+    std::string operator()(std::int64_t x) const { return std::to_string(x); }
+    std::string operator()(std::uint64_t x) const { return std::to_string(x) + "u"; }
+    std::string operator()(double x) const {
       char buf[48];
-      std::snprintf(buf, sizeof buf, "%g", float_);
+      std::snprintf(buf, sizeof buf, "%g", x);
       return buf;
     }
-    case Kind::kChar:
-      return std::string("'") + char_ + "'";
-    case Kind::kString:
-      return '"' + str_ + '"';
-    case Kind::kArray: {
+    std::string operator()(char x) const { return std::string("'") + x + "'"; }
+    std::string operator()(const std::string& x) const { return '"' + x + '"'; }
+    std::string operator()(const std::vector<Value>& elems) const {
       std::string out = "[";
-      for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += children_[i].to_debug_string();
-      }
+      for (const Value& e : elems) out += (out.size() > 1 ? ", " : "") + e.to_debug_string();
       return out + "]";
     }
-    case Kind::kRecord: {
+    std::string operator()(const std::vector<NamedValue>& fields) const {
       std::string out = "{";
-      for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += names_[i] + ": " + children_[i].to_debug_string();
+      for (const NamedValue& f : fields) {
+        out += (out.size() > 1 ? ", " : "") + f.name + ": " + f.value.to_debug_string();
       }
       return out + "}";
     }
-  }
-  return "?";
+  };
+  return std::visit(Render{}, data_);
 }
 
 }  // namespace sbq::pbio

@@ -5,12 +5,17 @@
 // a tree of scalars, strings, arrays and records that encodes to exactly the
 // same PBIO wire bytes as a native struct with the same format — tests
 // assert byte-for-byte equality between the two paths.
+//
+// A Value holds one std::variant, so exactly one alternative is live: null,
+// a widened scalar, a string, an array of Values, or a record stored as an
+// ordered vector of NamedValue {name, value} pairs.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/error.h"
@@ -22,38 +27,22 @@ namespace sbq::pbio {
 /// their fields ordered because PBIO payloads are positional.
 class Value {
  public:
-  enum class Kind : std::uint8_t {
-    kNull,
-    kInt,     // int64
-    kUInt,    // uint64
-    kFloat,   // double
-    kChar,
-    kString,
-    kArray,
-    kRecord,
-  };
+  struct NamedValue;  // {name, value}; defined after Value is complete
 
   Value() = default;
-  Value(std::int64_t v) : kind_(Kind::kInt), int_(v) {}    // NOLINT(google-explicit-constructor)
-  Value(int v) : kind_(Kind::kInt), int_(v) {}             // NOLINT
-  Value(std::uint64_t v) : kind_(Kind::kUInt), uint_(v) {} // NOLINT
-  Value(unsigned v) : kind_(Kind::kUInt), uint_(v) {}      // NOLINT
-  Value(double v) : kind_(Kind::kFloat), float_(v) {}      // NOLINT
-  Value(char v) : kind_(Kind::kChar), char_(v) {}          // NOLINT
-  Value(std::string v) : kind_(Kind::kString), str_(std::move(v)) {}  // NOLINT
-  Value(const char* v) : kind_(Kind::kString), str_(v) {}  // NOLINT
+  Value(std::int64_t v) : data_(v) {}                  // NOLINT(google-explicit-constructor)
+  Value(int v) : data_(std::int64_t{v}) {}             // NOLINT
+  Value(std::uint64_t v) : data_(v) {}                 // NOLINT
+  Value(unsigned v) : data_(std::uint64_t{v}) {}       // NOLINT
+  Value(double v) : data_(v) {}                        // NOLINT
+  Value(char v) : data_(v) {}                          // NOLINT
+  Value(std::string v) : data_(std::move(v)) {}        // NOLINT
+  Value(const char* v) : data_(std::string(v)) {}      // NOLINT
 
-  [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_int() const { return kind_ == Kind::kInt; }
-  [[nodiscard]] bool is_uint() const { return kind_ == Kind::kUInt; }
-  [[nodiscard]] bool is_float() const { return kind_ == Kind::kFloat; }
-  [[nodiscard]] bool is_char() const { return kind_ == Kind::kChar; }
-  [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
-  [[nodiscard]] bool is_record() const { return kind_ == Kind::kRecord; }
-  [[nodiscard]] bool is_numeric() const {
-    return is_int() || is_uint() || is_float() || is_char();
+  [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(data_); }
+  [[nodiscard]] bool is_array() const { return std::holds_alternative<std::vector<Value>>(data_); }
+  [[nodiscard]] bool is_record() const {
+    return std::holds_alternative<std::vector<NamedValue>>(data_);
   }
 
   /// Numeric accessors convert between numeric classes; non-numeric storage
@@ -79,8 +68,6 @@ class Value {
 
   // --- records ------------------------------------------------------------
 
-  struct NamedValue;  // {name, value}; defined after Value is complete
-
   /// Creates an empty record value.
   static Value empty_record();
   static Value record(std::initializer_list<NamedValue> fields);
@@ -94,33 +81,39 @@ class Value {
   [[nodiscard]] const Value& field(std::string_view name) const;
   [[nodiscard]] const Value* find_field(std::string_view name) const;
 
-  /// Sets (appending) or replaces a record field.
+  /// Sets (appending) or replaces a record field. A null Value becomes a
+  /// record first.
   void set_field(std::string_view name, Value v);
 
   // --- misc ---------------------------------------------------------------
 
-  bool operator==(const Value& other) const;
+  /// Equal when the same alternative holds equal contents; record fields
+  /// compare in order, names included.
+  bool operator==(const Value& other) const = default;
 
   /// Debug rendering, e.g. `{count: 3, data: [1, 2, 3]}`.
   [[nodiscard]] std::string to_debug_string() const;
 
  private:
-  void require(Kind k, const char* what) const;
+  template <class T>
+  const T& get(const char* what) const;
+  template <class T>
+  T& get(const char* what);
+  template <class R>
+  R numeric(const char* what) const;
+  [[noreturn]] void wrong_kind(const char* what) const;
 
-  Kind kind_ = Kind::kNull;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double float_ = 0.0;
-  char char_ = '\0';
-  std::string str_;
-  std::vector<Value> children_;      // array elements or record field values
-  std::vector<std::string> names_;   // record field names (parallel to children_)
+  std::variant<std::monostate, std::int64_t, std::uint64_t, double, char, std::string,
+               std::vector<Value>, std::vector<NamedValue>>
+      data_;
 };
 
-/// Named field used by the Value::record(...) literal factory.
+/// One record field; also the element type of the Value::record(...) literal.
 struct Value::NamedValue {
   std::string name;
   Value value;
+
+  bool operator==(const NamedValue& other) const = default;
 };
 
 }  // namespace sbq::pbio

@@ -540,6 +540,67 @@ TEST(PerClientQuality, ClientsAdaptIndependently) {
   EXPECT_EQ(runtime.client_quality_count(), 2u);
 }
 
+TEST(PerClientQuality, RotatingClientIdsKeepTheTableBounded) {
+  auto format_server = std::make_shared<pbio::FormatServer>();
+  auto clock = std::make_shared<net::SteadyTimeSource>();
+  ServiceRuntime runtime(format_server, clock);
+  const FormatPtr req_format = FormatBuilder("req").add_scalar("n", TypeKind::kInt32).build();
+  runtime.register_operation("fetch", req_format, xf_full(), [](const Value&) {
+    return Value::record({{"id", 1}, {"data", std::string(64, 'P')}});
+  });
+  int managers_built = 0;
+  runtime.set_quality_factory([&managers_built] {
+    ++managers_built;
+    return xml_quality(1);
+  });
+
+  // Records one real binary request so it can be replayed under other ids.
+  struct CaptureTransport final : core::Transport {
+    explicit CaptureTransport(ServiceRuntime& runtime) : inner(runtime) {}
+    http::Response round_trip(const http::Request& request) override {
+      target = request.target;
+      headers = request.headers;
+      body = request.body_string();
+      return inner.round_trip(request);
+    }
+    LoopbackTransport inner;
+    std::string target;
+    http::Headers headers;
+    std::string body;
+  };
+  CaptureTransport capture(runtime);
+  wsdl::ServiceDesc svc;
+  svc.name = "PQ";
+  svc.operations.push_back(wsdl::OperationDesc{"fetch", req_format, xf_full()});
+  ClientStub client(capture, WireFormat::kBinary, svc, format_server, clock);
+  (void)client.call("fetch", Value::record({{"n", 1}}));
+
+  const auto send_as = [&](const std::string& client_id) {
+    http::Request request;
+    request.target = capture.target;
+    request.headers = capture.headers;
+    request.headers.set(std::string(core::kHeaderClientId), client_id);
+    request.set_body(capture.body);
+    return runtime.handle(request).status;
+  };
+  constexpr int kIds = 10000;
+  int answered = 0;
+  for (int i = 0; i < kIds; ++i) {
+    if (send_as("spray-" + std::to_string(i)) == 200) ++answered;
+  }
+  EXPECT_EQ(answered, kIds);
+  EXPECT_LE(runtime.client_quality_count(), ServiceRuntime::kMaxClientQualityManagers);
+  EXPECT_EQ(ServiceRuntime::kMaxClientQualityManagers, 1024u);
+  const int built = managers_built;
+
+  // The newest id is still held; the oldest was evicted and starts over.
+  EXPECT_EQ(send_as("spray-" + std::to_string(kIds - 1)), 200);
+  EXPECT_EQ(managers_built, built);
+  EXPECT_EQ(send_as("spray-0"), 200);
+  EXPECT_EQ(managers_built, built + 1);
+  EXPECT_LE(runtime.client_quality_count(), ServiceRuntime::kMaxClientQualityManagers);
+}
+
 TEST(PerClientQuality, SharedManagerWithoutFactory) {
   XmlQualityFixture fx;  // global manager only
   ClientStub& a = *fx.clients.emplace_back(fx.make_client());

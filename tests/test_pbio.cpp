@@ -702,6 +702,46 @@ TEST(ValueTest, EqualityAndDebug) {
   EXPECT_EQ(a.to_debug_string(), "{x: [1, 2], s: \"hi\"}");
 }
 
+TEST(ValueTest, EqualityIsKindAndOrderSensitive) {
+  const Value scalars[] = {Value{1}, Value{1u}, Value{1.0}, Value{'\x01'}};
+  for (std::size_t i = 0; i < std::size(scalars); ++i) {
+    for (std::size_t j = 0; j < std::size(scalars); ++j) {
+      EXPECT_EQ(scalars[i] == scalars[j], i == j) << i << " vs " << j;
+    }
+  }
+  EXPECT_FALSE(Value::record({{"a", 1}, {"b", 2}}) == Value::record({{"b", 2}, {"a", 1}}));
+  EXPECT_EQ(Value{}, Value{});
+  EXPECT_FALSE(Value::empty_array() == Value::empty_record());
+}
+
+TEST(ValueTest, CopiesAreDeepAndSetFieldOnNullMakesARecord) {
+  Value original = Value::record({{"xs", Value::array({1, 2})}, {"s", "hi"}});
+  Value copy = original;
+  copy.set_field("s", "changed");
+  original.set_field("xs", Value::array({9}));
+  EXPECT_EQ(copy.field("s").as_string(), "changed");
+  EXPECT_EQ(copy.field("xs"), Value::array({1, 2}));
+  EXPECT_EQ(original.field("s").as_string(), "hi");
+
+  Value v;
+  v.set_field("n", 7);
+  EXPECT_TRUE(v.is_record());
+  EXPECT_EQ(v, Value::record({{"n", 7}}));
+  Value scalar{3};
+  EXPECT_THROW(scalar.set_field("n", 7), CodecError);
+  try {
+    (void)Value{}.elements();
+    FAIL() << "null is not an array";
+  } catch (const CodecError& e) {
+    EXPECT_STREQ(e.what(), "codec error: value is null, wanted array");
+  }
+}
+
+TEST(ValueTest, ElementIsAtMostFortyEightBytes) {
+  static_assert(sizeof(Value) <= 48, "a Value holds one storage slot");
+  EXPECT_LE(sizeof(Value), 48u);
+}
+
 // ---------------------------------------------------------------- value codec
 
 Value sample_sensor_value() {

@@ -184,6 +184,20 @@ TEST_P(CodecProperties, BinaryRoundTripHostOrder) {
       << "format: " << format->canonical();
 }
 
+TEST_P(CodecProperties, CopiesAndMovesPreserveValueAndWire) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 8000);
+  const FormatPtr format = random_format(rng, 2);
+  const Value original = random_value(rng, *format);
+  const Value copy = original;
+  Value source = original;
+  const Value moved = std::move(source);
+  EXPECT_EQ(copy, original);
+  EXPECT_EQ(moved, original);
+  const Bytes wire = encode_value_message(original, *format);
+  EXPECT_EQ(encode_value_message(copy, *format), wire) << "format: " << format->canonical();
+  EXPECT_EQ(encode_value_message(moved, *format), wire) << "format: " << format->canonical();
+}
+
 TEST_P(CodecProperties, BinaryRoundTripForeignOrder) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
   const FormatPtr format = random_format(rng, 2);
