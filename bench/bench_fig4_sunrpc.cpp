@@ -29,7 +29,7 @@ void xdr_encode_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder&
     const Value& field = v.field(f.name);
     if (f.arity != Arity::kScalar) {
       enc.put_array_header(static_cast<std::uint32_t>(field.array_size()));
-      for (const Value& e : field.elements()) {
+      const auto put = [&](const Value& e) {
         if (f.kind == TypeKind::kStruct) {
           xdr_encode_value(e, *f.struct_format, enc);
         } else if (f.kind == TypeKind::kFloat64) {
@@ -37,7 +37,10 @@ void xdr_encode_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder&
         } else {
           enc.put_i32(static_cast<std::int32_t>(e.as_i64()));
         }
-      }
+      };
+      field.visit_array([&](auto elems) {
+        for (const auto& e : elems) put(e);
+      });
       continue;
     }
     switch (f.kind) {

@@ -39,6 +39,38 @@ void BM_PbioDecodeArray(benchmark::State& state) {
 }
 BENCHMARK(BM_PbioDecodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
 
+// The live stack's encode: header plus payload as a BufferChain, the payload
+// length measured first by a dry run. Compare with BM_PbioEncodeArray, the
+// flat ByteBuffer sink.
+void BM_PbioEncodeArrayChain(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const pbio::Value v = make_int_array(bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pbio::encode_value_message_chain(v, *int_array_format()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_PbioEncodeArrayChain)->Arg(1024)->Arg(102400)->Arg(1048576);
+
+// The live stack's decode: a ChainReader over the received message, header
+// first, then the payload (what ServiceRuntime and ClientStub run).
+void BM_PbioDecodeArrayChain(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const pbio::Value v = make_int_array(bytes);
+  const pbio::FormatPtr format = int_array_format();
+  const BufferChain message = pbio::encode_value_message_chain(v, *format);
+  for (auto _ : state) {
+    ChainReader reader(message);
+    const pbio::WireHeader header = pbio::read_header(reader);
+    benchmark::DoNotOptimize(pbio::decode_value_payload(
+        reader, header.payload_length, header.sender_order, *format));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(message.size()));
+}
+BENCHMARK(BM_PbioDecodeArrayChain)->Arg(1024)->Arg(102400)->Arg(1048576);
+
 void BM_PbioNativeEncodeArray(benchmark::State& state) {
   // The native path: a C struct with a VarArray<int32> — PBIO's zero-
   // transformation fast path.

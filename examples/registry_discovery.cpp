@@ -92,12 +92,9 @@ int main() {
       "grid_data_coarse", sensor_service.type("grid_data_coarse"),
       [](const Value& full, const pbio::FormatDesc& target, const qos::AttributeMap&) {
         // Coarse = every 4th point.
-        Value out = pbio::project_value(full, target);
-        Value sampled = Value::empty_array();
-        const auto& points = full.field("points").elements();
-        for (std::size_t i = 0; i < points.size(); i += 4) sampled.push_back(points[i]);
-        out.set_field("points", std::move(sampled));
-        return out;
+        const Value& points = full.field("points");
+        return pbio::project_value(full, target, "points",
+                                   points.slice(points.array_size(), 4));
       });
   sensor_runtime.set_quality_manager(provider_quality);
   http::Server sensor_http(

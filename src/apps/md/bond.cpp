@@ -216,11 +216,7 @@ Value trim_batch_handler(const Value& full, const pbio::FormatDesc& target,
     throw CodecError("trim_batch_handler: bad target format '" + target.name + "'");
   }
   const std::size_t budget = static_cast<std::size_t>(last - '0');
-  const auto& steps = full.field("steps").elements();
-  Value trimmed = Value::empty_array();
-  for (std::size_t i = 0; i < steps.size() && i < budget; ++i) {
-    trimmed.push_back(steps[i]);
-  }
+  Value trimmed = full.field("steps").slice(budget);
   return Value::record({{"count", static_cast<std::int64_t>(trimmed.array_size())},
                         {"steps", std::move(trimmed)}});
 }

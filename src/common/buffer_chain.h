@@ -152,6 +152,8 @@ class ChainWriter {
   void append_raw(const void* p, std::size_t n) { staging_.append_raw(p, n); }
   void append(BytesView v) { staging_.append(v); }
   void append(std::string_view s) { staging_.append(s); }
+  /// Staged bytes written in place; see ByteBuffer::extend.
+  std::uint8_t* extend(std::size_t n) { return staging_.extend(n); }
 
   /// Appends a payload block: borrowed as its own segment when large enough,
   /// staged otherwise. The anchor (if any) pins the borrowed storage.

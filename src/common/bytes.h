@@ -84,6 +84,13 @@ class ByteBuffer {
     append_u64(std::bit_cast<std::uint64_t>(v), order);
   }
 
+  /// Grows the buffer by `n` bytes and returns where they start, so an
+  /// encoder can write a block in place.
+  std::uint8_t* extend(std::size_t n) {
+    data_.resize(data_.size() + n);
+    return data_.data() + data_.size() - n;
+  }
+
   /// Overwrites 4 bytes at `offset` (used to patch length prefixes).
   void patch_u32(std::size_t offset, std::uint32_t v, ByteOrder order) {
     if (offset + 4 > data_.size()) throw CodecError("patch_u32 out of range");

@@ -1,6 +1,7 @@
 #include "pbio/format.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -194,19 +195,28 @@ FormatBuilder& FormatBuilder::add_struct_fixed_array(std::string name,
 
 FormatPtr FormatBuilder::build() {
   if (desc_.fields.empty()) throw CodecError("format with no fields: " + desc_.name);
-  std::uint32_t offset = 0;
+  // Offsets and sizes are laid out in 64 bits and must fit the uint32_t
+  // fields: a peer's format (deserialize_format) may describe a layout past
+  // 4 GB, which would otherwise wrap and let a receiver write past its record.
+  const auto fit = [this](std::uint64_t bytes) {
+    if (bytes > UINT32_MAX) {
+      throw CodecError("format '" + desc_.name + "' has a native layout past 4 GB");
+    }
+    return static_cast<std::uint32_t>(bytes);
+  };
+  std::uint64_t offset = 0;
   std::uint32_t max_align = 1;
   for (auto& f : desc_.fields) {
     const std::uint32_t align = f.alignment();
     max_align = std::max(max_align, align);
-    offset = (offset + align - 1) & ~(align - 1);
-    f.offset = offset;
+    offset = (offset + align - 1) & ~std::uint64_t{align - 1};
+    f.offset = fit(offset);
     switch (f.arity) {
       case Arity::kScalar:
         f.size = f.element_size();
         break;
       case Arity::kFixedArray:
-        f.size = f.element_size() * f.fixed_count;
+        f.size = fit(std::uint64_t{f.element_size()} * f.fixed_count);
         break;
       case Arity::kVarArray:
         f.size = sizeof(VarArray<int>);
@@ -215,7 +225,7 @@ FormatPtr FormatBuilder::build() {
     offset += f.size;
   }
   desc_.native_align = max_align;
-  desc_.native_size = (offset + max_align - 1) & ~(max_align - 1);
+  desc_.native_size = fit((offset + max_align - 1) & ~std::uint64_t{max_align - 1});
   // FNV-1a 64-bit over the canonical rendering.
   FormatId id = 0xCBF29CE484222325ull;
   for (const unsigned char ch : desc_.canonical()) {

@@ -3,13 +3,15 @@
 //
 // Each encoder — the native-record walker (encode.cpp) and the Value walker
 // (value_codec.cpp) — is written once as a template over a Sink with
-// ByteBuffer's append_* surface; three sinks instantiate it:
+// ByteBuffer's append_* surface (plus extend(), which the Value walker uses
+// to narrow contiguous arrays in place); three sinks instantiate it:
 //   * ByteBuffer    — one flat buffer (encode_message, encode_value_message,
 //                     the Fig. 4/5 marshal paths),
 //   * ChainWriter   — the zero-copy path: bulk blocks become borrowed chain
 //                     segments via sink_block(),
 //   * CountingSink  — a size-only dry run and the only size walker
-//                     (wire_size, value_wire_size); it lets the chain path
+//                     (wire_size, value_wire_size; a contiguous array is one
+//                     append_raw, so O(1)); it lets the chain path
 //                     emit the header's payload length up front instead of
 //                     patching across segments.
 // All three produce/account byte-identical wire images; tests assert it.

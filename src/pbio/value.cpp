@@ -1,5 +1,6 @@
 #include "pbio/value.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <type_traits>
 
@@ -7,9 +8,57 @@ namespace sbq::pbio {
 
 namespace {
 // Indexed by the variant's alternative order.
-constexpr const char* kKindLabels[] = {"null",   "int",   "uint",  "float",
-                                       "char",   "string", "array", "record"};
+constexpr const char* kKindLabels[] = {"null", "int",    "uint",  "float", "char", "string",
+                                       "array", "record", "array", "array", "array"};
+
+// Element-wise equality of two array storages of any form.
+template <class A, class B>
+bool same_elements(std::span<const A> a, std::span<const B> b) {
+  if constexpr (std::is_same_v<A, B>) {
+    return std::ranges::equal(a, b);
+  } else if constexpr (std::is_same_v<A, Value>) {
+    return std::ranges::equal(a, b, [](const Value& x, B y) { return x == Value(y); });
+  } else if constexpr (std::is_same_v<B, Value>) {
+    return same_elements(b, a);
+  } else {
+    return a.empty() && b.empty();  // no element of one class equals one of another
+  }
+}
+
+// Renders one storage alternative for Value::to_debug_string().
+struct Render {
+  std::string operator()(std::monostate) const { return "null"; }
+  std::string operator()(std::int64_t x) const { return std::to_string(x); }
+  std::string operator()(std::uint64_t x) const { return std::to_string(x) + "u"; }
+  std::string operator()(double x) const {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%g", x);
+    return buf;
+  }
+  std::string operator()(char x) const { return std::string("'") + x + "'"; }
+  std::string operator()(const std::string& x) const { return '"' + x + '"'; }
+  std::string operator()(const Value& v) const { return v.to_debug_string(); }
+  template <class T>
+  std::string operator()(const std::vector<T>& elems) const {
+    std::string out = "[";
+    for (const T& e : elems) out += (out.size() > 1 ? ", " : "") + (*this)(e);
+    return out + "]";
+  }
+  std::string operator()(const std::vector<Value::NamedValue>& fields) const {
+    std::string out = "{";
+    for (const Value::NamedValue& f : fields) {
+      out += (out.size() > 1 ? ", " : "") + f.name + ": " + f.value.to_debug_string();
+    }
+    return out + "}";
+  }
+};
 }  // namespace
+
+Value::Value(const Value& other) = default;
+Value::Value(Value&& other) noexcept = default;
+Value& Value::operator=(const Value& other) = default;
+Value& Value::operator=(Value&& other) noexcept = default;
+Value::~Value() = default;
 
 void Value::wrong_kind(const char* what) const {
   throw CodecError(std::string("value is ") + kKindLabels[data_.index()] + ", wanted " + what);
@@ -57,6 +106,12 @@ char Value::as_char() const {
 
 const std::string& Value::as_string() const { return get<std::string>("string"); }
 
+bool Value::is_array() const {
+  return std::holds_alternative<std::vector<Value>>(data_) ||
+         std::holds_alternative<I64Array>(data_) || std::holds_alternative<U64Array>(data_) ||
+         std::holds_alternative<F64Array>(data_);
+}
+
 Value Value::empty_array() {
   Value v;
   v.data_.emplace<std::vector<Value>>();
@@ -64,22 +119,75 @@ Value Value::empty_array() {
 }
 
 Value Value::array(std::initializer_list<Value> elements) {
-  Value v;
-  v.data_.emplace<std::vector<Value>>(elements);
+  Value v = empty_array();
+  for (const Value& e : elements) v.push_back(e);
   return v;
 }
 
-std::size_t Value::array_size() const { return elements().size(); }
-
-const Value& Value::at(std::size_t i) const {
-  const auto& elems = elements();
-  if (i >= elems.size()) throw CodecError("array index " + std::to_string(i) + " out of range");
-  return elems[i];
+std::size_t Value::array_size() const {
+  return visit_array([](auto elems) { return elems.size(); });
 }
 
-void Value::push_back(Value v) { get<std::vector<Value>>("array").push_back(std::move(v)); }
+Value Value::at(std::size_t i) const {
+  return visit_array([i](auto elems) -> Value {
+    if (i >= elems.size()) throw CodecError("array index " + std::to_string(i) + " out of range");
+    return elems[i];
+  });
+}
 
-const std::vector<Value>& Value::elements() const { return get<std::vector<Value>>("array"); }
+void Value::push_back(Value v) {
+  const std::size_t size = array_size();  // throws unless an array
+  // A scalar of a contiguous class starts an empty array in that form, or
+  // extends an array already in it.
+  const auto extend = [&]<class T>(std::type_identity<T>) {
+    const T* x = std::get_if<T>(&v.data_);
+    if (x == nullptr) return false;
+    if (size == 0) {
+      data_.emplace<std::vector<T>>(1, *x);
+      return true;
+    }
+    auto* contiguous = std::get_if<std::vector<T>>(&data_);
+    if (contiguous != nullptr) contiguous->push_back(*x);
+    return contiguous != nullptr;
+  };
+  if (extend(std::type_identity<std::int64_t>{}) || extend(std::type_identity<std::uint64_t>{}) ||
+      extend(std::type_identity<double>{})) {
+    return;
+  }
+  // Anything else lives in a vector of Values.
+  if (!std::holds_alternative<std::vector<Value>>(data_)) {
+    data_ = visit_array(
+        [](auto elems) { return std::vector<Value>(elems.begin(), elems.end()); });
+  }
+  std::get<std::vector<Value>>(data_).push_back(std::move(v));
+}
+
+Value::Elements Value::elements() const {
+  if (!is_array()) wrong_kind("array");
+  return Elements(*this);
+}
+
+const Value& Value::Elements::iterator::operator*() const {
+  if (const auto* generic = std::get_if<std::vector<Value>>(&array_->data_)) {
+    return (*generic)[i_];
+  }
+  current_ = array_->at(i_);
+  return current_;
+}
+
+Value Value::slice(std::size_t end, std::size_t step) const {
+  if (step == 0) throw CodecError("slice step must be positive");
+  return visit_array([&](auto elems) {
+    using T = std::remove_const_t<typename decltype(elems)::element_type>;
+    const std::size_t stop = std::min(end, elems.size());
+    std::vector<T> kept;
+    kept.reserve(stop == 0 ? 0 : (stop - 1) / step + 1);
+    for (std::size_t i = 0; i < stop; i += step) kept.push_back(elems[i]);
+    Value out;
+    out.data_ = std::move(kept);
+    return out;
+  });
+}
 
 Value Value::empty_record() {
   Value v;
@@ -128,31 +236,15 @@ void Value::set_field(std::string_view name, Value v) {
   fields.push_back({std::string(name), std::move(v)});
 }
 
+bool Value::operator==(const Value& other) const {
+  if (data_.index() == other.data_.index()) return data_ == other.data_;
+  if (!is_array() || !other.is_array()) return false;
+  return visit_array([&other](auto mine) {
+    return other.visit_array([mine](auto theirs) { return same_elements(mine, theirs); });
+  });
+}
+
 std::string Value::to_debug_string() const {
-  struct Render {
-    std::string operator()(std::monostate) const { return "null"; }
-    std::string operator()(std::int64_t x) const { return std::to_string(x); }
-    std::string operator()(std::uint64_t x) const { return std::to_string(x) + "u"; }
-    std::string operator()(double x) const {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%g", x);
-      return buf;
-    }
-    std::string operator()(char x) const { return std::string("'") + x + "'"; }
-    std::string operator()(const std::string& x) const { return '"' + x + '"'; }
-    std::string operator()(const std::vector<Value>& elems) const {
-      std::string out = "[";
-      for (const Value& e : elems) out += (out.size() > 1 ? ", " : "") + e.to_debug_string();
-      return out + "]";
-    }
-    std::string operator()(const std::vector<NamedValue>& fields) const {
-      std::string out = "{";
-      for (const NamedValue& f : fields) {
-        out += (out.size() > 1 ? ", " : "") + f.name + ": " + f.value.to_debug_string();
-      }
-      return out + "}";
-    }
-  };
   return std::visit(Render{}, data_);
 }
 

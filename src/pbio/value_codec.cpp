@@ -1,6 +1,11 @@
 #include "pbio/value_codec.h"
 
+#include <optional>
+#include <span>
+#include <type_traits>
+
 #include "common/error.h"
+#include "pbio/array_words.h"
 #include "pbio/encode.h"
 #include "pbio/sink.h"
 
@@ -52,7 +57,30 @@ void encode_record_value(const Value& value, const FormatDesc& format, Sink& out
 template <typename Sink>
 void encode_field_elements(const Value& array, const FieldDesc& field, Sink& out,
                            ByteOrder order, const BufferChain::Anchor& anchor) {
-  for (const Value& elem : array.elements()) {
+  // A contiguous array in its kind's class takes one loop; any other goes
+  // element by element, converted to Values first if it is contiguous.
+  std::vector<Value> converted;
+  const std::optional<std::span<const Value>> elems =
+      array.visit_array([&](auto stored) -> std::optional<std::span<const Value>> {
+        using T = std::remove_const_t<typename decltype(stored)::element_type>;
+        if constexpr (std::is_same_v<T, Value>) {
+          return stored;
+        } else {
+          if (detail::narrows_to<T>(field.kind)) {
+            const std::size_t bytes = stored.size() * scalar_size(field.kind);
+            if constexpr (std::is_same_v<Sink, CountingSink>) {
+              out.append_raw(nullptr, bytes);
+            } else {
+              detail::narrow_words(stored, field.kind, order, out.extend(bytes));
+            }
+            return std::nullopt;
+          }
+          converted.assign(stored.begin(), stored.end());
+          return converted;
+        }
+      });
+  if (!elems) return;
+  for (const Value& elem : *elems) {
     if (field.kind == TypeKind::kStruct) {
       encode_record_value(elem, *field.struct_format, out, order, anchor);
     } else {
@@ -142,6 +170,18 @@ Value decode_scalar_value(Reader& reader, TypeKind kind, ByteOrder order) {
   }
 }
 
+/// Decodes `count` scalars of `kind` into a contiguous array. The count is
+/// untrusted: it is bounded by the bytes left before anything is allocated.
+template <typename Reader>
+Value decode_contiguous(Reader& reader, TypeKind kind, std::uint32_t count, ByteOrder order) {
+  const std::size_t width = scalar_size(kind);
+  if (count > reader.remaining() / width) {
+    throw CodecError("PBIO array of " + std::to_string(count) +
+                     " elements overruns the payload");
+  }
+  return detail::widen_words(reader.read_view(std::size_t{count} * width), kind, order);
+}
+
 template <typename Reader>
 Value decode_record_value(Reader& reader, const FormatDesc& format,
                           ByteOrder order) {
@@ -169,13 +209,13 @@ Value decode_record_value(Reader& reader, const FormatDesc& format,
           record.set_field(field.name, Value{reader.read_string(count)});
           break;
         }
+        if (field.kind != TypeKind::kStruct) {
+          record.set_field(field.name, decode_contiguous(reader, field.kind, count, order));
+          break;
+        }
         Value array = Value::empty_array();
         for (std::uint32_t i = 0; i < count; ++i) {
-          if (field.kind == TypeKind::kStruct) {
-            array.push_back(decode_record_value(reader, *field.struct_format, order));
-          } else {
-            array.push_back(decode_scalar_value(reader, field.kind, order));
-          }
+          array.push_back(decode_record_value(reader, *field.struct_format, order));
         }
         record.set_field(field.name, std::move(array));
         break;
@@ -281,58 +321,83 @@ Value zero_scalar(TypeKind kind) {
       return Value{std::int64_t{0}};
   }
 }
+
+/// `count` zeros of numeric `kind`, contiguous as the decoder produces them.
+Value zero_array(TypeKind kind, std::size_t count) {
+  switch (kind) {
+    case TypeKind::kUInt32:
+    case TypeKind::kUInt64:
+      return Value{Value::U64Array(count)};
+    case TypeKind::kFloat32:
+    case TypeKind::kFloat64:
+      return Value{Value::F64Array(count)};
+    default:
+      return Value{Value::I64Array(count)};
+  }
+}
+
+Value zero_field(const FieldDesc& field) {
+  if (field.arity == Arity::kFixedArray) {
+    if (field.kind == TypeKind::kChar) return Value{std::string(field.fixed_count, '\0')};
+    if (field.kind != TypeKind::kStruct) return zero_array(field.kind, field.fixed_count);
+    Value array = Value::empty_array();
+    for (std::uint32_t i = 0; i < field.fixed_count; ++i) {
+      array.push_back(zero_value(*field.struct_format));
+    }
+    return array;
+  }
+  if (field.arity == Arity::kVarArray) {
+    return field.kind == TypeKind::kChar ? Value{std::string{}} : Value::empty_array();
+  }
+  if (field.kind == TypeKind::kString) return Value{std::string{}};
+  if (field.kind == TypeKind::kStruct) return zero_value(*field.struct_format);
+  return zero_scalar(field.kind);
+}
+
+Value project_field(const Value& src, const FieldDesc& field) {
+  if (field.kind == TypeKind::kStruct && field.arity == Arity::kScalar && src.is_record()) {
+    return project_value(src, *field.struct_format);
+  }
+  if (field.kind == TypeKind::kStruct && src.is_array()) {
+    Value array = Value::empty_array();
+    src.visit_array([&](auto elems) {
+      for (const auto& elem : elems) array.push_back(project_value(elem, *field.struct_format));
+    });
+    return array;
+  }
+  return src;
+}
+
+/// Projects `value` onto `target`; when `replacement` is set, field
+/// `replaced` takes it instead of a projection of the source field.
+Value project_record(const Value& value, const FormatDesc& target, std::string_view replaced,
+                     Value* replacement) {
+  Value out = Value::empty_record();
+  for (const FieldDesc& field : target.fields) {
+    if (replacement != nullptr && field.name == replaced) {
+      out.set_field(field.name, std::move(*replacement));
+      continue;
+    }
+    const Value* src = value.is_record() ? value.find_field(field.name) : nullptr;
+    out.set_field(field.name, src == nullptr ? zero_field(field) : project_field(*src, field));
+  }
+  return out;
+}
 }  // namespace
 
 Value zero_value(const FormatDesc& format) {
   Value record = Value::empty_record();
-  for (const FieldDesc& field : format.fields) {
-    if (field.arity == Arity::kFixedArray) {
-      if (field.kind == TypeKind::kChar) {
-        record.set_field(field.name, Value{std::string(field.fixed_count, '\0')});
-        continue;
-      }
-      Value array = Value::empty_array();
-      for (std::uint32_t i = 0; i < field.fixed_count; ++i) {
-        array.push_back(field.kind == TypeKind::kStruct
-                            ? zero_value(*field.struct_format)
-                            : zero_scalar(field.kind));
-      }
-      record.set_field(field.name, std::move(array));
-    } else if (field.arity == Arity::kVarArray) {
-      record.set_field(field.name, field.kind == TypeKind::kChar
-                                       ? Value{std::string{}}
-                                       : Value::empty_array());
-    } else if (field.kind == TypeKind::kString) {
-      record.set_field(field.name, Value{std::string{}});
-    } else if (field.kind == TypeKind::kStruct) {
-      record.set_field(field.name, zero_value(*field.struct_format));
-    } else {
-      record.set_field(field.name, zero_scalar(field.kind));
-    }
-  }
+  for (const FieldDesc& field : format.fields) record.set_field(field.name, zero_field(field));
   return record;
 }
 
 Value project_value(const Value& value, const FormatDesc& target) {
-  Value out = zero_value(target);
-  if (!value.is_record()) return out;
-  for (const FieldDesc& field : target.fields) {
-    const Value* src = value.find_field(field.name);
-    if (src == nullptr) continue;  // stays zero-padded
-    if (field.kind == TypeKind::kStruct && field.arity == Arity::kScalar &&
-        src->is_record()) {
-      out.set_field(field.name, project_value(*src, *field.struct_format));
-    } else if (field.kind == TypeKind::kStruct && src->is_array()) {
-      Value array = Value::empty_array();
-      for (const Value& elem : src->elements()) {
-        array.push_back(project_value(elem, *field.struct_format));
-      }
-      out.set_field(field.name, std::move(array));
-    } else {
-      out.set_field(field.name, *src);
-    }
-  }
-  return out;
+  return project_record(value, target, {}, nullptr);
+}
+
+Value project_value(const Value& value, const FormatDesc& target, std::string_view name,
+                    Value replacement) {
+  return project_record(value, target, name, &replacement);
 }
 
 }  // namespace sbq::pbio

@@ -64,6 +64,12 @@ Value decode_value_message(BytesView message, const FormatDesc& format);
 /// "copy the relevant fields and pad the rest with zeroes" primitive.
 Value project_value(const Value& value, const FormatDesc& target);
 
+/// As above, but field `name` of the result is `replacement`; the source's
+/// field of that name is not copied. For quality handlers that reduce one
+/// field (truncate, stride). A `name` absent from `target` drops it.
+Value project_value(const Value& value, const FormatDesc& target, std::string_view name,
+                    Value replacement);
+
 /// A zero/empty Value skeleton for `format` (all scalars 0, arrays empty,
 /// strings "").
 Value zero_value(const FormatDesc& format);

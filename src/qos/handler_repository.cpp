@@ -20,23 +20,15 @@ std::size_t parse_positive(const std::string& token, const char* what) {
 QualityHandler make_truncate(const std::string& field_name, std::size_t n) {
   return [field_name, n](const Value& full, const pbio::FormatDesc& target,
                          const AttributeMap&) {
-    Value out = pbio::project_value(full, target);
     const Value* src = full.find_field(field_name);
     if (src == nullptr) {
       throw QosError("truncate: message has no field '" + field_name + "'");
     }
     if (src->is_string()) {
       const std::string& s = src->as_string();
-      out.set_field(field_name, Value{s.substr(0, s.size() / n)});
-    } else {
-      const auto& elements = src->elements();
-      Value trimmed = Value::empty_array();
-      for (std::size_t i = 0; i < elements.size() / n; ++i) {
-        trimmed.push_back(elements[i]);
-      }
-      out.set_field(field_name, std::move(trimmed));
+      return pbio::project_value(full, target, field_name, Value{s.substr(0, s.size() / n)});
     }
-    return out;
+    return pbio::project_value(full, target, field_name, src->slice(src->array_size() / n));
   };
 }
 
@@ -44,18 +36,11 @@ QualityHandler make_truncate(const std::string& field_name, std::size_t n) {
 QualityHandler make_stride(const std::string& field_name, std::size_t n) {
   return [field_name, n](const Value& full, const pbio::FormatDesc& target,
                          const AttributeMap&) {
-    Value out = pbio::project_value(full, target);
     const Value* src = full.find_field(field_name);
     if (src == nullptr) {
       throw QosError("stride: message has no field '" + field_name + "'");
     }
-    Value sampled = Value::empty_array();
-    const auto& elements = src->elements();
-    for (std::size_t i = 0; i < elements.size(); i += n) {
-      sampled.push_back(elements[i]);
-    }
-    out.set_field(field_name, std::move(sampled));
-    return out;
+    return pbio::project_value(full, target, field_name, src->slice(src->array_size(), n));
   };
 }
 

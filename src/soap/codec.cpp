@@ -95,13 +95,15 @@ void write_field(xml::XmlWriter& writer, const Value& v, const FieldDesc& field,
                          std::string(xsi_type_name(field.kind)) + "[" +
                              std::to_string(v.array_size()) + "]");
       }
-      for (const Value& elem : v.elements()) {
-        if (field.kind == TypeKind::kStruct) {
-          write_record(writer, elem, *field.struct_format, "item", style);
-        } else {
-          write_scalar(writer, elem, field.kind, "item", style);
+      v.visit_array([&](auto elems) {
+        for (const auto& elem : elems) {
+          if (field.kind == TypeKind::kStruct) {
+            write_record(writer, elem, *field.struct_format, "item", style);
+          } else {
+            write_scalar(writer, elem, field.kind, "item", style);
+          }
         }
-      }
+      });
       writer.end_element();
       break;
     }

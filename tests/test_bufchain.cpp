@@ -163,6 +163,22 @@ TEST(ChainWriter, SmallBlocksAreStagedNotScattered) {
   EXPECT_EQ(chain.size(), 7u);
 }
 
+TEST(ChainWriter, ExtendWritesStagedBytesInPlace) {
+  BufferChain chain;
+  ByteBuffer flat;
+  {
+    ChainWriter writer(chain);
+    writer.append_u8(1);
+    std::uint8_t* chained = writer.extend(3);
+    std::uint8_t* plain = flat.extend(3);
+    for (std::uint8_t i = 0; i < 3; ++i) chained[i] = plain[i] = 10 + i;
+    writer.append_u8(2);
+  }
+  EXPECT_EQ(chain.segment_count(), 1u);
+  EXPECT_EQ(chain.coalesce(), (Bytes{1, 10, 11, 12, 2}));
+  EXPECT_EQ(flat.take(), (Bytes{10, 11, 12}));
+}
+
 TEST(ChainReader, ScalarsAcrossSegmentBoundaries) {
   // A u32 split 1|3 across segments must read as if contiguous.
   BufferChain chain;

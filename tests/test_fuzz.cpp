@@ -7,6 +7,12 @@
 // exist to keep the "malformed input ⇒ clean exception" property locked in.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+
 #include "common/base64.h"
 #include "common/rng.h"
 #include "compress/lzss.h"
@@ -20,6 +26,22 @@
 #include "soap/envelope.h"
 #include "wsdl/wsdl.h"
 #include "xml/dom.h"
+
+// The largest single operator-new request since a test last reset it: lets
+// a test show that an untrusted element count allocated nothing for itself.
+static std::atomic<std::size_t> g_largest_allocation{0};
+
+// Out of line, so the compiler does not pair an inlined malloc with a
+// caller's delete expression.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sbq {
 namespace {
@@ -257,6 +279,104 @@ TEST_P(FuzzSeeds, PbioNativeDecoderSurvivesRandomAndMutatedMessages) {
   }
 }
 
+// The Value decoder under the same contract, through both overloads: the
+// flat one over a BytesView and the ChainReader one the live stack runs, the
+// latter over a chain cut into segments so blocks straddle them. Payloads
+// come in both byte orders, so the byte-swapping loops are swept too.
+class ValueDecodeTarget {
+ public:
+  ValueDecodeTarget() {
+    const auto point = pbio::FormatBuilder("pt")
+                           .add_scalar("x", pbio::TypeKind::kFloat64)
+                           .add_scalar("n", pbio::TypeKind::kInt32)
+                           .build();
+    format_ = pbio::FormatBuilder("vf")
+                  .add_scalar("a", pbio::TypeKind::kInt32)
+                  .add_string("s")
+                  .add_var_array("i32", pbio::TypeKind::kInt32)
+                  .add_var_array("i64", pbio::TypeKind::kInt64)
+                  .add_fixed_array("u32", pbio::TypeKind::kUInt32, 2)
+                  .add_var_array("u64", pbio::TypeKind::kUInt64)
+                  .add_fixed_array("f32", pbio::TypeKind::kFloat32, 3)
+                  .add_var_array("f64", pbio::TypeKind::kFloat64)
+                  .add_var_array("blob", pbio::TypeKind::kChar)
+                  .add_struct_var_array("pts", point)
+                  .build();
+    const pbio::Value point_value = pbio::Value::record({{"x", 0.5}, {"n", 3}});
+    const pbio::Value value = pbio::Value::record(
+        {{"a", 7},
+         {"s", "text"},
+         {"i32", pbio::Value::array({-1, 2, 3})},
+         {"i64", pbio::Value::array({std::int64_t{1} << 40})},
+         {"u32", pbio::Value::array({5u, 6u})},
+         {"u64", pbio::Value::array({7u, 8u})},
+         {"f32", pbio::Value::array({0.5, 1.5, 2.5})},
+         {"f64", pbio::Value::array({1.25, 2.5})},
+         {"blob", "xyz"},
+         {"pts", pbio::Value::array({point_value, point_value})}});
+    for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
+      ByteBuffer out;
+      pbio::encode_value(value, *format_, out, order);
+      valid_.push_back(out.take());
+    }
+  }
+
+  /// The valid payload in each byte order, little-endian first.
+  [[nodiscard]] const std::vector<Bytes>& valid() const { return valid_; }
+
+  /// Decodes `payload` through both overloads and returns how many
+  /// accepted it; the rest must have thrown an sbq::Error. When both
+  /// accept, they must agree: compared as re-encoded bytes, since a flipped
+  /// bit can make a NaN, which never compares equal.
+  int decode_all(BytesView payload, ByteOrder order) const {
+    std::optional<pbio::Value> flat;
+    std::optional<pbio::Value> chained;
+    try {
+      flat = pbio::decode_value_payload(payload, order, *format_);
+    } catch (const Error&) {
+    }
+    BufferChain chain;
+    for (std::size_t at = 0; at < payload.size(); at += 7) {
+      chain.append_view(payload.subspan(at, std::min<std::size_t>(7, payload.size() - at)));
+    }
+    try {
+      ChainReader reader(chain);
+      chained = pbio::decode_value_payload(reader, payload.size(), order, *format_);
+    } catch (const Error&) {
+    }
+    if (flat && chained) {
+      EXPECT_EQ(pbio::encode_value_message(*flat, *format_),
+                pbio::encode_value_message(*chained, *format_));
+    }
+    return (flat ? 1 : 0) + (chained ? 1 : 0);
+  }
+
+ private:
+  pbio::FormatPtr format_;
+  std::vector<Bytes> valid_;
+};
+
+TEST_P(FuzzSeeds, PbioValueDecoderSurvivesRandomAndMutatedPayloads) {
+  const ValueDecodeTarget target;
+  const ByteOrder orders[] = {ByteOrder::kLittle, ByteOrder::kBig};
+  for (std::size_t o = 0; o < 2; ++o) {
+    const ByteOrder order = orders[o];
+    ASSERT_EQ(target.decode_all(BytesView{target.valid()[o]}, order), 2);
+    for (int i = 0; i < 60; ++i) {
+      Bytes payload = target.valid()[o];
+      const int mutations = 1 + static_cast<int>(rng_.next_below(5));
+      for (int m = 0; m < mutations; ++m) {
+        payload[rng_.next_below(payload.size())] =
+            static_cast<std::uint8_t>(rng_.next_below(256));
+      }
+      (void)target.decode_all(BytesView{payload}, order);
+    }
+    for (int i = 0; i < 30; ++i) {
+      (void)target.decode_all(BytesView{random_bytes(rng_, 200)}, order);
+    }
+  }
+}
+
 TEST_P(FuzzSeeds, FormatDeserializerSurvivesRandomBytes) {
   for (int i = 0; i < 40; ++i) {
     const Bytes junk = random_bytes(rng_, 160);
@@ -421,6 +541,63 @@ TEST(TruncationSweep, EveryBitFlipInPbioNativeMessageFailsCleanly) {
       Bytes flipped = wire;
       flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
       (void)target.decode_all(BytesView{flipped});
+    }
+  }
+}
+
+TEST(TruncationSweep, EveryPbioValuePrefixThrowsTypedError) {
+  const ValueDecodeTarget target;
+  const ByteOrder orders[] = {ByteOrder::kLittle, ByteOrder::kBig};
+  for (std::size_t o = 0; o < 2; ++o) {
+    const Bytes& payload = target.valid()[o];
+    for (std::size_t n = 0; n < payload.size(); ++n) {
+      EXPECT_EQ(target.decode_all(BytesView(payload.data(), n), orders[o]), 0)
+          << "prefix of " << n << "/" << payload.size() << " bytes decoded";
+    }
+  }
+}
+
+TEST(TruncationSweep, EveryBitFlipInPbioValuePayloadFailsCleanly) {
+  const ValueDecodeTarget target;
+  const ByteOrder orders[] = {ByteOrder::kLittle, ByteOrder::kBig};
+  for (std::size_t o = 0; o < 2; ++o) {
+    const Bytes& payload = target.valid()[o];
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped = payload;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        (void)target.decode_all(BytesView{flipped}, orders[o]);
+      }
+    }
+  }
+}
+
+TEST(TruncationSweep, HugeValueArrayCountThrowsBeforeAllocating) {
+  // A 17-byte message (header + one u32 count) claiming 0xFFFFFFFF
+  // elements: every numeric kind, both overloads, both byte orders.
+  for (const auto kind : {pbio::TypeKind::kInt32, pbio::TypeKind::kInt64,
+                          pbio::TypeKind::kUInt32, pbio::TypeKind::kUInt64,
+                          pbio::TypeKind::kFloat32, pbio::TypeKind::kFloat64}) {
+    const auto format = pbio::FormatBuilder("huge").add_var_array("v", kind).build();
+    for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
+      ByteBuffer out;
+      out.append_u64(format->format_id(), ByteOrder::kLittle);
+      out.append_u8(static_cast<std::uint8_t>(order));
+      out.append_u32(4, ByteOrder::kLittle);
+      out.append_u32(0xFFFFFFFFu, order);
+      ASSERT_EQ(out.size(), 17u);
+      BufferChain chain;
+      chain.append_view(out.view());
+
+      g_largest_allocation = 0;
+      EXPECT_THROW((void)pbio::decode_value_message(out.view(), *format), CodecError);
+      ChainReader reader(chain);
+      const pbio::WireHeader header = pbio::read_header(reader);
+      EXPECT_THROW((void)pbio::decode_value_payload(reader, header.payload_length,
+                                                    header.sender_order, *format),
+                   CodecError);
+      EXPECT_LT(g_largest_allocation.load(), std::size_t{4096})
+          << pbio::kind_name(kind) << " order " << static_cast<int>(order);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <type_traits>
 
 #include "common/arena.h"
 #include "pbio/encode.h"
@@ -443,15 +444,42 @@ TEST(NativeCodec, UntrustedArrayCountsAreBoundedBeforeAllocating) {
   }
 }
 
+/// One field of a wire_shape() format: a scalar when `count` is 0, else a
+/// fixed array of `count` elements.
+FieldDesc shape_field(std::string name, TypeKind kind, std::uint32_t count,
+                      FormatPtr sub = nullptr) {
+  FieldDesc field;
+  field.name = std::move(name);
+  field.kind = kind;
+  field.arity = count == 0 ? Arity::kScalar : Arity::kFixedArray;
+  field.fixed_count = count;
+  field.struct_format = std::move(sub);
+  return field;
+}
+
+/// A format assembled from its fields without FormatBuilder::build(): its
+/// wire shape only, with no native layout. build() rejects layouts past
+/// 4 GB, so this is how a test reaches the decoder with wire sizes near
+/// 2^64, whose count bounds must hold on their own.
+FormatPtr wire_shape(std::string name, std::vector<FieldDesc> fields) {
+  auto f = std::make_shared<FormatDesc>();
+  f->name = std::move(name);
+  f->fields = std::move(fields);
+  return f;
+}
+
 TEST(NativeCodec, NestedFixedArraysPastTwoToTheSixtyFourAreRejected) {
   // 2^16 chars inside three levels of 2^16-element fixed struct arrays
   // need 2^64 wire bytes per element: a size that wrapped would be 0.
-  FormatPtr huge =
+  const FormatPtr l0 =
       FormatBuilder("l0").add_fixed_array("c", TypeKind::kChar, 65536).build();
+  // Its first enclosing level already needs 2^32 native bytes.
+  EXPECT_THROW((void)FormatBuilder("l1").add_struct_fixed_array("a", l0, 65536).build(),
+               CodecError);
+  FormatPtr huge = l0;
   for (int level = 1; level < 4; ++level) {
-    huge = FormatBuilder("l" + std::to_string(level))
-               .add_struct_fixed_array("a", huge, 65536)
-               .build();
+    huge = wire_shape("l" + std::to_string(level),
+                      {shape_field("a", TypeKind::kStruct, 65536, huge)});
   }
   const auto f = FormatBuilder("top").add_struct_var_array("items", huge).build();
   ByteBuffer out;
@@ -467,14 +495,17 @@ TEST(NativeCodec, NestedFixedArraysPastTwoToTheSixtyFourAreRejected) {
 TEST(NativeCodec, FixedArraySizesSummingToTwoToTheSixtyFourAreRejected) {
   // t needs exactly 2^32 wire bytes; s = t[1] + t[0xFFFFFFFF] needs
   // 2^32 + (2^64 - 2^32) = 2^64, which a wrapping sum would make 0.
-  const auto t = FormatBuilder("t")
-                     .add_fixed_array("a", TypeKind::kChar, 0xFFFFFFFFu)
-                     .add_scalar("b", TypeKind::kChar)
-                     .build();
-  const auto s = FormatBuilder("s")
-                     .add_struct_fixed_array("x", t, 1)
-                     .add_struct_fixed_array("y", t, 0xFFFFFFFFu)
-                     .build();
+  // build() rejects t itself (2^32 native bytes), so the decoder is
+  // reached with wire shapes.
+  EXPECT_THROW((void)FormatBuilder("t")
+                   .add_fixed_array("a", TypeKind::kChar, 0xFFFFFFFFu)
+                   .add_scalar("b", TypeKind::kChar)
+                   .build(),
+               CodecError);
+  const auto t = wire_shape("t", {shape_field("a", TypeKind::kChar, 0xFFFFFFFFu),
+                                  shape_field("b", TypeKind::kChar, 0)});
+  const auto s = wire_shape("s", {shape_field("x", TypeKind::kStruct, 1, t),
+                                  shape_field("y", TypeKind::kStruct, 0xFFFFFFFFu, t)});
   const auto var = FormatBuilder("m").add_struct_var_array("items", s).build();
   const auto fixed = FormatBuilder("m").add_struct_fixed_array("items", s, 1).build();
   // A receiver without `items` skips the field, which still reads its count.
@@ -504,6 +535,47 @@ TEST(NativeCodec, FixedArraySizesSummingToTwoToTheSixtyFourAreRejected) {
     EXPECT_THROW(decode_message(fixed_msg.view(), fixed, receiver, plans, arena),
                  CodecError);
   }
+}
+
+TEST(FormatBuilderLimits, NativeLayoutsPastFourGigabytesAreRejected) {
+  // The largest layout that fits builds: 0xFFFFFFFF chars.
+  const auto largest =
+      FormatBuilder("t").add_fixed_array("a", TypeKind::kChar, 0xFFFFFFFFu).build();
+  EXPECT_EQ(largest->native_size, 0xFFFFFFFFu);
+  // One more byte wraps the native size to 0 unless build() checks it.
+  EXPECT_THROW((void)FormatBuilder("t")
+                   .add_fixed_array("a", TypeKind::kChar, 0xFFFFFFFFu)
+                   .add_scalar("b", TypeKind::kChar)
+                   .build(),
+               CodecError);
+  // A field offset past 4 GB, an array size past 4 GB, and padding that
+  // rounds the size past 4 GB.
+  EXPECT_THROW((void)FormatBuilder("t")
+                   .add_fixed_array("a", TypeKind::kChar, 0xFFFFFFFFu)
+                   .add_fixed_array("b", TypeKind::kInt32, 2)
+                   .build(),
+               CodecError);
+  EXPECT_THROW(
+      (void)FormatBuilder("t").add_fixed_array("a", TypeKind::kInt64, 0x20000000u).build(),
+      CodecError);
+  EXPECT_THROW((void)FormatBuilder("t")
+                   .add_scalar("i", TypeKind::kInt64)
+                   .add_fixed_array("a", TypeKind::kChar, 0xFFFFFFF5u)
+                   .build(),
+               CodecError);
+  EXPECT_THROW((void)FormatBuilder("t")
+                   .add_struct_fixed_array("a", point_format(), 0x10000000u)
+                   .build(),
+               CodecError);
+
+  // The same layout described by a peer: deserialize_format rebuilds the
+  // format through build(), so it rejects it with CodecError as well.
+  const auto peer = wire_shape("t", {shape_field("a", TypeKind::kChar, 0xFFFFFFFFu),
+                                     shape_field("b", TypeKind::kChar, 0)});
+  const Bytes described = serialize_format(*peer);
+  EXPECT_THROW((void)deserialize_format(BytesView{described}), CodecError);
+  EXPECT_EQ(deserialize_format(BytesView{serialize_format(*largest)})->format_id(),
+            largest->format_id());
 }
 
 TEST(NativeCodec, NullStructArrayDataThrowsOnEveryEncodePath) {
@@ -691,6 +763,84 @@ TEST(ValueTest, ArrayOps) {
   EXPECT_EQ(a.at(2).as_i64(), 3);
   EXPECT_THROW((void)a.at(3), CodecError);
   EXPECT_THROW((void)Value{1}.array_size(), CodecError);
+}
+
+/// The storage form an array holds: its span's element type.
+template <class T>
+bool holds_form(const Value& array) {
+  return array.visit_array([](auto elems) {
+    return std::is_same_v<typename decltype(elems)::element_type, const T>;
+  });
+}
+
+TEST(ValueTest, ScalarArraysOfOneClassAreContiguous) {
+  EXPECT_TRUE(holds_form<std::int64_t>(Value::array({1, 2})));
+  EXPECT_TRUE(holds_form<std::uint64_t>(Value::array({1u, 2u})));
+  EXPECT_TRUE(holds_form<double>(Value::array({1.5})));
+  Value pushed = Value::empty_array();
+  for (int i = 0; i < 3; ++i) pushed.push_back(i);
+  EXPECT_TRUE(holds_form<std::int64_t>(pushed));
+  // Mixed classes, chars, strings and records are vectors of Values.
+  EXPECT_TRUE(holds_form<Value>(Value::array({1, 2u})));
+  EXPECT_TRUE(holds_form<Value>(Value::array({'a'})));
+  EXPECT_TRUE(holds_form<Value>(Value::array({"s"})));
+  EXPECT_TRUE(holds_form<Value>(Value::array({Value::record({{"x", 1}})})));
+  EXPECT_TRUE(holds_form<Value>(Value::empty_array()));
+  // Pushing another class converts a contiguous array, keeping its elements.
+  pushed.push_back(2.5);
+  EXPECT_TRUE(holds_form<Value>(pushed));
+  EXPECT_EQ(pushed.to_debug_string(), "[0, 1, 2, 2.5]");
+  EXPECT_EQ(pushed.at(1), Value{1});
+  EXPECT_EQ(pushed.at(3), Value{2.5});
+}
+
+TEST(ValueTest, ArrayFormDoesNotChangeEqualityOrRendering) {
+  const Value contiguous = Value::array({1u, 2u, 3u});
+  const Value generic{std::vector<Value>{1u, 2u, 3u}};
+  ASSERT_TRUE(holds_form<Value>(generic));
+  EXPECT_EQ(contiguous, generic);
+  EXPECT_EQ(generic, contiguous);
+  EXPECT_EQ(contiguous.to_debug_string(), "[1u, 2u, 3u]");
+  EXPECT_EQ(generic.to_debug_string(), contiguous.to_debug_string());
+  // Element classes still count: u64 1 is not i64 1.
+  EXPECT_FALSE(Value::array({1, 2, 3}) == generic);
+  EXPECT_FALSE((Value{std::vector<Value>{1u, 2u}} == contiguous));
+  // Empty arrays are equal in every form, and still not records.
+  EXPECT_EQ(Value::empty_array(), Value{Value::F64Array{}});
+  EXPECT_EQ(Value{Value::I64Array{}}, Value{Value::U64Array{}});
+  EXPECT_FALSE(Value{Value::I64Array{}} == Value::empty_record());
+}
+
+TEST(ValueTest, ElementRangeAndSliceWorkOnBothForms) {
+  for (const Value& array : {Value::array({10, 11, 12, 13, 14}),
+                             Value{std::vector<Value>{10, 11, 12, 13, 14}}}) {
+    const auto elems = array.elements();
+    ASSERT_EQ(elems.size(), 5u);
+    EXPECT_EQ(elems[4], Value{14});
+    std::int64_t sum = 0;
+    for (const Value& e : elems) sum += e.as_i64();
+    EXPECT_EQ(sum, 60);
+    EXPECT_EQ(array.slice(5, 2), Value::array({10, 12, 14}));
+    EXPECT_EQ(array.slice(2), Value::array({10, 11}));
+    EXPECT_EQ(array.slice(99, 4), Value::array({10, 14}));
+    EXPECT_EQ(array.slice(0), Value::empty_array());
+    EXPECT_EQ(holds_form<Value>(array.slice(5, 2)), holds_form<Value>(array));
+    EXPECT_THROW((void)array.slice(5, 0), CodecError);
+  }
+  EXPECT_THROW((void)Value{1}.slice(1), CodecError);
+
+  // Iterating a vector of Values refers to its elements; records are not
+  // copied.
+  const Value records = Value::array({Value::record({{"x", 1}}), Value::record({{"x", 2}})});
+  const Value* first = records.visit_array([](auto elems) -> const Value* {
+    if constexpr (std::is_same_v<typename decltype(elems)::element_type, const Value>) {
+      return elems.data();
+    } else {
+      return nullptr;
+    }
+  });
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(&*records.elements().begin(), first);
 }
 
 TEST(ValueTest, EqualityAndDebug) {

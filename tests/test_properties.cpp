@@ -312,6 +312,95 @@ TEST_P(CodecProperties, PlannedDecodeMatchesInterpretive) {
   }
 }
 
+/// Value::array over `e`: the literal form takes only a braced list.
+Value array_literal(const std::vector<Value>& e) {
+  switch (e.size()) {
+    case 0: return Value::array({});
+    case 1: return Value::array({e[0]});
+    case 2: return Value::array({e[0], e[1]});
+    case 3: return Value::array({e[0], e[1], e[2]});
+    case 4: return Value::array({e[0], e[1], e[2], e[3]});
+    case 5: return Value::array({e[0], e[1], e[2], e[3], e[4]});
+    default: return Value::array({e[0], e[1], e[2], e[3], e[4], e[5]});
+  }
+}
+
+TEST_P(CodecProperties, ArrayStorageFormIsInvisible) {
+  // A scalar array built with push_back, with Value::array, as a vector of
+  // Values, and by decoding (flat and chained) is one value: same bytes in
+  // both byte orders, equal, and rendered alike; a mixed-class vector of
+  // the same numbers gives the same bytes. All six numeric kinds, fixed
+  // and variable arrays.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 9000);
+  static constexpr TypeKind kinds[] = {TypeKind::kInt32,   TypeKind::kInt64,
+                                       TypeKind::kUInt32,  TypeKind::kUInt64,
+                                       TypeKind::kFloat32, TypeKind::kFloat64};
+  for (const TypeKind kind : kinds) {
+    for (const bool fixed : {false, true}) {
+      const auto count = static_cast<std::uint32_t>(rng.uniform_int(fixed ? 1 : 0, 6));
+      FormatBuilder builder("arr");
+      builder.add_scalar("id", TypeKind::kInt32);
+      if (fixed) {
+        builder.add_fixed_array("a", kind, count);
+      } else {
+        builder.add_var_array("a", kind);
+      }
+      const FormatPtr format = builder.build();
+
+      std::vector<Value> elements;
+      Value pushed = Value::empty_array();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        elements.push_back(random_scalar(rng, kind));
+        pushed.push_back(elements.back());
+      }
+      const auto record = [](Value array) {
+        return Value::record({{"id", 7}, {"a", std::move(array)}});
+      };
+      std::vector<Value> forms = {record(pushed), record(array_literal(elements)),
+                                  record(Value{elements})};
+      for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
+        const Bytes wire = encode_value_message(forms[0], *format, order);
+        forms.push_back(decode_value_message(BytesView{wire}, *format));
+        const BufferChain chain = encode_value_message_chain(forms[1], *format, order);
+        ChainReader reader(chain);
+        const WireHeader header = read_header(reader);
+        forms.push_back(
+            decode_value_payload(reader, header.payload_length, header.sender_order, *format));
+      }
+      const std::string where = "kind " + std::string(kind_name(kind)) +
+                                (fixed ? " fixed" : " var") + " count " +
+                                std::to_string(count);
+      // Mixed classes: every other element re-expressed in a class whose
+      // conversion to the wire word is exact (u64 for the signed kinds,
+      // i64 for the unsigned ones). Same bytes, though not an equal Value.
+      std::vector<Value> mixed = elements;
+      for (std::size_t i = 1; i < mixed.size() && kind != TypeKind::kFloat32 &&
+                              kind != TypeKind::kFloat64;
+           i += 2) {
+        const bool is_signed = kind == TypeKind::kInt32 || kind == TypeKind::kInt64;
+        mixed[i] = is_signed ? Value{static_cast<std::uint64_t>(mixed[i].as_i64())}
+                             : Value{static_cast<std::int64_t>(mixed[i].as_u64())};
+      }
+      for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
+        const Bytes wire = encode_value_message(forms[0], *format, order);
+        EXPECT_EQ(encode_value_message(record(Value{mixed}), *format, order), wire) << where;
+        for (const Value& form : forms) {
+          EXPECT_EQ(encode_value_message(form, *format, order), wire) << where;
+          EXPECT_EQ(encode_value_message_chain(form, *format, order).coalesce(), wire)
+              << where;
+          // The header is 13 bytes: format id, byte order, payload length.
+          EXPECT_EQ(value_wire_size(form, *format), wire.size() - 13) << where;
+        }
+      }
+      for (const Value& form : forms) {
+        EXPECT_EQ(form, forms[0]) << where;
+        EXPECT_EQ(forms[0], form) << where;
+        EXPECT_EQ(form.to_debug_string(), forms[0].to_debug_string()) << where;
+      }
+    }
+  }
+}
+
 TEST_P(CodecProperties, TruncatedWirePayloadsNeverCrash) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 6000);
   const FormatPtr format = random_format(rng, 2);
