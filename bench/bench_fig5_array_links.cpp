@@ -20,7 +20,6 @@
 #include "compress/lzss.h"
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
-#include "xml/dom.h"
 
 namespace sbq::bench {
 namespace {
@@ -63,8 +62,7 @@ SeriesPoint measure(const Value& v, const pbio::FormatPtr& format,
     // SOAP-bin: XML→PBIO, send binary, PBIO→XML.
     {
       Stopwatch sw;
-      const auto dom = xml::parse_document(xml);
-      const Value decoded = soap::value_from_xml(*dom, *format);
+      const Value decoded = soap::value_from_xml(xml, *format);
       const Bytes bin = pbio::encode_value_message(decoded, *format);
       double t = sw.elapsed_us() * cpu_scale();
       p.bin_bytes = bin.size();

@@ -13,7 +13,6 @@
 #include "compress/lzss.h"
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
-#include "xml/dom.h"
 
 namespace sbq::bench {
 namespace {
@@ -52,8 +51,7 @@ void run_link(const std::string& label, net::LinkConfig config) {
       }
       {
         Stopwatch sw;
-        const auto dom = xml::parse_document(xml);
-        const Value decoded = soap::value_from_xml(*dom, *format);
+        const Value decoded = soap::value_from_xml(xml, *format);
         const Bytes bin = pbio::encode_value_message(decoded, *format);
         double t = sw.elapsed_us() * cpu_scale();
         bin_bytes = bin.size();

@@ -10,7 +10,7 @@
 #include "pbio/value_codec.h"
 #include "rpc/xdr.h"
 #include "soap/codec.h"
-#include "xml/dom.h"
+#include "soap/envelope.h"
 
 namespace sbq::bench {
 namespace {
@@ -123,8 +123,7 @@ void BM_XmlParseArray(benchmark::State& state) {
   const pbio::Value v = make_int_array(static_cast<std::size_t>(state.range(0)));
   const std::string xml = soap::value_to_xml(v, *int_array_format(), "params");
   for (auto _ : state) {
-    const auto dom = xml::parse_document(xml);
-    benchmark::DoNotOptimize(soap::value_from_xml(*dom, *int_array_format()));
+    benchmark::DoNotOptimize(soap::value_from_xml(xml, *int_array_format()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(xml.size()));
@@ -150,6 +149,31 @@ void BM_XmlEncodeStruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XmlEncodeStruct)->Arg(4)->Arg(8)->Arg(10);
+
+// The livebench xml_struct message: a depth-6 binary tree of records (127
+// records, 64 leaves) in a typed SOAP request envelope.
+void BM_SoapEncodeStruct(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const pbio::Value v = make_nested_struct(depth);
+  const pbio::FormatPtr f = nested_struct_format(depth);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(soap::build_request("echo", v, *f));
+  }
+}
+BENCHMARK(BM_SoapEncodeStruct)->Arg(6);
+
+void BM_SoapDecodeStruct(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const pbio::FormatPtr f = nested_struct_format(depth);
+  const std::string xml = soap::build_request("echo", make_nested_struct(depth), *f);
+  for (auto _ : state) {
+    const soap::ParsedEnvelope parsed = soap::parse_envelope(xml);
+    benchmark::DoNotOptimize(soap::decode_body(parsed, *f));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(xml.size()));
+}
+BENCHMARK(BM_SoapDecodeStruct)->Arg(6);
 
 void BM_XdrEncodeArray(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0)) / 4;
@@ -191,8 +215,7 @@ void BM_ConversionHandlerXmlToBin(benchmark::State& state) {
   const pbio::Value v = make_int_array(static_cast<std::size_t>(state.range(0)));
   const std::string xml = soap::value_to_xml(v, *int_array_format(), "params");
   for (auto _ : state) {
-    const auto dom = xml::parse_document(xml);
-    const pbio::Value decoded = soap::value_from_xml(*dom, *int_array_format());
+    const pbio::Value decoded = soap::value_from_xml(xml, *int_array_format());
     benchmark::DoNotOptimize(
         pbio::encode_value_message(decoded, *int_array_format()));
   }

@@ -88,12 +88,16 @@ std::int64_t parse_i64(std::string_view s) {
 double parse_f64(std::string_view s) {
   s = trim(s);
   if (s.empty()) throw ParseError("empty float");
-  // std::from_chars<double> is available in libstdc++ 11+, but strtod keeps us
-  // portable; the copy bounds the input for strtod's NUL requirement.
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc{} && end == s.data() + s.size()) return v;
+  // from_chars rejects some forms strtod accepts (a leading '+', hex floats,
+  // values out of range); retry those with strtod so the accepted set stays
+  // strtod's. The copy bounds the input for strtod's NUL requirement.
   std::string buf(s);
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) {
+  char* stop = nullptr;
+  v = std::strtod(buf.c_str(), &stop);
+  if (stop != buf.c_str() + buf.size()) {
     throw ParseError("invalid float: '" + buf + "'");
   }
   return v;

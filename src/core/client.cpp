@@ -13,7 +13,6 @@
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"
-#include "xml/dom.h"
 
 namespace sbq::core {
 
@@ -201,8 +200,7 @@ std::string ClientStub::call_xml(const std::string& operation,
 
   // Just-in-time client-side conversion: XML document → binary Value.
   Stopwatch to_value;
-  const auto dom = xml::parse_document(params_xml);
-  const pbio::Value params = soap::value_from_xml(*dom, *op.input);
+  const pbio::Value params = soap::value_from_xml(params_xml, *op.input);
   stats_.convert_us += to_value.elapsed_us();
 
   const pbio::Value result = call(operation, params);
@@ -375,7 +373,7 @@ pbio::Value ClientStub::call_xml_wire(const wsdl::OperationDesc& op,
   }
 
   Stopwatch unmarshal;
-  const soap::ParsedEnvelope envelope = soap::parse_envelope(response_xml);
+  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(response_xml));
   if (envelope.is_fault()) {
     const soap::Fault fault = soap::parse_fault(envelope);
     throw RpcError("SOAP fault [" + fault.code + "]: " + fault.message);

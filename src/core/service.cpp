@@ -154,8 +154,7 @@ pbio::Value ServiceRuntime::invoke(const Operation& op, const pbio::Value& param
   const std::string result_xml = op.xml_handler(params_xml);
 
   Stopwatch from_xml;
-  const auto dom = xml::parse_document(result_xml);
-  pbio::Value result = soap::value_from_xml(*dom, *op.output);
+  pbio::Value result = soap::value_from_xml(result_xml, *op.output);
   bump_stats([&](EndpointStats& s) { s.convert_us += from_xml.elapsed_us(); });
   return result;
 }
@@ -350,7 +349,7 @@ http::Response ServiceRuntime::handle_xml(const http::Request& request,
   }
 
   Stopwatch unmarshal;
-  const soap::ParsedEnvelope envelope = soap::parse_envelope(xml_text);
+  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(xml_text));
   const std::string operation(envelope.operation());
   const Operation& op = find_operation(operation);
 

@@ -59,6 +59,7 @@ Value::Value(Value&& other) noexcept = default;
 Value& Value::operator=(const Value& other) = default;
 Value& Value::operator=(Value&& other) noexcept = default;
 Value::~Value() = default;
+Value::Value(std::vector<NamedValue> fields) : data_(std::move(fields)) {}
 
 void Value::wrong_kind(const char* what) const {
   throw CodecError(std::string("value is ") + kKindLabels[data_.index()] + ", wanted " + what);

@@ -64,6 +64,8 @@ class Value {
   explicit Value(I64Array v) : data_(std::move(v)) {}
   explicit Value(U64Array v) : data_(std::move(v)) {}
   explicit Value(F64Array v) : data_(std::move(v)) {}
+  /// A record from its fields, kept in the given order.
+  explicit Value(std::vector<NamedValue> fields);
 
   [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(data_); }
   [[nodiscard]] bool is_array() const;

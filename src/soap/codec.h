@@ -4,6 +4,10 @@
 // ASCII digits, every array element gets its own enclosing tag, every
 // struct level adds a tag pair. The codec is shared by the plain-SOAP
 // baseline and by SOAP-bin's conversion handlers (XML → binary at the edge).
+//
+// Both directions stream: the writer appends straight into one output
+// string, and the reader pulls tokens from xml::Reader and fills one slot
+// per format field, with no DOM in between.
 #pragma once
 
 #include <string>
@@ -11,7 +15,7 @@
 
 #include "pbio/format.h"
 #include "pbio/value.h"
-#include "xml/dom.h"
+#include "xml/reader.h"
 #include "xml/writer.h"
 
 namespace sbq::soap {
@@ -33,10 +37,17 @@ void write_value_xml(xml::XmlWriter& writer, const pbio::Value& value,
 std::string value_to_xml(const pbio::Value& value, const pbio::FormatDesc& format,
                          std::string_view name, XmlStyle style = {});
 
-/// Parses `<name>...</name>` produced by write_value_xml back into a Value.
-/// Missing elements throw ParseError; the parse is driven by `format`, so
-/// unknown extra elements are ignored (lenient read, strict write).
-pbio::Value value_from_xml(const xml::Element& element,
-                           const pbio::FormatDesc& format);
+/// Reads the record of `format` whose start tag `reader` has just returned,
+/// through its end tag. The read is driven by the format and is lenient:
+/// fields may come in any order, the first occurrence of a field wins,
+/// and unknown elements, comments and PIs are skipped (the reader still
+/// checks they are well-formed). Numbers are trimmed, strings are not. A
+/// missing field throws ParseError naming the field and the format.
+pbio::Value read_value_xml(xml::Reader& reader, const pbio::FormatDesc& format);
+
+/// Parses a document whose root element is a record written by
+/// write_value_xml, as read_value_xml does, and checks the rest of the
+/// document.
+pbio::Value value_from_xml(std::string_view document, const pbio::FormatDesc& format);
 
 }  // namespace sbq::soap

@@ -1,6 +1,7 @@
 #include "soap/envelope.h"
 
 #include "common/error.h"
+#include "common/strings.h"
 #include "soap/codec.h"
 #include "xml/writer.h"
 
@@ -53,39 +54,94 @@ std::string build_fault(std::string_view faultcode, std::string_view faultstring
   return writer.take();
 }
 
-ParsedEnvelope parse_envelope(std::string_view xml_text) {
+ParsedEnvelope parse_envelope(std::string xml_text) {
   ParsedEnvelope parsed;
-  parsed.document = xml::parse_document(xml_text);
-  if (parsed.document->local_name() != "Envelope") {
-    throw ParseError("root element is <" + parsed.document->name +
-                     ">, expected Envelope");
+  parsed.text = std::move(xml_text);
+  std::string_view root;
+  bool saw_body = false;
+  bool in_body = false;
+  std::size_t body_elements = 0;
+  xml::Reader reader(parsed.text);
+  for (auto token = reader.next(); token != xml::Reader::Token::kEndOfDocument;
+       token = reader.next()) {
+    if (token == xml::Reader::Token::kEndElement) {
+      if (in_body && reader.depth() == 1) in_body = false;
+      continue;
+    }
+    if (token != xml::Reader::Token::kStartElement) continue;
+    switch (reader.depth()) {
+      case 1:
+        root = reader.name();
+        break;
+      case 2:
+        // The first Body child of the root is the body.
+        if (!saw_body && xml::local_part(reader.name()) == "Body") saw_body = in_body = true;
+        break;
+      case 3:
+        if (in_body && body_elements++ == 0) {
+          const std::string_view operation = xml::local_part(reader.name());
+          parsed.body_offset = reader.offset();
+          parsed.operation_offset = static_cast<std::size_t>(operation.data() - parsed.text.data());
+          parsed.operation_size = operation.size();
+        }
+        break;
+      default:
+        break;
+    }
   }
-  const xml::Element& body = parsed.document->required_child("Body");
+  if (xml::local_part(root) != "Envelope") {
+    throw ParseError("root element is <" + std::string(root) + ">, expected Envelope");
+  }
+  if (!saw_body) {
+    throw ParseError("element <" + std::string(root) + "> missing child <Body>");
+  }
   // The body must contain exactly one operation element.
-  if (body.children.size() != 1) {
+  if (body_elements != 1) {
     throw ParseError("SOAP Body must contain exactly one element, has " +
-                     std::to_string(body.children.size()));
+                     std::to_string(body_elements));
   }
-  parsed.body_element = body.children.front().get();
   return parsed;
 }
 
 Fault parse_fault(const ParsedEnvelope& envelope) {
   if (!envelope.is_fault()) throw ParseError("envelope is not a fault");
-  const xml::Element& fault = *envelope.body_element;
   Fault out;
-  if (const xml::Element* code = fault.child("faultcode")) {
-    out.code = std::string(code->trimmed_text());
-  }
-  if (const xml::Element* message = fault.child("faultstring")) {
-    out.message = std::string(message->trimmed_text());
+  bool have_code = false;
+  bool have_message = false;
+  xml::Reader reader = xml::Reader::element_at(envelope.text, envelope.body_offset);
+  reader.next();  // <Fault>
+  for (;;) {
+    const xml::Reader::Token token = reader.next();
+    if (token == xml::Reader::Token::kEndElement && reader.depth() == 0) break;  // </Fault>
+    // Children are consumed whole below, so every start tag here is one.
+    if (token != xml::Reader::Token::kStartElement) continue;
+    const std::string_view name = xml::local_part(reader.name());
+    std::string* field = nullptr;
+    if (name == "faultcode" && !have_code) {
+      field = &out.code;
+      have_code = true;
+    } else if (name == "faultstring" && !have_message) {
+      field = &out.message;
+      have_message = true;
+    }
+    if (field == nullptr) {
+      reader.skip_element();
+      continue;
+    }
+    std::string text;
+    reader.read_text(text);
+    *field = std::string(trim(text));
   }
   return out;
 }
 
 pbio::Value decode_body(const ParsedEnvelope& envelope,
                         const pbio::FormatDesc& format) {
-  return value_from_xml(*envelope.body_element, format);
+  xml::Reader reader = xml::Reader::element_at(envelope.text, envelope.body_offset);
+  if (reader.next() != xml::Reader::Token::kStartElement) {
+    throw ParseError("SOAP Body element not found");
+  }
+  return read_value_xml(reader, format);
 }
 
 }  // namespace sbq::soap

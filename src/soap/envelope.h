@@ -5,14 +5,11 @@
 // body with faultcode/faultstring.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "pbio/format.h"
 #include "pbio/value.h"
-#include "xml/dom.h"
 
 namespace sbq::soap {
 
@@ -30,15 +27,18 @@ std::string build_response(std::string_view operation, const pbio::Value& result
 /// Builds a fault envelope.
 std::string build_fault(std::string_view faultcode, std::string_view faultstring);
 
-/// A parsed envelope retains ownership of the DOM; `body_element` points at
-/// the single operation (or Fault) element inside <Body>.
+/// A parsed envelope owns its text and remembers where the single operation
+/// (or Fault) element inside <Body> starts; decode_body and parse_fault
+/// stream from there. Offsets, not views, so moving the envelope is safe.
 struct ParsedEnvelope {
-  std::unique_ptr<xml::Element> document;
-  const xml::Element* body_element = nullptr;
+  std::string text;
+  std::size_t body_offset = 0;       // the body element's '<'
+  std::size_t operation_offset = 0;  // its local name
+  std::size_t operation_size = 0;
 
   /// Local name of the body element ("getImage", "getImageResponse", "Fault").
   [[nodiscard]] std::string_view operation() const {
-    return body_element->local_name();
+    return std::string_view(text).substr(operation_offset, operation_size);
   }
   [[nodiscard]] bool is_fault() const { return operation() == "Fault"; }
 };
@@ -49,8 +49,11 @@ struct Fault {
   std::string message;
 };
 
-/// Parses and validates Envelope/Body structure.
-ParsedEnvelope parse_envelope(std::string_view xml_text);
+/// Parses and validates Envelope/Body structure in one tokenizer pass: the
+/// whole document must be well-formed XML whose root is an Envelope with a
+/// Body holding exactly one element. Takes the text by value; callers that
+/// are done with theirs move it in.
+ParsedEnvelope parse_envelope(std::string xml_text);
 
 /// Extracts fault details; throws ParseError if not a fault.
 Fault parse_fault(const ParsedEnvelope& envelope);

@@ -3,14 +3,8 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "xml/escape.h"
-#include "xml/sax.h"
 
 namespace sbq::xml {
-
-std::string_view local_part(std::string_view qname) {
-  std::size_t colon = qname.rfind(':');
-  return colon == std::string_view::npos ? qname : qname.substr(colon + 1);
-}
 
 std::optional<std::string_view> Element::attribute(std::string_view name) const {
   for (const auto& [k, v] : attributes) {
@@ -84,32 +78,37 @@ std::string Element::to_string(int indent) const {
 std::unique_ptr<Element> parse_document(std::string_view document) {
   std::unique_ptr<Element> root;
   std::vector<Element*> stack;
-
-  SaxHandlers handlers;
-  handlers.start_element = [&](std::string_view name,
-                               const std::vector<Attribute>& attrs) {
-    auto node = std::make_unique<Element>();
-    node->name = std::string(name);
-    for (const auto& a : attrs) node->attributes.emplace_back(a.name, a.value);
-    Element* raw = node.get();
-    if (stack.empty()) {
-      root = std::move(node);
-    } else {
-      stack.back()->children.push_back(std::move(node));
+  Reader reader(document);
+  for (;;) {
+    switch (reader.next()) {
+      case Reader::Token::kStartElement: {
+        auto node = std::make_unique<Element>();
+        node->name = std::string(reader.name());
+        for (const Reader::Attribute& a : reader.attributes()) {
+          node->attributes.emplace_back(std::string(a.name), a.value());
+        }
+        Element* raw = node.get();
+        if (stack.empty()) {
+          root = std::move(node);
+        } else {
+          stack.back()->children.push_back(std::move(node));
+        }
+        stack.push_back(raw);
+        break;
+      }
+      case Reader::Token::kEndElement:
+        stack.pop_back();
+        break;
+      case Reader::Token::kText:
+      case Reader::Token::kCData:
+        stack.back()->text += reader.text();
+        break;
+      case Reader::Token::kEndOfDocument:
+        return root;
+      default:
+        break;
     }
-    stack.push_back(raw);
-  };
-  handlers.end_element = [&](std::string_view) { stack.pop_back(); };
-  handlers.characters = [&](std::string_view text) {
-    if (!stack.empty()) stack.back()->text += text;
-  };
-  handlers.cdata = [&](std::string_view text) {
-    if (!stack.empty()) stack.back()->text += text;
-  };
-
-  SaxParser parser(std::move(handlers));
-  parser.parse(document);
-  return root;
+  }
 }
 
 }  // namespace sbq::xml

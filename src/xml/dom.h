@@ -1,9 +1,11 @@
-// Small DOM built on top of the SAX parser.
+// Small DOM built on the pull tokenizer (xml/reader.h).
 //
-// WSDL compilation and SOAP envelope processing need random access to a
-// parsed document; this tree keeps exactly what those layers use: elements,
-// attributes, and (merged) text. Comments and processing instructions are
-// dropped during tree construction — SOAP semantics never depend on them.
+// WSDL compilation needs random access to a parsed document, and tests use
+// it to inspect generated XML (SVG output, envelopes); this tree keeps
+// exactly what those users read: elements, attributes, and (merged) text.
+// Comments and processing instructions are dropped. The SOAP call path
+// does not build a DOM: envelopes and parameters stream from the reader
+// (soap/envelope.h, soap/codec.h).
 #pragma once
 
 #include <memory>
@@ -11,6 +13,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "xml/reader.h"
 
 namespace sbq::xml {
 
@@ -49,9 +53,6 @@ class Element {
   /// Serializes the subtree (canonical form used by tests and debugging).
   [[nodiscard]] std::string to_string(int indent = 0) const;
 };
-
-/// Strips a `prefix:` from a qualified name.
-std::string_view local_part(std::string_view qname);
 
 /// Parses a complete document into a DOM tree. Throws XmlError on bad input.
 std::unique_ptr<Element> parse_document(std::string_view document);

@@ -6,19 +6,29 @@
 
 namespace sbq::xml {
 
+void append_escaped(std::string& out, std::string_view raw) {
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    std::string_view entity;
+    switch (raw[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      case '\'': entity = "&apos;"; break;
+      default: continue;
+    }
+    out.append(raw.substr(done, i - done));
+    out.append(entity);
+    done = i + 1;
+  }
+  out.append(raw.substr(done));
+}
+
 std::string escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
+  append_escaped(out, raw);
   return out;
 }
 
@@ -42,20 +52,18 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-std::string unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+std::string append_unescaped(std::string& out, std::string_view s) {
   std::size_t i = 0;
   while (i < s.size()) {
-    char c = s[i];
-    if (c != '&') {
-      out += c;
-      ++i;
-      continue;
+    const std::size_t amp = s.find('&', i);
+    if (amp == std::string_view::npos) {
+      out.append(s.substr(i));
+      break;
     }
-    std::size_t semi = s.find(';', i + 1);
-    if (semi == std::string_view::npos) throw ParseError("unterminated entity");
-    std::string_view name = s.substr(i + 1, semi - i - 1);
+    out.append(s.substr(i, amp - i));
+    std::size_t semi = s.find(';', amp + 1);
+    if (semi == std::string_view::npos) return "unterminated entity";
+    std::string_view name = s.substr(amp + 1, semi - amp - 1);
     if (name == "amp") {
       out += '&';
     } else if (name == "lt") {
@@ -76,25 +84,33 @@ std::string unescape(std::string_view s) {
           if (h >= '0' && h <= '9') digit = static_cast<std::uint32_t>(h - '0');
           else if (h >= 'a' && h <= 'f') digit = static_cast<std::uint32_t>(h - 'a' + 10);
           else if (h >= 'A' && h <= 'F') digit = static_cast<std::uint32_t>(h - 'A' + 10);
-          else throw ParseError("bad hex character reference");
+          else return "bad hex character reference";
           cp = cp * 16 + digit;
           any = true;
         }
       } else {
         for (std::size_t k = 1; k < name.size(); ++k) {
           char d = name[k];
-          if (d < '0' || d > '9') throw ParseError("bad character reference");
+          if (d < '0' || d > '9') return "bad character reference";
           cp = cp * 10 + static_cast<std::uint32_t>(d - '0');
           any = true;
         }
       }
-      if (!any) throw ParseError("empty character reference");
+      if (!any) return "empty character reference";
+      if (cp > 0x10FFFF) return "character reference beyond U+10FFFF";
       append_utf8(out, cp);
     } else {
-      throw ParseError("unknown entity: &" + std::string(name) + ";");
+      return "unknown entity: &" + std::string(name) + ";";
     }
     i = semi + 1;
   }
+  return {};
+}
+
+std::string unescape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  if (std::string error = append_unescaped(out, s); !error.empty()) throw ParseError(error);
   return out;
 }
 

@@ -1,258 +1,47 @@
 #include "xml/sax.h"
 
-#include "xml/escape.h"
-
 namespace sbq::xml {
 
-namespace {
-bool is_name_start(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':' ||
-         static_cast<unsigned char>(c) >= 0x80;
-}
-bool is_name_char(char c) {
-  return is_name_start(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
-bool is_ws(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-}
-}  // namespace
-
-char SaxParser::advance() {
-  if (eof()) fail("unexpected end of document");
-  return doc_[pos_++];
-}
-
-bool SaxParser::consume(char expected) {
-  if (!eof() && doc_[pos_] == expected) {
-    ++pos_;
-    return true;
-  }
-  return false;
-}
-
-void SaxParser::expect(char expected, const char* context) {
-  if (!consume(expected)) {
-    fail(std::string("expected '") + expected + "' " + context);
-  }
-}
-
-bool SaxParser::consume_literal(std::string_view lit) {
-  if (doc_.substr(pos_, lit.size()) == lit) {
-    pos_ += lit.size();
-    return true;
-  }
-  return false;
-}
-
-void SaxParser::skip_whitespace() {
-  while (!eof() && is_ws(doc_[pos_])) ++pos_;
-}
-
-void SaxParser::fail(const std::string& message) const {
-  int line = 1;
-  int col = 1;
-  for (std::size_t i = 0; i < pos_ && i < doc_.size(); ++i) {
-    if (doc_[i] == '\n') {
-      ++line;
-      col = 1;
-    } else {
-      ++col;
-    }
-  }
-  throw XmlError(message, line, col);
-}
-
-std::string SaxParser::read_name() {
-  if (eof() || !is_name_start(peek())) fail("expected a name");
-  std::size_t start = pos_;
-  while (!eof() && is_name_char(peek())) ++pos_;
-  return std::string(doc_.substr(start, pos_ - start));
-}
-
-std::string SaxParser::read_attribute_value() {
-  char quote = advance();
-  if (quote != '"' && quote != '\'') fail("attribute value must be quoted");
-  std::size_t start = pos_;
-  while (!eof() && peek() != quote) {
-    if (peek() == '<') fail("'<' not allowed in attribute value");
-    ++pos_;
-  }
-  if (eof()) fail("unterminated attribute value");
-  std::string raw(doc_.substr(start, pos_ - start));
-  ++pos_;  // closing quote
-  return unescape(raw);
-}
-
 void SaxParser::parse(std::string_view document) {
-  doc_ = document;
-  pos_ = 0;
-  depth_ = 0;
-  seen_root_ = false;
-
-  parse_prolog();
-  skip_whitespace();
-  if (eof() || peek() != '<') fail("expected root element");
-  parse_element();
-
-  // Trailing misc: whitespace, comments, PIs only.
-  for (;;) {
-    skip_whitespace();
-    if (eof()) break;
-    if (consume_literal("<!--")) {
-      parse_comment();
-    } else if (consume_literal("<?")) {
-      parse_processing_instruction();
-    } else {
-      fail("content after root element");
-    }
-  }
-}
-
-void SaxParser::parse_prolog() {
-  skip_whitespace();
-  if (consume_literal("<?xml")) {
-    // XML declaration: tolerate any pseudo-attributes, require '?>'.
-    std::size_t end = doc_.find("?>", pos_);
-    if (end == std::string_view::npos) fail("unterminated XML declaration");
-    pos_ = end + 2;
-  }
-  for (;;) {
-    skip_whitespace();
-    if (consume_literal("<!--")) {
-      parse_comment();
-    } else if (doc_.substr(pos_, 2) == "<?") {
-      pos_ += 2;
-      parse_processing_instruction();
-    } else if (consume_literal("<!DOCTYPE")) {
-      fail("DOCTYPE is not supported (external entities disabled)");
-    } else {
-      break;
-    }
-  }
-}
-
-void SaxParser::parse_element() {
-  expect('<', "to open element");
-  if (depth_ >= max_depth_) {
-    fail("element nesting exceeds " + std::to_string(max_depth_) + " levels");
-  }
-  std::string name = read_name();
-
+  Reader reader(document, max_depth_);
   std::vector<Attribute> attrs;
   for (;;) {
-    bool had_ws = !eof() && is_ws(peek());
-    skip_whitespace();
-    if (eof()) fail("unterminated start tag");
-    if (peek() == '>' || peek() == '/') break;
-    if (!had_ws) fail("expected whitespace before attribute");
-    std::string attr_name = read_name();
-    skip_whitespace();
-    expect('=', "after attribute name");
-    skip_whitespace();
-    std::string value = read_attribute_value();
-    for (const auto& a : attrs) {
-      if (a.name == attr_name) fail("duplicate attribute: " + attr_name);
+    switch (reader.next()) {
+      case Reader::Token::kStartElement:
+        if (handlers_.start_element) {
+          attrs.clear();
+          for (const Reader::Attribute& a : reader.attributes()) {
+            attrs.push_back(Attribute{std::string(a.name), a.value()});
+          }
+          handlers_.start_element(reader.name(), attrs);
+        }
+        break;
+      case Reader::Token::kEndElement:
+        if (handlers_.end_element) handlers_.end_element(reader.name());
+        break;
+      case Reader::Token::kText:
+        if (handlers_.characters) handlers_.characters(reader.text());
+        break;
+      case Reader::Token::kCData:
+        // CDATA is character data; delivered as such when no CDATA handler is set.
+        if (handlers_.cdata) {
+          handlers_.cdata(reader.text());
+        } else if (handlers_.characters) {
+          handlers_.characters(reader.text());
+        }
+        break;
+      case Reader::Token::kComment:
+        if (handlers_.comment) handlers_.comment(reader.text());
+        break;
+      case Reader::Token::kProcessingInstruction:
+        if (handlers_.processing_instruction) {
+          handlers_.processing_instruction(reader.name(), reader.text());
+        }
+        break;
+      case Reader::Token::kEndOfDocument:
+        return;
     }
-    attrs.push_back(Attribute{std::move(attr_name), std::move(value)});
   }
-
-  if (depth_ == 0) {
-    if (seen_root_) fail("multiple root elements");
-    seen_root_ = true;
-  }
-
-  if (consume('/')) {
-    expect('>', "to close empty-element tag");
-    if (handlers_.start_element) handlers_.start_element(name, attrs);
-    if (handlers_.end_element) handlers_.end_element(name);
-    return;
-  }
-  expect('>', "to close start tag");
-
-  if (handlers_.start_element) handlers_.start_element(name, attrs);
-  ++depth_;
-  parse_content(name);
-  --depth_;
-  if (handlers_.end_element) handlers_.end_element(name);
-}
-
-void SaxParser::parse_content(const std::string& element_name) {
-  std::size_t text_start = pos_;
-  for (;;) {
-    if (eof()) fail("unterminated element: " + element_name);
-    if (peek() != '<') {
-      ++pos_;
-      continue;
-    }
-    // Flush pending character data before any markup.
-    if (pos_ > text_start) {
-      emit_text(doc_.substr(text_start, pos_ - text_start));
-    }
-    if (consume_literal("</")) {
-      std::string close = read_name();
-      if (close != element_name) {
-        fail("mismatched end tag: expected </" + element_name + ">, got </" +
-             close + ">");
-      }
-      skip_whitespace();
-      expect('>', "to close end tag");
-      return;
-    }
-    if (consume_literal("<!--")) {
-      parse_comment();
-    } else if (consume_literal("<![CDATA[")) {
-      parse_cdata();
-    } else if (consume_literal("<?")) {
-      parse_processing_instruction();
-    } else {
-      parse_element();
-    }
-    text_start = pos_;
-  }
-}
-
-void SaxParser::emit_text(std::string_view raw) {
-  if (!handlers_.characters) return;
-  std::string resolved = unescape(raw);
-  handlers_.characters(resolved);
-}
-
-void SaxParser::parse_comment() {
-  std::size_t end = doc_.find("--", pos_);
-  for (;;) {
-    if (end == std::string_view::npos) fail("unterminated comment");
-    if (doc_.substr(end, 3) == "-->") break;
-    // "--" inside a comment is illegal XML.
-    fail("'--' not allowed inside comment");
-  }
-  if (handlers_.comment) handlers_.comment(doc_.substr(pos_, end - pos_));
-  pos_ = end + 3;
-}
-
-void SaxParser::parse_cdata() {
-  std::size_t end = doc_.find("]]>", pos_);
-  if (end == std::string_view::npos) fail("unterminated CDATA section");
-  std::string_view text = doc_.substr(pos_, end - pos_);
-  if (handlers_.cdata) {
-    handlers_.cdata(text);
-  } else if (handlers_.characters) {
-    // CDATA is character data; deliver it as such when no CDATA handler is set.
-    handlers_.characters(text);
-  }
-  pos_ = end + 3;
-}
-
-void SaxParser::parse_processing_instruction() {
-  std::string target = read_name();
-  std::size_t end = doc_.find("?>", pos_);
-  if (end == std::string_view::npos) fail("unterminated processing instruction");
-  std::string_view data = doc_.substr(pos_, end - pos_);
-  // Trim single leading space conventionally separating target from data.
-  if (!data.empty() && data.front() == ' ') data.remove_prefix(1);
-  if (handlers_.processing_instruction) {
-    handlers_.processing_instruction(target, data);
-  }
-  pos_ = end + 2;
 }
 
 }  // namespace sbq::xml

@@ -1,11 +1,6 @@
-// Streaming, callback-based XML parser — the library's Expat substitute.
-//
-// The parser handles the XML subset SOAP traffic actually uses: elements,
-// attributes, character data (with entity and numeric character references),
-// comments, CDATA sections, processing instructions, and the XML declaration.
-// It deliberately does NOT implement DTDs or external entities (Expat's
-// defaults for SOAP processing also leave these off; external entities are a
-// well-known attack surface).
+// Callback-based XML parsing — the library's Expat-style interface, a thin
+// loop over the pull tokenizer (xml/reader.h), which does the lexing and
+// all well-formedness checking.
 //
 // Errors carry 1-based line/column positions so higher layers (WSDL compiler,
 // quality files embedded in XML) report actionable diagnostics.
@@ -17,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.h"
+#include "xml/reader.h"
 
 namespace sbq::xml {
 
@@ -30,8 +25,8 @@ struct Attribute {
 /// Event callbacks; any handler may be left empty.
 ///
 /// Text is delivered with entities resolved. Contiguous character data may be
-/// split across several `characters` calls (e.g. around entity references),
-/// exactly as Expat does — consumers must accumulate.
+/// split across several `characters` calls (e.g. around comments), exactly as
+/// Expat does — consumers must accumulate.
 struct SaxHandlers {
   std::function<void(std::string_view name, const std::vector<Attribute>& attrs)>
       start_element;
@@ -43,64 +38,20 @@ struct SaxHandlers {
       processing_instruction;
 };
 
-/// Parse error with source position.
-class XmlError : public ParseError {
- public:
-  XmlError(const std::string& what, int line, int column)
-      : ParseError("xml:" + std::to_string(line) + ":" + std::to_string(column) +
-                   ": " + what),
-        line_(line),
-        column_(column) {}
-
-  [[nodiscard]] int line() const { return line_; }
-  [[nodiscard]] int column() const { return column_; }
-
- private:
-  int line_;
-  int column_;
-};
-
 /// One-shot SAX parser. Construct with handlers, call parse() with a full
-/// document. Verifies well-formedness: tag balance, single root element,
-/// attribute quoting, no text outside the root. Element nesting is limited
-/// (default 256 levels) so hostile documents cannot exhaust the stack —
-/// SOAP payloads here nest with their PBIO formats, which are shallow.
+/// document. Well-formedness and the nesting limit (default 256 levels) are
+/// the reader's.
 class SaxParser {
  public:
-  explicit SaxParser(SaxHandlers handlers, int max_depth = 256)
+  explicit SaxParser(SaxHandlers handlers, int max_depth = kDefaultMaxDepth)
       : handlers_(std::move(handlers)), max_depth_(max_depth) {}
 
   /// Parses a complete document; throws XmlError on malformed input.
   void parse(std::string_view document);
 
  private:
-  // Lexing helpers over the current document.
-  [[nodiscard]] bool eof() const { return pos_ >= doc_.size(); }
-  [[nodiscard]] char peek() const { return doc_[pos_]; }
-  char advance();
-  bool consume(char expected);
-  void expect(char expected, const char* context);
-  bool consume_literal(std::string_view lit);
-  void skip_whitespace();
-  [[noreturn]] void fail(const std::string& message) const;
-
-  std::string read_name();
-  std::string read_attribute_value();
-
-  void parse_prolog();
-  void parse_element();
-  void parse_content(const std::string& element_name);
-  void parse_comment();
-  void parse_cdata();
-  void parse_processing_instruction();
-  void emit_text(std::string_view raw);
-
   SaxHandlers handlers_;
   int max_depth_;
-  std::string_view doc_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  bool seen_root_ = false;
 };
 
 }  // namespace sbq::xml

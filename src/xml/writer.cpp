@@ -1,23 +1,41 @@
 #include "xml/writer.h"
 
 #include <charconv>
-#include <cstdio>
 
 #include "common/error.h"
 #include "xml/escape.h"
 
 namespace sbq::xml {
 
-std::string format_double(double v) {
-  char buf[64];
-  // %.17g always round-trips; shrink to the shortest form that does.
+namespace {
+
+template <class Int>
+void append_integer(std::string& out, Int value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, result.ptr);
+}
+
+void append_double(std::string& out, double v) {
+  // std::to_chars with a precision produces exactly printf's "%.*g" bytes;
+  // %.17g always round-trips, so shrink to the shortest form that does.
+  char buf[32];
+  char* end = buf;
   for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec).ptr;
     double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
+    std::from_chars(buf, end, back);
     if (back == v) break;
   }
-  return buf;
+  out.append(buf, end);
+}
+
+}  // namespace
+
+std::string format_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 void XmlWriter::declaration() {
@@ -39,46 +57,68 @@ void XmlWriter::close_start_tag() {
   }
 }
 
+void XmlWriter::begin_content() {
+  if (open_.empty()) throw ParseError("text outside root element");
+  close_start_tag();
+}
+
 void XmlWriter::start_element(std::string_view name) {
   close_start_tag();
   indent();
   out_ += '<';
+  open_.push_back(OpenElement{out_.size(), name.size()});
   out_ += name;
-  open_.emplace_back(name);
   tag_open_ = true;
-  just_opened_ = true;
   had_child_ = false;
 }
 
-void XmlWriter::attribute(std::string_view name, std::string_view value) {
+void XmlWriter::begin_attribute(std::string_view name) {
   if (!tag_open_) throw ParseError("attribute after element content: " + std::string(name));
   out_ += ' ';
   out_ += name;
   out_ += "=\"";
-  out_ += escape(value);
+}
+
+void XmlWriter::attribute(std::string_view name, std::string_view value) {
+  begin_attribute(name);
+  append_escaped(out_, value);
   out_ += '"';
 }
 
 void XmlWriter::attribute(std::string_view name, std::int64_t value) {
-  attribute(name, std::string_view{std::to_string(value)});
+  begin_attribute(name);
+  append_integer(out_, value);
+  out_ += '"';
 }
 
 void XmlWriter::text(std::string_view value) {
-  if (open_.empty()) throw ParseError("text outside root element");
-  close_start_tag();
-  out_ += escape(value);
-  just_opened_ = false;
+  begin_content();
+  append_escaped(out_, value);
+}
+
+void XmlWriter::number(std::int64_t value) {
+  begin_content();
+  append_integer(out_, value);
+}
+
+void XmlWriter::number(std::uint64_t value) {
+  begin_content();
+  append_integer(out_, value);
+}
+
+void XmlWriter::number(double value) {
+  begin_content();
+  append_double(out_, value);
 }
 
 void XmlWriter::raw(std::string_view markup) {
   close_start_tag();
   out_ += markup;
-  just_opened_ = false;
 }
 
 void XmlWriter::end_element() {
   if (open_.empty()) throw ParseError("end_element with no open element");
-  std::string name = std::move(open_.back());
+  const OpenElement element = open_.back();
   open_.pop_back();
   if (tag_open_) {
     out_ += "/>";
@@ -89,11 +129,10 @@ void XmlWriter::end_element() {
       out_.append(open_.size() * 2, ' ');
     }
     out_ += "</";
-    out_ += name;
+    out_.append(out_, element.offset, element.length);
     out_ += '>';
   }
   if (pretty_) out_ += '\n';
-  just_opened_ = false;
   had_child_ = true;
 }
 
@@ -104,16 +143,22 @@ void XmlWriter::text_element(std::string_view name, std::string_view text_value)
 }
 
 void XmlWriter::text_element(std::string_view name, std::int64_t value) {
-  text_element(name, std::string_view{std::to_string(value)});
+  start_element(name);
+  number(value);
+  end_element();
 }
 
 void XmlWriter::text_element(std::string_view name, double value) {
-  text_element(name, std::string_view{format_double(value)});
+  start_element(name);
+  number(value);
+  end_element();
 }
 
 std::string XmlWriter::take() {
   if (!open_.empty()) {
-    throw ParseError("document finished with <" + open_.back() + "> still open");
+    const OpenElement& element = open_.back();
+    throw ParseError("document finished with <" +
+                     out_.substr(element.offset, element.length) + "> still open");
   }
   return std::move(out_);
 }

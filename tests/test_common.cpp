@@ -2,6 +2,7 @@
 // arena, hexdump.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "common/arena.h"
@@ -119,6 +120,25 @@ TEST(Strings, ParseNumbers) {
   EXPECT_THROW(parse_u64("12x"), ParseError);
   EXPECT_THROW(parse_i64(""), ParseError);
   EXPECT_THROW(parse_f64("abc"), ParseError);
+}
+
+// parse_f64 reads with std::from_chars and retries with strtod only when
+// from_chars rejects, so the forms strtod alone accepts still parse.
+TEST(Strings, ParseF64AcceptsWhatStrtodAccepts) {
+  EXPECT_EQ(parse_f64("+1.5"), 1.5);
+  EXPECT_EQ(parse_f64("0x1p3"), 8.0);
+  EXPECT_TRUE(std::isinf(parse_f64("1e400")));
+  EXPECT_GT(parse_f64("1e400"), 0.0);
+  EXPECT_TRUE(std::isinf(parse_f64("inf")));
+  EXPECT_TRUE(std::isinf(parse_f64("-inf")));
+  EXPECT_TRUE(std::isnan(parse_f64("nan")));
+  EXPECT_EQ(parse_f64(" 2.5 "), 2.5);
+  EXPECT_EQ(parse_f64("1e-400"), 0.0);
+  EXPECT_EQ(parse_f64("4.9406564584124654e-324"), 4.9406564584124654e-324);
+  EXPECT_THROW(parse_f64("1.5x"), ParseError);
+  EXPECT_THROW(parse_f64(""), ParseError);
+  EXPECT_THROW(parse_f64("   "), ParseError);
+  EXPECT_THROW(parse_f64("1e"), ParseError);
 }
 
 TEST(Strings, IsBlank) {

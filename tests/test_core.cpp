@@ -166,8 +166,7 @@ TEST(XmlNativeServer, CompatibilityModeConversions) {
       "sum", vec_format(), sum_format(), [](const std::string& params_xml) {
         // The legacy app sees genuine XML.
         EXPECT_NE(params_xml.find("<values>"), std::string::npos);
-        const auto dom = xml::parse_document(params_xml);
-        const Value params = soap::value_from_xml(*dom, *vec_format());
+        const Value params = soap::value_from_xml(params_xml, *vec_format());
         const Value result = sum_handler_impl(params);
         return soap::value_to_xml(result, *sum_format(), "result");
       });

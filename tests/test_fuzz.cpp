@@ -111,6 +111,99 @@ TEST_P(FuzzSeeds, SoapEnvelopeSurvivesMutation) {
   }
 }
 
+// The streaming SOAP receive path, parse_envelope + decode_body, fed an
+// xml_struct-shaped envelope (a depth-3 tree of records) and an int-array
+// envelope.
+pbio::FormatPtr soap_tree_format(int depth) {
+  pbio::FormatPtr format = pbio::FormatBuilder("leaf")
+                               .add_scalar("account", pbio::TypeKind::kInt32)
+                               .add_scalar("balance", pbio::TypeKind::kFloat64)
+                               .add_string("holder")
+                               .build();
+  for (int level = 0; level < depth; ++level) {
+    format = pbio::FormatBuilder("level" + std::to_string(level))
+                 .add_scalar("id", pbio::TypeKind::kInt32)
+                 .add_struct("left", format)
+                 .add_struct("right", format)
+                 .build();
+  }
+  return format;
+}
+
+pbio::Value soap_tree_value(int depth) {
+  if (depth == 0) {
+    return pbio::Value::record(
+        {{"account", 123456}, {"balance", 1023.75}, {"holder", "J. <Doe> & co"}});
+  }
+  pbio::Value child = soap_tree_value(depth - 1);
+  return pbio::Value::record({{"id", depth}, {"left", child}, {"right", child}});
+}
+
+pbio::FormatPtr soap_int_array_format() {
+  return pbio::FormatBuilder("int_array")
+      .add_var_array("values", pbio::TypeKind::kInt32)
+      .add_fixed_array("tag", pbio::TypeKind::kChar, 4)
+      .build();
+}
+
+pbio::Value soap_int_array_value() {
+  pbio::Value values = pbio::Value::empty_array();
+  for (int i = 0; i < 24; ++i) values.push_back(i * 7919 - 50000);
+  return pbio::Value::record({{"values", std::move(values)}, {"tag", "ABCD"}});
+}
+
+struct SoapFuzzTarget {
+  std::string name;
+  pbio::FormatPtr format;
+  std::string envelope;
+};
+
+std::vector<SoapFuzzTarget> soap_fuzz_targets() {
+  std::vector<SoapFuzzTarget> targets;
+  targets.push_back({"tree", soap_tree_format(3), {}});
+  targets.back().envelope = soap::build_request("echo", soap_tree_value(3), *targets.back().format);
+  targets.push_back({"int_array", soap_int_array_format(), {}});
+  targets.back().envelope =
+      soap::build_request("echo", soap_int_array_value(), *targets.back().format);
+  return targets;
+}
+
+/// Parses and decodes a SOAP body the way the client and the service do.
+void decode_soap(std::string text, const pbio::FormatDesc& format) {
+  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(text));
+  if (envelope.is_fault()) {
+    (void)soap::parse_fault(envelope);
+  } else {
+    (void)soap::decode_body(envelope, format);
+  }
+}
+
+TEST_P(FuzzSeeds, SoapBodyDecodeSurvivesRandomAndMutatedEnvelopes) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    for (int i = 0; i < 30; ++i) {
+      const Bytes junk = random_bytes(rng_, 300);
+      try {
+        decode_soap(to_string(BytesView{junk}), *target.format);
+      } catch (const Error&) {
+      }
+      // A valid head followed by junk reaches deeper into the decoder.
+      const std::size_t cut = rng_.next_below(target.envelope.size());
+      try {
+        decode_soap(target.envelope.substr(0, cut) + to_string(BytesView{junk}),
+                    *target.format);
+      } catch (const Error&) {
+      }
+    }
+    for (int i = 0; i < 60; ++i) {
+      try {
+        decode_soap(mutate(rng_, target.envelope, 1 + static_cast<int>(rng_.next_below(8))),
+                    *target.format);
+      } catch (const Error&) {
+      }
+    }
+  }
+}
+
 TEST_P(FuzzSeeds, WsdlParserSurvivesMutation) {
   const std::string valid = R"(<definitions name="S">
     <types><schema><complexType name="t"><sequence>
@@ -652,6 +745,36 @@ TEST(TruncationSweep, EveryHttpResponsePrefixFailsCleanly) {
       EXPECT_FALSE(response.has_value())
           << "prefix of " << n << "/" << wire.size() << " bytes parsed";
     } catch (const Error&) {
+    }
+  }
+}
+
+TEST(TruncationSweep, EverySoapEnvelopePrefixThrowsTypedError) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    ASSERT_NO_THROW(decode_soap(target.envelope, *target.format)) << target.name;
+    for (std::size_t n = 0; n < target.envelope.size(); ++n) {
+      try {
+        decode_soap(target.envelope.substr(0, n), *target.format);
+        ADD_FAILURE() << target.name << ": prefix of " << n << "/" << target.envelope.size()
+                      << " bytes decoded as a complete envelope";
+      } catch (const Error&) {
+      }
+    }
+  }
+}
+
+TEST(TruncationSweep, EveryBitFlipInASoapEnvelopeFailsCleanly) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    std::string flipped = target.envelope;
+    for (std::size_t i = 0; i < flipped.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        try {
+          decode_soap(flipped, *target.format);
+        } catch (const Error&) {
+        }
+        flipped[i] = target.envelope[i];
+      }
     }
   }
 }

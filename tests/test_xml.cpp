@@ -1,8 +1,15 @@
-// Unit tests for the XML substrate: escaping, SAX parser, DOM, writer.
+// Unit tests for the XML substrate: escaping, the pull reader, the SAX
+// parser on top of it, DOM, writer.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <random>
 
 #include "xml/dom.h"
 #include "xml/escape.h"
+#include "xml/reader.h"
 #include "xml/sax.h"
 #include "xml/writer.h"
 
@@ -56,7 +63,7 @@ SaxHandlers tracing_handlers(Trace& trace) {
     trace.events += "</" + std::string(name) + ">";
   };
   h.characters = [&](std::string_view text) {
-    trace.events += "[" + std::string(text) + "]";
+    trace.events.append("[").append(text).append("]");
   };
   h.comment = [&](std::string_view text) {
     trace.events += "{c:" + std::string(text) + "}";
@@ -187,6 +194,178 @@ TEST(Sax, SingleQuotedAttributes) {
   EXPECT_EQ(t.events, "<r a=va\"lue></r>");
 }
 
+// ---------------------------------------------------------------- reader
+
+using Token = Reader::Token;
+
+std::string tokens(std::string_view doc) {
+  Reader r(doc);
+  std::string out;
+  for (Token t = r.next(); t != Token::kEndOfDocument; t = r.next()) {
+    switch (t) {
+      case Token::kStartElement:
+        out.append("<").append(r.name());
+        for (const Reader::Attribute& a : r.attributes()) {
+          out.append(" ").append(a.name).append("=").append(a.value());
+        }
+        out.append(">");
+        break;
+      case Token::kEndElement: out.append("</").append(r.name()).append(">"); break;
+      case Token::kText: out.append("[").append(r.text()).append("]"); break;
+      case Token::kCData: out.append("{cdata:").append(r.text()).append("}"); break;
+      case Token::kComment: out.append("{c:").append(r.text()).append("}"); break;
+      case Token::kProcessingInstruction:
+        out.append("{pi:").append(r.name()).append(":").append(r.text()).append("}");
+        break;
+      case Token::kEndOfDocument: break;
+    }
+  }
+  return out;
+}
+
+TEST(Reader, YieldsEveryTokenKind) {
+  EXPECT_EQ(tokens("<?xml version=\"1.0\"?><!--h--><r a=\"x&amp;y\" b='2'>t&lt;1<e/>"
+                   "<![CDATA[<raw&>]]><?p d?></r><!--t-->"),
+            "{c:h}<r a=x&y b=2>[t<1]<e></e>{cdata:<raw&>}{pi:p:d}</r>{c:t}");
+}
+
+TEST(Reader, TextWithoutEntitiesIsAViewIntoTheDocument) {
+  const std::string doc = "<r>plain text</r>";
+  Reader r(doc);
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  ASSERT_EQ(r.next(), Token::kText);
+  EXPECT_EQ(r.text().data(), doc.data() + 3);
+  EXPECT_EQ(r.text(), "plain text");
+}
+
+TEST(Reader, DepthAndOffsets) {
+  const std::string doc = "<a><b x=\"1\"/><c>t</c></a>";
+  Reader r(doc);
+  EXPECT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.depth(), 1u);
+  EXPECT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "b");
+  EXPECT_EQ(r.depth(), 2u);
+  EXPECT_EQ(r.offset(), 3u);
+  EXPECT_EQ(r.next(), Token::kEndElement);
+  EXPECT_EQ(r.name(), "b");
+  EXPECT_EQ(r.depth(), 1u);
+  EXPECT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.offset(), doc.find("<c>"));
+  r.skip_element();
+  EXPECT_EQ(r.depth(), 1u);
+  EXPECT_EQ(r.next(), Token::kEndElement);
+  EXPECT_EQ(r.depth(), 0u);
+  EXPECT_EQ(r.next(), Token::kEndOfDocument);
+  EXPECT_EQ(r.next(), Token::kEndOfDocument);
+}
+
+TEST(Reader, ReadTextKeepsOnlyTheElementsOwnCharacterData) {
+  Reader r("<r> a<!--c-->b<x>not this<y>nor this</y></x><![CDATA[c]]>&amp; </r>");
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  std::string text;
+  r.read_text(text);
+  EXPECT_EQ(text, " abc& ");
+  EXPECT_EQ(r.depth(), 0u);
+  EXPECT_EQ(r.next(), Token::kEndOfDocument);
+}
+
+TEST(Reader, ElementAtReadsOneElementAndStops) {
+  const std::string doc = "<env><body><op><v>1</v></op></body><tail>junk</tail></env>";
+  Reader r = Reader::element_at(doc, doc.find("<op>"));
+  EXPECT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "op");
+  EXPECT_EQ(r.depth(), 1u);
+  r.skip_element();
+  EXPECT_EQ(r.next(), Token::kEndOfDocument);
+}
+
+TEST(Reader, ElementAtReportsPositionsInTheWholeDocument) {
+  const std::string doc = "<env>\n<op><v>1</w></op></env>";
+  Reader r = Reader::element_at(doc, doc.find("<op>"));
+  try {
+    r.next();
+    r.skip_element();
+    FAIL() << "expected XmlError";
+  } catch (const XmlError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), 12);
+  }
+}
+
+TEST(Reader, MalformedEntitiesAreXmlErrorsWithPositions) {
+  for (const char* doc : {"<a>\n x &bogus; y</a>", "<a>\n&#xZZ;</a>", "<a\n b=\"&nope;\"/>",
+                          "<a>&amp</a>", "<a>&#x110000;</a>"}) {
+    try {
+      Reader r(doc);
+      while (r.next() != Token::kEndOfDocument) {
+      }
+      FAIL() << "expected XmlError for " << doc;
+    } catch (const XmlError& e) {
+      EXPECT_GE(e.line(), 1) << doc;
+    }
+  }
+}
+
+TEST(Reader, LocalPartStripsThePrefix) {
+  EXPECT_EQ(local_part("soap:Body"), "Body");
+  EXPECT_EQ(local_part("Body"), "Body");
+  EXPECT_EQ(local_part("a:b:c"), "c");
+}
+
+// Messages and positions of every well-formedness error, pinned so that a
+// change to the lexer cannot move them.
+TEST(Sax, ErrorMessagesAndPositionsArePinned) {
+  const struct {
+    const char* doc;
+    int max_depth;
+    const char* what;
+  } cases[] = {
+      {"", 256, "xml:1:1: expected root element"},
+      {"just text", 256, "xml:1:1: expected root element"},
+      {"<a>", 256, "xml:1:4: unterminated element: a"},
+      {"<a></a><b></b>", 256, "xml:1:8: content after root element"},
+      {"<a></a>trailing", 256, "xml:1:8: content after root element"},
+      {"<a x=1></a>", 256, "xml:1:7: attribute value must be quoted"},
+      {"<a x=\"1\" x=\"2\"/>", 256, "xml:1:15: duplicate attribute: x"},
+      {"<a><b attr=\"<\"/></a>", 256, "xml:1:13: '<' not allowed in attribute value"},
+      {"<!DOCTYPE foo []><a/>", 256,
+       "xml:1:10: DOCTYPE is not supported (external entities disabled)"},
+      {"<a><!-- -- --></a>", 256, "xml:1:8: '--' not allowed inside comment"},
+      {"<a>\n  <b></c>\n</a>", 256, "xml:2:9: mismatched end tag: expected </b>, got </c>"},
+      {"<?xml version=\"1.0\"", 256, "xml:1:6: unterminated XML declaration"},
+      {"<a><![CDATA[x</a>", 256, "xml:1:13: unterminated CDATA section"},
+      {"<a><?pi x</a>", 256, "xml:1:8: unterminated processing instruction"},
+      {"<a><!-- x</a>", 256, "xml:1:8: unterminated comment"},
+      {"<a b=\"1\"c=\"2\"/>", 256, "xml:1:9: expected whitespace before attribute"},
+      {"<a b/>", 256, "xml:1:5: expected '=' after attribute name"},
+      {"<a b=\"1\" / >", 256, "xml:1:11: expected '>' to close empty-element tag"},
+      {"<a\n  b='x", 256, "xml:2:7: unterminated attribute value"},
+      {"<a\n b=", 256, "xml:2:4: unexpected end of document"},
+      {"<a>\n<1/></a>", 256, "xml:2:2: expected a name"},
+      {"<a></a >x", 256, "xml:1:9: content after root element"},
+      {"<a></a", 256, "xml:1:7: expected '>' to close end tag"},
+      {"<a", 256, "xml:1:3: unterminated start tag"},
+      {"<a>\n<b><c><d><e/></d></c></b></a>", 4, "xml:2:11: element nesting exceeds 4 levels"},
+      {"<a>x</a><!-- -- -->", 256, "xml:1:13: '--' not allowed inside comment"},
+      {"\n\n  <a>\n</b>", 256, "xml:4:4: mismatched end tag: expected </a>, got </b>"},
+      {"<a>\ntext", 256, "xml:2:5: unterminated element: a"},
+      {"<r><!x/></r>", 256, "xml:1:5: expected a name"},
+      {"<?pi", 256, "xml:1:5: unterminated processing instruction"},
+      {"<a/>\n<?", 256, "xml:2:3: expected a name"},
+      {"<a><b>\n</a>", 256, "xml:2:4: mismatched end tag: expected </b>, got </a>"},
+  };
+  for (const auto& c : cases) {
+    SaxParser p({}, c.max_depth);
+    try {
+      p.parse(c.doc);
+      ADD_FAILURE() << "expected XmlError for " << c.doc;
+    } catch (const XmlError& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("parse error: ") + c.what) << c.doc;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- DOM
 
 TEST(Dom, BuildsTree) {
@@ -300,6 +479,105 @@ TEST(Writer, FormatDoubleRoundTrips) {
   for (double v : {0.0, 1.5, -2.25, 3.14159265358979, 1e-9, 6.02e23}) {
     EXPECT_DOUBLE_EQ(std::stod(format_double(v)), v);
   }
+}
+
+TEST(Writer, NumbersAreWrittenInPlace) {
+  XmlWriter w;
+  w.start_element("r");
+  w.start_element("i");
+  w.number(std::int64_t{-9223372036854775807 - 1});
+  w.end_element();
+  w.start_element("u");
+  w.number(std::uint64_t{18446744073709551615ull});
+  w.end_element();
+  w.start_element("d");
+  w.number(0.1);
+  w.end_element();
+  w.end_element();
+  EXPECT_EQ(w.take(),
+            "<r><i>-9223372036854775808</i><u>18446744073709551615</u><d>0.1</d></r>");
+}
+
+TEST(Writer, UnbalancedTakeNamesTheOpenElement) {
+  XmlWriter w;
+  w.start_element("outer");
+  w.start_element("inner");
+  try {
+    (void)w.take();
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("<inner>"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Writer, EndTagsRepeatLongNames) {
+  const std::string name(300, 'n');
+  XmlWriter w;
+  w.start_element(name);
+  w.start_element("x");
+  w.text("t");
+  w.end_element();
+  w.end_element();
+  EXPECT_EQ(w.take(), "<" + name + "><x>t</x></" + name + ">");
+}
+
+// The "%.*g" loop written with snprintf/sscanf: the oracle for
+// format_double.
+std::string printf_format_double(double v) {
+  char buf[64];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == v) break;
+  }
+  return buf;
+}
+
+// 8 shards x 131072 doubles: half random bit patterns (NaNs, infinities,
+// subnormals included), half short decimals that need 6 to 16 digits.
+class FormatDoubleShards : public ::testing::TestWithParam<int> {};
+
+TEST_P(FormatDoubleShards, MatchesPrintfOracle) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  int mismatches = 0;
+  for (int i = 0; i < 131072 && mismatches < 10; ++i) {
+    double v = 0.0;
+    if (i % 2 == 0) {
+      const std::uint64_t bits = rng();
+      std::memcpy(&v, &bits, sizeof v);
+    } else {
+      const int digits = 1 + static_cast<int>(rng() % 16);
+      std::uint64_t mantissa = rng() % 10000000000000000ull;
+      for (int d = digits; d < 16; ++d) mantissa /= 10;
+      const int exponent = static_cast<int>(rng() % 80) - 40;
+      char text[48];
+      std::snprintf(text, sizeof text, "%s%llue%d", (rng() & 1) ? "-" : "",
+                    static_cast<unsigned long long>(mantissa), exponent);
+      v = std::strtod(text, nullptr);
+    }
+    const std::string expected = printf_format_double(v);
+    const std::string actual = format_double(v);
+    if (actual != expected) {
+      ++mismatches;
+      ADD_FAILURE() << "format_double(" << expected << ") gave " << actual;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Writer, FormatDoubleShards, ::testing::Range(0, 8));
+
+TEST(Writer, FormatDoubleSpecialValues) {
+  EXPECT_EQ(format_double(0.0), "0");
+  EXPECT_EQ(format_double(-0.0), "-0");
+  EXPECT_EQ(format_double(INFINITY), "inf");
+  EXPECT_EQ(format_double(-INFINITY), "-inf");
+  EXPECT_EQ(format_double(NAN), printf_format_double(NAN));
+  EXPECT_EQ(format_double(-NAN), printf_format_double(-NAN));
+  EXPECT_EQ(format_double(0.1), "0.1");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(format_double(9007199254740993.0), "9007199254740992");
+  EXPECT_EQ(format_double(5e-324), printf_format_double(5e-324));
 }
 
 }  // namespace
