@@ -28,33 +28,50 @@ struct EventFront::Impl {
   /// Connection state machine (docs/event-front.md):
   ///   kReading     — POLLIN armed; bytes feed the resumable parser
   ///   kDispatching — a parsed request runs on the worker pool; no poll
-  ///                  interest (back-pressure: the socket is left unread)
-  ///   kWriting     — POLLOUT armed; the serialized response drains through
-  ///                  non-blocking writev, resuming after partial writes
+  ///                  interest (back-pressure: the socket is left unread).
+  ///                  Until its completion is delivered the worker owns the
+  ///                  socket's write side, so the shard never closes or
+  ///                  erases the connection in this state.
+  ///   kWriting     — POLLOUT armed; the residue of a response the send
+  ///                  routine could not finish drains through non-blocking
+  ///                  gather writes, resuming after partial writes
   enum class ConnState { kReading, kDispatching, kWriting };
+
+  /// A serialized response and how far into the socket it got.
+  struct Outgoing {
+    Response response;     // owns the body while `wire` drains
+    BufferChain wire;      // serialized response (borrows `response`)
+    std::size_t sent = 0;  // bytes of `wire` already accepted by the kernel
+    bool failed = false;   // the socket refused the write; close it
+  };
 
   struct Connection {
     std::unique_ptr<net::TcpStream> stream;
     MessageReader reader;
     ConnState state = ConnState::kReading;
     std::uint64_t gen = 0;  // guards completions against fd reuse
-    Response response;      // owns the body while `wire` drains
-    BufferChain wire;       // serialized response (borrows `response`)
-    std::size_t sent = 0;   // bytes of `wire` already accepted by the kernel
+    Outgoing out;           // the response draining in kWriting
     bool close_after_write = false;
     bool request_wants_close = false;
     bool exchange_in_flight = false;  // counted in exchanges_in_flight_
+    bool detached = false;  // off the poller: hung up while dispatched,
+                            // closed when the completion is delivered
     std::uint64_t deadline_ns = 0;    // 0 = none
 
     Connection(std::unique_ptr<net::TcpStream> s, const ParserLimits& limits)
         : stream(std::move(s)), reader(*stream, limits) {}
   };
 
-  /// A finished handler run, routed back to the owning shard.
+  /// A finished exchange, routed back to the owning shard. With `written`
+  /// set the worker already ran the send routine, and `out` is sent whole,
+  /// a residue, or failed. Only the 503s that shutdown() posts for queued
+  /// jobs that never ran leave it unset: `out` then holds just the
+  /// response, and the shard sends it.
   struct Completion {
     int fd = -1;
     std::uint64_t gen = 0;
-    Response response;
+    Outgoing out;
+    bool written = false;
   };
 
   /// A parsed request waiting for (or running on) a worker.
@@ -63,6 +80,10 @@ struct EventFront::Impl {
     int fd = -1;
     std::uint64_t gen = 0;
     Request request;
+    /// The connection's socket, whose write side the worker owns until
+    /// its completion is delivered. The shard hands it over at dispatch
+    /// and never reads it back.
+    net::TcpStream* direct_stream = nullptr;  // sbqlint:affine(worker)
   };
 
   /// One event runtime: an accept shard plus the poller loop over its
@@ -78,6 +99,25 @@ struct EventFront::Impl {
     std::atomic<std::size_t> last_batch{0};
     std::thread thread;
   };
+
+  /// The one send routine, run by workers for handler responses and by
+  /// the shard for its canned 400 and 503: serialise, make one
+  /// non-blocking gather write, and return what the kernel did not take
+  /// as the residue (`wire` from `sent`).
+  static Outgoing send_response(net::TcpStream& stream, Response&& response) {
+    Outgoing out;
+    out.response = std::move(response);
+    // The response stays segmented all the way into the socket: the wire
+    // chain borrows the response's body buffers, never flattening them.
+    out.response.serialize_to(out.wire);
+    bool would_block = false;
+    try {
+      out.sent = stream.write_chain_some(out.wire, 0, would_block);
+    } catch (const TransportError&) {
+      out.failed = true;
+    }
+    return out;
+  }
 
   Impl(std::uint16_t port, const Handler& handler_in,
        const ServerOptions& options_in, detail::ServerCounters& counters_in,
@@ -204,7 +244,9 @@ struct EventFront::Impl {
         // Admission control: past the cap (or mid-drain) the connection gets
         // the canned 503 before a single request byte is read.
         counters.shed.fetch_add(1);
-        queue_response(s, fd, make_shed_response(options.shed_retry_after_s),
+        queue_response(s, fd,
+                       send_response(*placed.stream,
+                                     make_shed_response(options.shed_retry_after_s)),
                        /*close_after=*/true);
         continue;
       }
@@ -259,7 +301,8 @@ struct EventFront::Impl {
       bad.reason = std::string(reason_phrase(400));
       bad.headers.set("Connection", "close");
       bad.set_body(e.what());
-      queue_response(s, fd, std::move(bad), /*close_after=*/true);
+      queue_response(s, fd, send_response(*conn.stream, std::move(bad)),
+                     /*close_after=*/true);
       return s.conns.count(fd) > 0;
     }
     if (!request) {
@@ -280,7 +323,8 @@ struct EventFront::Impl {
     {
       std::lock_guard lock(dispatch_mu);
       if (!jobs_closed && jobs.size() < options.queue_depth) {
-        jobs.push_back(Job{&s, fd, conn.gen, std::move(request)});
+        jobs.push_back(
+            Job{&s, fd, conn.gen, std::move(request), conn.stream.get()});
         depth = jobs.size();
         admitted = true;
       }
@@ -289,7 +333,9 @@ struct EventFront::Impl {
       // The worker queue is full (or closed by a drain): shed before the
       // handler pays any decode cost.
       counters.shed.fetch_add(1);
-      queue_response(s, fd, make_shed_response(options.shed_retry_after_s),
+      queue_response(s, fd,
+                     send_response(*conn.stream,
+                                   make_shed_response(options.shed_retry_after_s)),
                      /*close_after=*/true);
       return;
     }
@@ -302,74 +348,76 @@ struct EventFront::Impl {
     dispatch_cv.notify_one();
   }
 
-  /// Installs `response` as the connection's outgoing message and starts
-  /// (or restarts) the non-blocking drain of its serialized form.
+  /// Takes over a response the send routine has already tried once. One
+  /// that went out whole ends the exchange; a residue drains on POLLOUT
+  /// under the write-stall deadline.
   // sbqlint:affine(event-shard)
-  void queue_response(Shard& s, int fd, Response&& response, bool close_after) {
-    auto it = s.conns.find(fd);
-    if (it == s.conns.end()) return;
-    Connection& conn = *it->second;
-    conn.response = std::move(response);
-    if (draining.load()) conn.response.headers.set("Connection", "close");
+  void queue_response(Shard& s, int fd, Outgoing&& out, bool close_after) {
+    Connection& conn = *s.conns.at(fd);
+    conn.state = ConnState::kWriting;
+    if (out.failed) {
+      close_connection(s, fd);
+      return;
+    }
     conn.close_after_write =
         close_after || conn.request_wants_close ||
-        conn.response.headers.get("Connection").value_or("") == "close";
-    conn.wire.clear();
-    conn.sent = 0;
-    // The response stays segmented all the way into the socket: the wire
-    // chain borrows the response's body buffers, never flattening them.
-    conn.response.serialize_to(conn.wire);
-    conn.state = ConnState::kWriting;
+        out.response.headers.get("Connection").value_or("") == "close";
+    conn.out = std::move(out);
+    if (conn.out.sent == conn.out.wire.size()) {
+      finish_exchange(s, fd);
+      return;
+    }
     conn.deadline_ns = options.write_timeout_us > 0
                            ? steady_now_ns() + options.write_timeout_us * 1000
                            : 0;
     s.poller.modify(fd, /*read=*/false, /*write=*/true);
-    flush_writes(s, fd);  // the common case finishes without a POLLOUT trip
   }
 
-  /// Drains as much of the send queue as the kernel will take. Returns
-  /// false when the connection was closed.
+  /// Drains as much of the residue as the kernel will take.
   // sbqlint:affine(event-shard)
-  bool flush_writes(Shard& s, int fd) {
-    auto it = s.conns.find(fd);
-    if (it == s.conns.end()) return false;
-    Connection& conn = *it->second;
-    if (conn.state != ConnState::kWriting) return true;
+  void flush_writes(Shard& s, int fd) {
+    Connection& conn = *s.conns.at(fd);
     bool would_block = false;
     std::size_t n = 0;
     try {
-      n = conn.stream->write_chain_some(conn.wire, conn.sent, would_block);
+      n = conn.stream->write_chain_some(conn.out.wire, conn.out.sent,
+                                        would_block);
     } catch (const TransportError&) {
       close_connection(s, fd);
-      return false;
+      return;
     }
-    conn.sent += n;
-    if (conn.sent < conn.wire.size()) {
+    conn.out.sent += n;
+    if (conn.out.sent < conn.out.wire.size()) {
       // Partial write: resume on the next POLLOUT. Progress re-arms the
       // write-stall deadline; zero progress lets it keep counting down.
       if (n > 0 && options.write_timeout_us > 0) {
         conn.deadline_ns = steady_now_ns() + options.write_timeout_us * 1000;
       }
-      return true;
+      return;
     }
-    // Response fully handed to the kernel.
+    finish_exchange(s, fd);
+  }
+
+  /// The response is fully handed to the kernel: close, or go back to
+  /// reading.
+  // sbqlint:affine(event-shard)
+  void finish_exchange(Shard& s, int fd) {
+    Connection& conn = *s.conns.at(fd);
     if (conn.exchange_in_flight) {
       exchanges_in_flight.fetch_sub(1);
       conn.exchange_in_flight = false;
     }
     if (conn.close_after_write) {
       close_connection(s, fd);
-      return false;
+      return;
     }
     conn.state = ConnState::kReading;
-    conn.wire.clear();
-    conn.response = Response{};
-    conn.sent = 0;
+    conn.out = Outgoing{};
     conn.request_wants_close = false;
     s.poller.modify(fd, /*read=*/true, /*write=*/false);
     arm_read_deadline(conn);
     // A pipelined next request may already be sitting in the parse buffer.
-    return advance_parse(s, fd);
+    advance_parse(s, fd);
   }
 
   // sbqlint:affine(event-shard)
@@ -382,12 +430,22 @@ struct EventFront::Impl {
     for (Completion& done : batch) {
       auto it = s.conns.find(done.fd);
       if (it == s.conns.end() || it->second->gen != done.gen) {
-        // The connection died while its handler ran; the exchange ends here.
+        // Defence in depth: a dispatched connection is never erased, so
+        // its completion always finds it. Were it gone, the exchange would
+        // end here.
         exchanges_in_flight.fetch_sub(1);
         continue;
       }
-      queue_response(s, done.fd, std::move(done.response),
-                     /*close_after=*/false);
+      Connection& conn = *it->second;
+      conn.state = ConnState::kWriting;  // the write side is the shard's again
+      if (conn.detached) {
+        close_connection(s, done.fd);  // the peer hung up while its handler ran
+        continue;
+      }
+      if (!done.written) {
+        done.out = send_response(*conn.stream, std::move(done.out.response));
+      }
+      queue_response(s, done.fd, std::move(done.out), /*close_after=*/false);
     }
   }
 
@@ -414,17 +472,22 @@ struct EventFront::Impl {
     for (const int fd : expired) close_connection(s, fd);
   }
 
+  /// Closes and forgets a connection — except a dispatched one, whose
+  /// worker owns the socket's write side until its completion is
+  /// delivered: closing now could hand the fd number to a new connection
+  /// under the worker's write. That one only leaves the poller (a
+  /// level-triggered EPOLLHUP would otherwise spin) and closes on delivery.
   // sbqlint:affine(event-shard)
   void close_connection(Shard& s, int fd) {
     auto it = s.conns.find(fd);
     if (it == s.conns.end()) return;
     Connection& conn = *it->second;
-    // A dispatching connection's completion is still in flight and will
-    // decrement the exchange counter when it finds the connection gone.
-    if (conn.exchange_in_flight && conn.state != ConnState::kDispatching) {
-      exchanges_in_flight.fetch_sub(1);
+    if (!conn.detached) s.poller.remove(fd);
+    if (conn.state == ConnState::kDispatching) {
+      conn.detached = true;
+      return;
     }
-    s.poller.remove(fd);
+    if (conn.exchange_in_flight) exchanges_in_flight.fetch_sub(1);
     conn.stream->close();
     s.conns.erase(it);
     live_connections.fetch_sub(1);
@@ -441,6 +504,11 @@ struct EventFront::Impl {
     }
     for (const int fd : fds) {
       if (drain) counters.forced_closes.fetch_add(1);
+      Connection& conn = *s.conns.at(fd);
+      // A dispatched connection's worker may still write: shutting the
+      // socket makes that write fail cleanly, and shutdown() closes the fd
+      // once every worker is joined.
+      if (conn.state == ConnState::kDispatching) conn.stream->shutdown_io();
       close_connection(s, fd);
     }
   }
@@ -457,36 +525,55 @@ struct EventFront::Impl {
         job = std::move(jobs.front());
         jobs.pop_front();
       }
-      Completion done;
-      done.fd = job.fd;
-      done.gen = job.gen;
       // peak_in_flight is handler-pool occupancy (bounded by `workers`),
       // not exchanges awaiting their response flush — those are drain
       // bookkeeping, not load.
       const std::size_t busy = handlers_busy.fetch_add(1) + 1;
       detail::ServerCounters::raise(counters.peak_in_flight, busy);
+      Response response;
       try {
-        done.response = handler(job.request);
+        response = handler(job.request);
       } catch (const std::exception& e) {
-        done.response = Response{};
-        done.response.status = 500;
-        done.response.reason = std::string(reason_phrase(500));
-        done.response.set_body(e.what());
+        response = Response{};
+        response.status = 500;
+        response.reason = std::string(reason_phrase(500));
+        response.set_body(e.what());
       } catch (...) {  // sbqlint:allow(no-swallow): converted to a canned 500 + ServerStats::worker_errors
         counters.worker_errors.fetch_add(1);
-        done.response = Response{};
-        done.response.status = 500;
-        done.response.reason = std::string(reason_phrase(500));
-        done.response.set_body("non-standard exception escaped handler");
+        response = Response{};
+        response.status = 500;
+        response.reason = std::string(reason_phrase(500));
+        response.set_body("non-standard exception escaped handler");
       }
       handlers_busy.fetch_sub(1);
-      Shard& s = *job.shard;
-      {
-        std::lock_guard lock(s.completion_mu);
-        s.completions.push_back(std::move(done));
-      }
-      s.poller.wake();
+      hand_back(job, std::move(response));
     }
+  }
+
+  /// The worker's end of an exchange: the response goes straight to the
+  /// socket, so the client has its reply before the shard wakes; the
+  /// completion then only tells the shard what is left to do. A response
+  /// written mid-drain says `Connection: close`, and the shard closes the
+  /// connection once it is sent.
+  // sbqlint:affine(worker)
+  void hand_back(Job& job, Response&& response) {
+    if (draining.load()) response.headers.set("Connection", "close");
+    Completion done;
+    done.fd = job.fd;
+    done.gen = job.gen;
+    done.out = send_response(*job.direct_stream, std::move(response));
+    done.written = true;
+    post(*job.shard, std::move(done));
+  }
+
+  /// Queues `done` for its shard and wakes the shard's poller — the only
+  /// Poller call made off the shard thread.
+  void post(Shard& s, Completion&& done) {
+    {
+      std::lock_guard lock(s.completion_mu);
+      s.completions.push_back(std::move(done));
+    }
+    s.poller.wake();
   }
 
   // ------------------------------------------------------------- shutdown
@@ -513,13 +600,8 @@ struct EventFront::Impl {
       Completion done;
       done.fd = job.fd;
       done.gen = job.gen;
-      done.response = make_shed_response(options.shed_retry_after_s);
-      Shard& s = *job.shard;
-      {
-        std::lock_guard lock(s.completion_mu);
-        s.completions.push_back(std::move(done));
-      }
-      s.poller.wake();
+      done.out.response = make_shed_response(options.shed_retry_after_s);
+      post(*job.shard, std::move(done));
     }
 
     if (drain) {
@@ -539,6 +621,12 @@ struct EventFront::Impl {
     }
     for (auto& w : workers) {
       if (w.joinable()) w.join();
+    }
+    // Only connections dispatched at teardown outlive it, shut down but
+    // not closed; with every worker joined nothing writes to them now.
+    for (auto& s : shards) {
+      live_connections.fetch_sub(s->conns.size());
+      s->conns.clear();
     }
   }
 

@@ -7,12 +7,16 @@
 //   * a net::Poller over the shard's connections,
 //   * the per-connection state machines: resumable request parsing
 //     (MessageReader::feed / try_next_request), dispatch to the shared
-//     bounded worker pool, and a non-blocking writev send queue that
-//     resumes partial writes on POLLOUT.
+//     bounded worker pool, and the drain of any response residue on
+//     POLLOUT.
 //
-// Handler execution stays on the worker pool — application code may block —
-// so a runtime thread only ever moves bytes and flips connection states;
-// the number of live connections is decoupled from every thread count.
+// Handler execution stays on the worker pool — application code may block.
+// When the handler returns, the worker sends the response itself with one
+// non-blocking gather write, then hands the exchange back to its runtime
+// (completion + Poller::wake()), which re-arms the connection or drains
+// the unsent residue. From dispatch until that hand-back the worker owns
+// the socket's write side, and the runtime never closes the connection.
+// The number of live connections is decoupled from every thread count.
 //
 // The overload ladder: arrivals past `max_connections`, and parsed requests
 // past `queue_depth`, get the canned 503 + Retry-After; shutdown(drain_deadline_us) answers undispatched

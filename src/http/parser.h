@@ -5,8 +5,8 @@
 // consumption styles:
 //
 //   * blocking — read_request()/read_response() pull bytes from the
-//     net::Stream until a full message is buffered (the client and
-//     http::serve_connection),
+//     net::Stream until a full message is buffered (http::Client, and the
+//     tests' pipe-serving loop),
 //   * feed-on-readiness — the event front pushes whatever bytes the socket
 //     had via feed() and asks try_next_request() whether a complete message
 //     has accumulated; an incomplete message parks as parser state, not as

@@ -1,8 +1,6 @@
 #include "http/server.h"
 
-#include "common/error.h"
 #include "http/event_front.h"
-#include "http/parser.h"
 
 namespace sbq::http {
 
@@ -15,58 +13,6 @@ Response make_shed_response(std::uint64_t retry_after_s) {
   resp.headers.set("Content-Type", "text/plain");
   resp.set_body("server overloaded; retry later");
   return resp;
-}
-
-void serve_connection(net::Stream& stream, const Handler& handler) {
-  MessageReader reader(stream);
-  for (;;) {
-    std::optional<Request> request;
-    try {
-      request = reader.read_request();
-    } catch (const TransportError&) {
-      return;  // peer vanished mid-message; nothing to send
-    } catch (const Error& e) {
-      // Malformed input of any kind — parse errors, limit violations, bad
-      // framing numbers — is the client's fault: answer 400 and hang up
-      // (the read position inside the bad message is unrecoverable).
-      Response bad;
-      bad.status = 400;
-      bad.reason = std::string(reason_phrase(400));
-      bad.headers.set("Connection", "close");
-      bad.set_body(e.what());
-      BufferChain wire;
-      bad.serialize_to(wire);
-      try {
-        stream.write_chain(wire);
-      } catch (const TransportError&) {
-      }
-      return;
-    }
-    if (!request) return;  // clean EOF
-
-    Response response;
-    try {
-      response = handler(*request);
-    } catch (const std::exception& e) {
-      response = Response{};
-      response.status = 500;
-      response.reason = std::string(reason_phrase(500));
-      response.set_body(e.what());
-    }
-    // The response stays segmented all the way into the stream: its body
-    // chain (borrowing the handler's result buffers) is never flattened.
-    BufferChain wire;
-    response.serialize_to(wire);
-    try {
-      stream.write_chain(wire);
-    } catch (const TransportError&) {
-      return;
-    }
-    if (request->headers.get("Connection").value_or("") == "close" ||
-        response.headers.get("Connection").value_or("") == "close") {
-      return;
-    }
-  }
 }
 
 Server::Server(std::uint16_t port, Handler handler, ServerOptions options)

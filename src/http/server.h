@@ -2,9 +2,11 @@
 // (docs/event-front.md). N event runtimes each own an accept shard
 // (SO_REUSEPORT) and a net::Poller over their connections, driving
 // per-connection state machines (reading → dispatching → writing) with
-// resumable parsing and non-blocking writev send queues. Handler execution
-// runs on a bounded worker pool, so application code may block; only
-// byte-moving is event-driven. Concurrency is capped by memory, not threads.
+// resumable parsing. Handler execution runs on a bounded worker pool, so
+// application code may block; the worker then writes the response with one
+// non-blocking gather write and hands any unsent residue back to the
+// runtime, which drains it on POLLOUT. Concurrency is capped by memory, not
+// threads.
 //
 // Overload protection (docs/robustness.md "Overload and drain"): pool size,
 // dispatch-queue depth, connection cap, and per-connection deadlines are
@@ -25,7 +27,6 @@
 
 #include "http/message.h"
 #include "http/parser.h"
-#include "net/stream.h"
 
 namespace sbq::http {
 
@@ -135,13 +136,6 @@ struct ServerCounters {
 /// Builds the canned `503 Service Unavailable` + `Retry-After` shed
 /// response without touching any request (the peer may not have sent one).
 Response make_shed_response(std::uint64_t retry_after_s);
-
-/// Serves a single blocking connection until EOF with default parser
-/// limits. Exposed so tests and in-process transports can drive a handler
-/// over a pipe without sockets. Connection-scoped failures never propagate:
-/// exceptions from the handler become 500 responses, malformed input gets a
-/// 400 and the connection closes, transport failures just close it.
-void serve_connection(net::Stream& stream, const Handler& handler);
 
 class EventFront;  // defined in http/event_front.h
 

@@ -167,40 +167,32 @@ void TcpStream::write_all(const void* buf, std::size_t n) {
   if (fd < 0) throw TransportError("write on closed stream");
   const auto* p = static_cast<const std::uint8_t*>(buf);
   std::size_t sent = 0;
-  if (write_timeout_us_ > 0) {
-    // Deadline mode: non-blocking sends with a POLLOUT wait between them,
-    // re-armed on every byte of progress (bounds stall, not transfer time).
-    std::uint64_t deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
-    while (sent < n) {
-      const ssize_t w = ::send(fd, p + sent, n - sent, MSG_DONTWAIT);
-      if (w > 0) {
-        sent += static_cast<std::size_t>(w);
-        deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
-        continue;
-      }
-      if (w < 0 && errno == EINTR) continue;
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_writable(fd, deadline_ns);
-        continue;
-      }
-      throw_errno("send");
-    }
-    return;
-  }
+  // Deadline mode: non-blocking sends with a POLLOUT wait between them,
+  // re-armed on every byte of progress (bounds stall, not transfer time).
+  const bool deadline_mode = write_timeout_us_ > 0;
+  const int flags = MSG_NOSIGNAL | (deadline_mode ? MSG_DONTWAIT : 0);
+  std::uint64_t deadline_ns =
+      deadline_mode ? steady_now_ns() + write_timeout_us_ * 1000 : 0;
   while (sent < n) {
-    const ssize_t w = ::write(fd, p + sent, n - sent);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write");
+    const ssize_t w = ::send(fd, p + sent, n - sent, flags);
+    if (w > 0) {
+      sent += static_cast<std::size_t>(w);
+      if (deadline_mode) deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
+      continue;
     }
-    sent += static_cast<std::size_t>(w);
+    if (w < 0 && errno == EINTR) continue;
+    if (deadline_mode && w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      wait_writable(fd, deadline_ns);
+      continue;
+    }
+    throw_errno("send");
   }
 }
 
 void TcpStream::write_chain(const BufferChain& chain) {
   const int fd = fd_.load();
   if (fd < 0) throw TransportError("write on closed stream");
-  // Gather up to kBatch segments per writev(); resume mid-segment after a
+  // Gather up to kBatch segments per sendmsg(); resume mid-segment after a
   // short write by advancing the cursor.
   constexpr std::size_t kBatch = 64;  // well under any IOV_MAX
   iovec iov[kBatch];
@@ -208,28 +200,24 @@ void TcpStream::write_chain(const BufferChain& chain) {
   const std::size_t nsegs = chain.segment_count();
   std::size_t consumed_in_seg = 0;  // bytes of segment `seg` already sent
   const bool deadline_mode = write_timeout_us_ > 0;
+  const int flags = MSG_NOSIGNAL | (deadline_mode ? MSG_DONTWAIT : 0);
   std::uint64_t deadline_ns =
       deadline_mode ? steady_now_ns() + write_timeout_us_ * 1000 : 0;
   while (seg < nsegs) {
     const std::size_t count =
         gather_iovecs(chain, seg, consumed_in_seg, iov, kBatch);
     if (count == 0) break;  // nothing but empty segments left
-    ssize_t w;
-    if (deadline_mode) {
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = count;
-      w = ::sendmsg(fd, &msg, MSG_DONTWAIT);
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t w = ::sendmsg(fd, &msg, flags);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      if (deadline_mode && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         wait_writable(fd, deadline_ns);
         continue;
       }
-    } else {
-      w = ::writev(fd, iov, static_cast<int>(count));
-    }
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(deadline_mode ? "sendmsg" : "writev");
+      throw_errno("sendmsg");
     }
     if (deadline_mode && w > 0) {
       deadline_ns = steady_now_ns() + write_timeout_us_ * 1000;
@@ -258,7 +246,7 @@ std::size_t TcpStream::write_chain_some(const BufferChain& chain,
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = count;
-    const ssize_t w = ::sendmsg(fd, &msg, MSG_DONTWAIT);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -280,6 +268,11 @@ void TcpStream::set_nonblocking(bool enabled) {
   if (flags < 0) throw_errno("fcntl(F_GETFL)");
   const int next = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
   if (::fcntl(fd, F_SETFL, next) != 0) throw_errno("fcntl(F_SETFL)");
+}
+
+void TcpStream::shutdown_io() {
+  const int fd = fd_.load();
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 void TcpStream::close() {

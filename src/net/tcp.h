@@ -52,11 +52,20 @@ class TcpStream final : public Stream {
   [[nodiscard]] std::uint64_t write_timeout_us() const {
     return write_timeout_us_;
   }
-  /// Vectored send: the whole chain goes to the kernel in writev() batches,
+  /// Vectored send: the whole chain goes to the kernel in sendmsg() batches,
   /// so multi-segment messages need neither a user-space concatenation nor
   /// one syscall per segment.
+  ///
+  /// Every send path passes MSG_NOSIGNAL: writing to a connection the peer
+  /// has reset (or this process has shut down) throws TransportError
+  /// instead of raising SIGPIPE, which would kill the process.
   void write_chain(const BufferChain& chain) override;
   void close() override;
+
+  /// shutdown(SHUT_RDWR) without closing the descriptor: the peer sees EOF
+  /// and any write still running on another thread fails cleanly, while
+  /// the fd number stays taken until close().
+  void shutdown_io();
 
   // --- non-blocking surface (event front) ---------------------------------
 

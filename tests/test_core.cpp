@@ -15,6 +15,7 @@
 #include "qos/manager.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"
+#include "support/serve_connection.h"
 
 namespace sbq::core {
 namespace {
@@ -225,7 +226,7 @@ TEST(HttpIntegration, XmlCallOverPipeServer) {
 
   auto [client_end, server_end] = net::make_pipe();
   std::thread server_thread([&runtime, s = std::move(server_end)]() mutable {
-    http::serve_connection(*s, [&](const http::Request& req) {
+    test::serve_connection(*s, [&](const http::Request& req) {
       return runtime.handle(req);
     });
   });

@@ -23,6 +23,7 @@
 #include "qos/manager.h"
 #include "qos/quality_file.h"
 #include "wsdl/wsdl.h"
+#include "support/serve_connection.h"
 
 namespace sbq::core {
 namespace {
@@ -237,7 +238,7 @@ http::Response trivial_ok(const http::Request&) {
 http::Response exchange_raw(const std::string& wire) {
   auto [client_end, server_end] = net::make_pipe();
   std::thread server([end = server_end.get()] {
-    http::serve_connection(*end, trivial_ok);
+    test::serve_connection(*end, trivial_ok);
   });
   client_end->write_all(std::string_view(wire));
   http::MessageReader reader(*client_end);
@@ -278,7 +279,7 @@ TEST(ServerLimitsTest, GarbageRequestGets400AndConnectionSurvivesServerSide) {
 TEST(ServerLimitsTest, HandlerExceptionBecomes500NotConnectionLoss) {
   auto [client_end, server_end] = net::make_pipe();
   std::thread server([end = server_end.get()] {
-    http::serve_connection(*end, [](const http::Request&) -> http::Response {
+    test::serve_connection(*end, [](const http::Request&) -> http::Response {
       throw std::runtime_error("handler exploded");
     });
   });
@@ -665,7 +666,7 @@ TEST(HttpRetryTest, ReconnectGivesTheRetryAFreshConnection) {
     HttpTransport transport([&]() -> std::unique_ptr<net::Stream> {
       auto [client_end, server_end] = net::make_pipe();
       servers.emplace_back([&runtime, end = server_end.get()] {
-        http::serve_connection(*end, [&runtime](const http::Request& r) {
+        test::serve_connection(*end, [&runtime](const http::Request& r) {
           return runtime.handle(r);
         });
       });

@@ -2,12 +2,19 @@
 // parsing, keep-alive client/server over pipes and real TCP.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "http/client.h"
 #include "http/message.h"
 #include "http/parser.h"
@@ -15,6 +22,7 @@
 #include "net/fault.h"
 #include "net/pipe.h"
 #include "net/tcp.h"
+#include "support/serve_connection.h"
 
 namespace sbq::http {
 namespace {
@@ -155,7 +163,7 @@ TEST_F(PipeHttp, UnsupportedTransferEncodingThrows) {
 
 TEST_F(PipeHttp, ServeConnectionDispatchesAndKeepsAlive) {
   std::thread server_thread([&] {
-    serve_connection(*server_, [](const Request& req) {
+    test::serve_connection(*server_, [](const Request& req) {
       Response resp;
       resp.set_body("echo:" + req.body_string());
       return resp;
@@ -178,7 +186,7 @@ TEST_F(PipeHttp, ServeConnectionDispatchesAndKeepsAlive) {
 
 TEST_F(PipeHttp, HandlerExceptionBecomes500) {
   std::thread server_thread([&] {
-    serve_connection(*server_, [](const Request&) -> Response {
+    test::serve_connection(*server_, [](const Request&) -> Response {
       throw std::runtime_error("handler exploded");
     });
   });
@@ -193,7 +201,7 @@ TEST_F(PipeHttp, HandlerExceptionBecomes500) {
 
 TEST_F(PipeHttp, ConnectionCloseHeaderEndsLoop) {
   std::thread server_thread([&] {
-    serve_connection(*server_, [](const Request&) { return Response{}; });
+    test::serve_connection(*server_, [](const Request&) { return Response{}; });
   });
   Client http(*client_);
   Request req;
@@ -627,6 +635,254 @@ TEST(TcpServerTest, ConnectionRegistryIsPruned) {
     tracked = server.tracked_connections();
   }
   EXPECT_LE(tracked, 2u);
+  server.shutdown();
+}
+
+// ------------------------------------------- worker-written responses
+
+/// Polls `pred` for up to ten seconds.
+template <typename Pred>
+bool eventually(Pred pred) {
+  const Stopwatch watch;
+  while (!pred()) {
+    if (watch.elapsed_ns() >= 10'000'000'000ull) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Holds handler calls until opened; counts the calls that reached it.
+class Gate {
+ public:
+  void wait() {
+    std::unique_lock lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  [[nodiscard]] bool await_entered(int n) {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entered_ >= n; });
+  }
+  void open() {
+    std::lock_guard lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+/// Opens a gate on scope exit, so a failed assertion cannot leave a worker
+/// parked and the server's shutdown waiting for it forever.
+struct OpenOnExit {
+  Gate& gate;
+  ~OpenOnExit() { gate.open(); }
+};
+
+Handler gated_echo_handler(Gate& gate) {
+  return [&gate](const Request& req) {
+    if (req.body_string() == "block") gate.wait();
+    Response resp;
+    resp.set_body("echo:" + req.body_string());
+    return resp;
+  };
+}
+
+Bytes patterned_bytes(std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 131 + (i >> 13));
+  }
+  return out;
+}
+
+/// A client socket with a small receive window, so a multi-megabyte
+/// response cannot go out in the worker's one gather write.
+std::unique_ptr<net::TcpStream> connect_small_window(std::uint16_t port) {
+  auto stream = net::TcpStream::connect("127.0.0.1", port);
+  const int window = 64 * 1024;
+  ::setsockopt(stream->fd(), SOL_SOCKET, SO_RCVBUF, &window, sizeof window);
+  return stream;
+}
+
+/// Reads through `inner` in small pieces with a pause every few reads: a
+/// live but slow peer.
+class PacedStream final : public net::Stream {
+ public:
+  explicit PacedStream(net::Stream& inner) : inner_(inner) {}
+  std::size_t read_some(void* buf, std::size_t n) override {
+    if (++reads_ % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return inner_.read_some(buf, std::min<std::size_t>(n, 16 * 1024));
+  }
+  void write_all(const void* buf, std::size_t n) override { inner_.write_all(buf, n); }
+  using Stream::write_all;
+  void close() override { inner_.close(); }
+
+ private:
+  net::Stream& inner_;
+  std::size_t reads_ = 0;
+};
+
+// A keep-alive connection the server dropped (here by its idle deadline)
+// must fail every later call with TransportError. The second call writes
+// to a socket the peer has reset: without MSG_NOSIGNAL that raises SIGPIPE
+// and the process dies instead of this test failing.
+TEST(BrokenPipeTest, CallsOnADroppedKeepAliveConnectionThrowAndTheProcessLives) {
+  ServerOptions options = event_options(/*workers=*/1, /*runtimes=*/1);
+  options.idle_timeout_us = 20'000;
+  Server server(0, echo_handler(), options);
+
+  auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+  Client http(*stream);
+  Request req;
+  req.set_body("first");
+  ASSERT_EQ(http.round_trip(req).body_string(), "echo:first");
+  ASSERT_TRUE(eventually([&] { return server.tracked_connections() == 0; }));
+
+  EXPECT_THROW((void)http.round_trip(req), TransportError);
+  EXPECT_THROW((void)http.round_trip(req), TransportError);
+
+  auto fresh = net::TcpStream::connect("127.0.0.1", server.port());
+  Client again(*fresh);
+  req.set_body("alive");
+  EXPECT_EQ(again.round_trip(req).body_string(), "echo:alive");
+  server.shutdown();
+}
+
+// From dispatch until its completion is delivered, the worker owns the
+// socket's write side. A peer that resets mid-exchange must therefore not
+// have its fd closed under the worker: a new connection could take the
+// number, and the late response would land on a stranger's socket.
+TEST(WorkerWriteTest, PeerResetWhileHandlerBlockedNeverLeaksItsResponse) {
+  Gate gate;
+  Server server(0, gated_echo_handler(gate),
+                event_options(/*workers=*/2, /*runtimes=*/1));
+  OpenOnExit release{gate};
+
+  auto doomed = net::TcpStream::connect("127.0.0.1", server.port());
+  Request blocked;
+  blocked.set_body("block");
+  doomed->write_all(BytesView{blocked.serialize()});
+  ASSERT_TRUE(gate.await_entered(1));
+  const linger hard_reset{1, 0};  // close() sends RST, not FIN
+  ::setsockopt(doomed->fd(), SOL_SOCKET, SO_LINGER, &hard_reset, sizeof hard_reset);
+  doomed->close();
+  // Give the shard a moment to see the hangup before the next connection.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  auto other = net::TcpStream::connect("127.0.0.1", server.port());
+  Client http(*other);
+  Request mine;
+  mine.set_body("mine");
+  EXPECT_EQ(http.round_trip(mine).body_string(), "echo:mine");
+
+  gate.open();  // the blocked handler now answers a socket that is gone
+  ASSERT_TRUE(eventually([&] { return server.tracked_connections() == 1; }));
+  mine.set_body("mine again");
+  EXPECT_EQ(http.round_trip(mine).body_string(), "echo:mine again");
+
+  other->close();
+  EXPECT_TRUE(eventually([&] { return server.tracked_connections() == 0; }));
+  server.shutdown();
+}
+
+// A hard shutdown while a handler is blocked shuts the dispatched socket
+// down instead of closing it; the worker's late write then fails cleanly
+// and the connection is released once the worker is joined.
+TEST(WorkerWriteTest, HardShutdownWhileHandlerBlockedFailsTheLateWriteCleanly) {
+  Gate gate;
+  Server server(0, gated_echo_handler(gate),
+                event_options(/*workers=*/1, /*runtimes=*/1));
+  OpenOnExit release{gate};
+
+  auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+  Request blocked;
+  blocked.set_body("block");
+  stream->write_all(BytesView{blocked.serialize()});
+  ASSERT_TRUE(gate.await_entered(1));
+
+  std::thread stopper([&] { server.shutdown(); });
+  // Teardown shuts the socket down while the handler is still blocked, so
+  // the client sees the connection end (EOF or reset) without a response.
+  stream->set_read_timeout_us(10'000'000);
+  MessageReader reader(*stream);
+  std::optional<Response> response;
+  try {
+    response = reader.read_response();
+  } catch (const TimeoutError&) {
+    ADD_FAILURE() << "the dispatched socket was not shut down";
+  } catch (const TransportError&) {
+  }
+  EXPECT_FALSE(response.has_value());
+
+  gate.open();  // the worker writes to a shut-down socket
+  stopper.join();
+  EXPECT_EQ(server.tracked_connections(), 0u);
+}
+
+// An 8 MB response cannot leave in the worker's one gather write: the
+// residue drains on POLLOUT, and a slow reader still gets every byte, in
+// order, with the connection kept alive afterwards.
+TEST(WorkerWriteTest, EightMegabyteResponseReachesASlowReaderByteForByte) {
+  const Bytes big = patterned_bytes(8 * 1024 * 1024);
+  ServerOptions options = event_options(/*workers=*/1, /*runtimes=*/1);
+  options.write_timeout_us = 5'000'000;
+  Server server(0,
+                [&big](const Request& req) {
+                  Response resp;
+                  if (req.body_string() == "big") {
+                    resp.set_body(big);
+                  } else {
+                    resp.set_body("small");
+                  }
+                  return resp;
+                },
+                options);
+
+  auto stream = connect_small_window(server.port());
+  stream->set_read_timeout_us(10'000'000);  // a lost residue fails, not hangs
+  PacedStream slow(*stream);
+  Client http(slow);
+  Request req;
+  req.set_body("big");
+  const Response resp = http.round_trip(req);
+  EXPECT_EQ(resp.status, 200);
+  ASSERT_EQ(resp.body_size(), big.size());
+  EXPECT_TRUE(resp.body == big);
+
+  req.set_body("after");
+  EXPECT_EQ(http.round_trip(req).body_string(), "small");
+  server.shutdown();
+}
+
+// A peer that never reads its response stalls the residue drain; the
+// write-progress deadline cuts the connection.
+TEST(WorkerWriteTest, PeerThatNeverReadsIsCutByTheWriteTimeout) {
+  const Bytes big = patterned_bytes(8 * 1024 * 1024);
+  ServerOptions options = event_options(/*workers=*/1, /*runtimes=*/1);
+  options.write_timeout_us = 100'000;
+  std::atomic<bool> answered{false};
+  Server server(0,
+                [&](const Request&) {
+                  Response resp;
+                  resp.set_body(big);
+                  answered.store(true);
+                  return resp;
+                },
+                options);
+
+  auto stalled = connect_small_window(server.port());
+  Request req;
+  req.set_body("big");
+  stalled->write_all(BytesView{req.serialize()});
+  ASSERT_TRUE(eventually([&] { return answered.load(); }));
+  EXPECT_TRUE(eventually([&] { return server.tracked_connections() == 0; }));
   server.shutdown();
 }
 

@@ -15,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "core/client.h"
 #include "core/service.h"
@@ -367,7 +369,19 @@ TEST(OverloadAcceptanceTest, SixteenConcurrentCallsThroughEventFrontPoolOfTwo) {
   options.workers = 2;
   options.queue_depth = 2;
   options.shed_retry_after_s = 0;  // shed retries fall back to local backoff
-  http::Server server(0, [&](const http::Request& r) { return runtime.handle(r); },
+  // The handler is gated: both workers stay busy until the burst has filled
+  // the dispatch queue and been shed, so the saturation the assertions
+  // below count on does not depend on how the scheduler interleaves.
+  std::atomic<int> entered{0};
+  std::atomic<bool> gate_open{false};
+  http::Server server(0,
+                      [&](const http::Request& r) {
+                        ++entered;
+                        while (!gate_open.load()) {
+                          std::this_thread::sleep_for(std::chrono::microseconds(100));
+                        }
+                        return runtime.handle(r);
+                      },
                       options);
 
   std::atomic<int> successes{0};
@@ -395,6 +409,13 @@ TEST(OverloadAcceptanceTest, SixteenConcurrentCallsThroughEventFrontPoolOfTwo) {
   threads.reserve(16);
   for (int i = 0; i < 16; ++i) threads.emplace_back(one_client);
   go.store(true);
+  const Stopwatch held;
+  while ((entered.load() < 2 || server.load().queue_depth < options.queue_depth ||
+          server.stats().shed == 0) &&
+         held.elapsed_ns() < 10'000'000'000ull) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate_open.store(true);
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(successes.load(), 16);
