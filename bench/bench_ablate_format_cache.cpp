@@ -46,7 +46,7 @@ int main() {
     // How many steady-state messages does one handshake cost? (ADSL,
     // message = one record of this format.)
     const pbio::Value v = make_nested_struct(depth);
-    const Bytes message = pbio::encode_value_message(v, *format);
+    const BufferChain message = pbio::encode_value_message_chain(v, *format);
     const std::uint64_t message_us = adsl.transfer_time_us(message.size(), 0);
     const double amortized = static_cast<double>(adsl_rt) /
                              static_cast<double>(message_us);

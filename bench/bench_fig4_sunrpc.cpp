@@ -24,14 +24,14 @@ using pbio::Value;
 
 // XDR encoding of a Value driven by its PBIO format — Sun RPC's canonical
 // representation of the same workload.
-void xdr_encode_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder& enc) {
+void xdr_put_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder& enc) {
   for (const FieldDesc& f : format.fields) {
     const Value& field = v.field(f.name);
     if (f.arity != Arity::kScalar) {
       enc.put_array_header(static_cast<std::uint32_t>(field.array_size()));
       const auto put = [&](const Value& e) {
         if (f.kind == TypeKind::kStruct) {
-          xdr_encode_value(e, *f.struct_format, enc);
+          xdr_put_value(e, *f.struct_format, enc);
         } else if (f.kind == TypeKind::kFloat64) {
           enc.put_f64(e.as_f64());
         } else {
@@ -44,7 +44,7 @@ void xdr_encode_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder&
       continue;
     }
     switch (f.kind) {
-      case TypeKind::kStruct: xdr_encode_value(field, *f.struct_format, enc); break;
+      case TypeKind::kStruct: xdr_put_value(field, *f.struct_format, enc); break;
       case TypeKind::kString: enc.put_string(field.as_string()); break;
       case TypeKind::kFloat64: enc.put_f64(field.as_f64()); break;
       case TypeKind::kFloat32: enc.put_f32(static_cast<float>(field.as_f64())); break;
@@ -53,7 +53,7 @@ void xdr_encode_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder&
   }
 }
 
-Value xdr_decode_value(const FormatDesc& format, rpc::XdrDecoder& dec) {
+Value xdr_get_value(const FormatDesc& format, rpc::XdrDecoder& dec) {
   Value record = Value::empty_record();
   for (const FieldDesc& f : format.fields) {
     if (f.arity != Arity::kScalar) {
@@ -61,7 +61,7 @@ Value xdr_decode_value(const FormatDesc& format, rpc::XdrDecoder& dec) {
       Value array = Value::empty_array();
       for (std::uint32_t i = 0; i < n; ++i) {
         if (f.kind == TypeKind::kStruct) {
-          array.push_back(xdr_decode_value(*f.struct_format, dec));
+          array.push_back(xdr_get_value(*f.struct_format, dec));
         } else if (f.kind == TypeKind::kFloat64) {
           array.push_back(Value{dec.get_f64()});
         } else {
@@ -73,7 +73,7 @@ Value xdr_decode_value(const FormatDesc& format, rpc::XdrDecoder& dec) {
     }
     switch (f.kind) {
       case TypeKind::kStruct:
-        record.set_field(f.name, xdr_decode_value(*f.struct_format, dec));
+        record.set_field(f.name, xdr_get_value(*f.struct_format, dec));
         break;
       case TypeKind::kString:
         record.set_field(f.name, Value{dec.get_string()});
@@ -100,15 +100,15 @@ std::uint64_t sunrpc_round_trip(const Value& v, const pbio::FormatPtr& format,
   server.register_procedure(1, [&](BytesView args) {
     // Server: decode + re-encode (echo), both real CPU.
     rpc::XdrDecoder dec(args);
-    const Value decoded = xdr_decode_value(*format, dec);
+    const Value decoded = xdr_get_value(*format, dec);
     rpc::XdrEncoder enc;
-    xdr_encode_value(decoded, *format, enc);
+    xdr_put_value(decoded, *format, enc);
     return enc.take();
   });
 
   Stopwatch cpu;
   rpc::XdrEncoder args;
-  xdr_encode_value(v, *format, args);
+  xdr_put_value(v, *format, args);
   const Bytes request = args.take();
 
   // RPC call header ≈ 40 bytes + 4-byte record mark.
@@ -135,7 +135,7 @@ std::uint64_t sunrpc_round_trip(const Value& v, const pbio::FormatPtr& format,
   for (int i = 0; i < 3; ++i) dec.get_u32();
   dec.get_u32(); dec.get_u32();  // verf
   dec.get_u32();                 // accept_stat
-  (void)xdr_decode_value(*format, dec);
+  (void)xdr_get_value(*format, dec);
 
   // CPU-era calibration, matching what SimHarness applies to SOAP-bin.
   total_us += cpu.elapsed_us() * cpu_scale();

@@ -63,12 +63,12 @@ SeriesPoint measure(const Value& v, const pbio::FormatPtr& format,
     {
       Stopwatch sw;
       const Value decoded = soap::value_from_xml(xml, *format);
-      const Bytes bin = pbio::encode_value_message(decoded, *format);
+      const BufferChain bin = pbio::encode_value_message_chain(decoded, *format);
       double t = sw.elapsed_us() * cpu_scale();
       p.bin_bytes = bin.size();
       t += static_cast<double>(link.transfer_time_us(bin.size(), 0));
       Stopwatch sw2;
-      const Value back = pbio::decode_value_message(BytesView{bin}, *format);
+      const Value back = decode_value_chain(bin, *format);
       (void)soap::value_to_xml(back, *format, "params");
       t += sw2.elapsed_us() * cpu_scale();
       p.soapbin_us += t;
@@ -104,7 +104,7 @@ void headline_15x() {
   // Section-5-annotated XML.
   const std::string xml = soap::value_to_xml(v, *int_array_format(), "params",
                                              soap::XmlStyle{.typed = true});
-  const Bytes bin = pbio::encode_value_message(v, *int_array_format());
+  const BufferChain bin = pbio::encode_value_message_chain(v, *int_array_format());
   net::LinkModel link(net::adsl_1mbps());
   const double xml_us = static_cast<double>(link.transfer_time_us(xml.size(), 0));
   const double bin_us = static_cast<double>(link.transfer_time_us(bin.size(), 0));

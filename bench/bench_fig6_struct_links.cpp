@@ -52,12 +52,12 @@ void run_link(const std::string& label, net::LinkConfig config) {
       {
         Stopwatch sw;
         const Value decoded = soap::value_from_xml(xml, *format);
-        const Bytes bin = pbio::encode_value_message(decoded, *format);
+        const BufferChain bin = pbio::encode_value_message_chain(decoded, *format);
         double t = sw.elapsed_us() * cpu_scale();
         bin_bytes = bin.size();
         t += static_cast<double>(link.transfer_time_us(bin.size(), 0));
         Stopwatch sw2;
-        const Value back = pbio::decode_value_message(BytesView{bin}, *format);
+        const Value back = decode_value_chain(bin, *format);
         (void)soap::value_to_xml(back, *format, "params");
         soapbin_us += t + sw2.elapsed_us() * cpu_scale();
       }

@@ -32,18 +32,18 @@ struct CostRow {
 
 CostRow measure(const Value& v, const pbio::FormatPtr& format, int iterations) {
   CostRow row;
-  Bytes pbio_wire;
+  BufferChain pbio_wire;
   std::string xml_wire;
   Bytes lz_wire;
   for (int i = 0; i < iterations; ++i) {
     {
       Stopwatch sw;
-      pbio_wire = pbio::encode_value_message(v, *format);
+      pbio_wire = pbio::encode_value_message_chain(v, *format);
       row.pbio_encode_us += sw.elapsed_us();
     }
     {
       Stopwatch sw;
-      (void)pbio::decode_value_message(BytesView{pbio_wire}, *format);
+      (void)decode_value_chain(pbio_wire, *format);
       row.pbio_decode_us += sw.elapsed_us();
     }
     {

@@ -15,34 +15,8 @@
 namespace sbq::bench {
 namespace {
 
+// The live stack's encode: header plus payload as a BufferChain, in one walk.
 void BM_PbioEncodeArray(benchmark::State& state) {
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  const pbio::Value v = make_int_array(bytes);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pbio::encode_value_message(v, *int_array_format()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_PbioEncodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
-
-void BM_PbioDecodeArray(benchmark::State& state) {
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  const pbio::Value v = make_int_array(bytes);
-  const Bytes wire = pbio::encode_value_message(v, *int_array_format());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pbio::decode_value_message(BytesView{wire}, *int_array_format()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(wire.size()));
-}
-BENCHMARK(BM_PbioDecodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
-
-// The live stack's encode: header plus payload as a BufferChain, the payload
-// length measured first by a dry run. Compare with BM_PbioEncodeArray, the
-// flat ByteBuffer sink.
-void BM_PbioEncodeArrayChain(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   const pbio::Value v = make_int_array(bytes);
   for (auto _ : state) {
@@ -51,25 +25,22 @@ void BM_PbioEncodeArrayChain(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_PbioEncodeArrayChain)->Arg(1024)->Arg(102400)->Arg(1048576);
+BENCHMARK(BM_PbioEncodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
 
 // The live stack's decode: a ChainReader over the received message, header
 // first, then the payload (what ServiceRuntime and ClientStub run).
-void BM_PbioDecodeArrayChain(benchmark::State& state) {
+void BM_PbioDecodeArray(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
   const pbio::Value v = make_int_array(bytes);
   const pbio::FormatPtr format = int_array_format();
   const BufferChain message = pbio::encode_value_message_chain(v, *format);
   for (auto _ : state) {
-    ChainReader reader(message);
-    const pbio::WireHeader header = pbio::read_header(reader);
-    benchmark::DoNotOptimize(pbio::decode_value_payload(
-        reader, header.payload_length, header.sender_order, *format));
+    benchmark::DoNotOptimize(decode_value_chain(message, *format));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(message.size()));
 }
-BENCHMARK(BM_PbioDecodeArrayChain)->Arg(1024)->Arg(102400)->Arg(1048576);
+BENCHMARK(BM_PbioDecodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
 
 void BM_PbioNativeEncodeArray(benchmark::State& state) {
   // The native path: a C struct with a VarArray<int32> — PBIO's zero-
@@ -82,7 +53,7 @@ void BM_PbioNativeEncodeArray(benchmark::State& state) {
   for (std::size_t i = 0; i < count; ++i) data[i] = static_cast<std::int32_t>(i);
   const Native native{{static_cast<std::uint32_t>(count), data.data()}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pbio::encode_message(&native, *int_array_format()));
+    benchmark::DoNotOptimize(pbio::encode_message_chain(&native, *int_array_format()));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -97,7 +68,7 @@ void BM_PbioNativeDecodeArray(benchmark::State& state) {
   std::vector<std::int32_t> data(count, 7);
   const Native native{{static_cast<std::uint32_t>(count), data.data()}};
   const pbio::FormatPtr format = int_array_format();
-  const Bytes wire = pbio::encode_message(&native, *format);
+  const Bytes wire = pbio::encode_message_chain(&native, *format).coalesce();
   // The plan compiles once, outside the timed loop, as a receiver keeps it.
   pbio::PlanCache plans;
   (void)plans.get(format, format, host_byte_order());
@@ -135,7 +106,7 @@ void BM_PbioEncodeStruct(benchmark::State& state) {
   const pbio::Value v = make_nested_struct(depth);
   const pbio::FormatPtr f = nested_struct_format(depth);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pbio::encode_value_message(v, *f));
+    benchmark::DoNotOptimize(pbio::encode_value_message_chain(v, *f));
   }
 }
 BENCHMARK(BM_PbioEncodeStruct)->Arg(4)->Arg(8)->Arg(10);
@@ -217,7 +188,7 @@ void BM_ConversionHandlerXmlToBin(benchmark::State& state) {
   for (auto _ : state) {
     const pbio::Value decoded = soap::value_from_xml(xml, *int_array_format());
     benchmark::DoNotOptimize(
-        pbio::encode_value_message(decoded, *int_array_format()));
+        pbio::encode_value_message_chain(decoded, *int_array_format()));
   }
 }
 BENCHMARK(BM_ConversionHandlerXmlToBin)->Arg(1024)->Arg(102400);

@@ -73,18 +73,17 @@ Row run_stack(const std::string& name, core::WireFormat wire,
 /// "Native PBIO": the OIS core path — PBIO messages straight over the link,
 /// no HTTP, no SOAP envelope (how Delta's system consumed the feed).
 Row run_native(const Value& excerpt, const net::LinkModel& link) {
-  const Bytes request_wire =
-      pbio::encode_value_message(Value::record({{"flight", "DL1000"}}),
-                                 *airline::catering_request_format());
+  const BufferChain request_wire =
+      pbio::encode_value_message_chain(Value::record({{"flight", "DL1000"}}),
+                                       *airline::catering_request_format());
   Row row;
   row.name = "Native PBIO";
   std::uint64_t total_us = 0;
-  Bytes wire;
+  BufferChain wire;
   for (int i = 0; i < kEvents; ++i) {
     Stopwatch cpu;
-    wire = pbio::encode_value_message(excerpt, *airline::catering_excerpt_format());
-    const Value decoded = pbio::decode_value_message(
-        BytesView{wire}, *airline::catering_excerpt_format());
+    wire = pbio::encode_value_message_chain(excerpt, *airline::catering_excerpt_format());
+    const Value decoded = decode_value_chain(wire, *airline::catering_excerpt_format());
     (void)decoded;
     total_us += static_cast<std::uint64_t>(cpu.elapsed_us());
     total_us += link.transfer_time_us(request_wire.size(), 0);

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "pbio/encode.h"
+#include "pbio/value_codec.h"
+
 namespace sbq::bench {
 
 double cpu_scale() {
@@ -105,6 +108,12 @@ pbio::Value nested_struct_value(int depth) {
 
 pbio::Value make_nested_struct(int depth) {
   return nested_struct_value(depth);
+}
+
+pbio::Value decode_value_chain(const BufferChain& message, const pbio::FormatDesc& format) {
+  ChainReader reader(message);
+  const pbio::WireHeader header = pbio::read_header(reader);
+  return pbio::decode_value_payload(reader, header.payload_length, header.sender_order, format);
 }
 
 std::uint64_t SimHarness::timed_call(const std::string& operation,

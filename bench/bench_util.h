@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer_chain.h"
 #include "core/client.h"
 #include "core/service.h"
 #include "core/transports.h"
@@ -67,6 +68,10 @@ pbio::Value make_int_array(std::size_t payload_bytes);
 /// document size increases exponentially").
 pbio::FormatPtr nested_struct_format(int depth);
 pbio::Value make_nested_struct(int depth);
+
+/// Decodes a PBIO Value message straight from its chain, as the live stack
+/// does: header first, then the payload, with no flattening.
+pbio::Value decode_value_chain(const BufferChain& message, const pbio::FormatDesc& format);
 
 // ---------------------------------------------------------------- harness
 

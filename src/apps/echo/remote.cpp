@@ -49,13 +49,14 @@ void host_event_bridge(core::ServiceRuntime& runtime,
 
         // The payload is a full PBIO message; resolve its format through
         // the shared format server (cached after the first event).
-        const std::string& message = params.field("message").as_string();
-        ByteReader reader(message.data(), message.size());
+        const BufferChain message =
+            BufferChain::borrowing(as_bytes(params.field("message").as_string()));
+        ChainReader reader(message);
         const pbio::WireHeader header = pbio::read_header(reader);
         const pbio::FormatPtr format =
             runtime_ptr->format_cache().resolve(header.format_id);
-        Value payload = pbio::decode_value_payload(
-            reader.read_view(header.payload_length), header.sender_order, *format);
+        Value payload = pbio::decode_value_payload(reader, header.payload_length,
+                                                   header.sender_order, *format);
 
         channel->submit(Event{format, std::move(payload)});
         return Value::record(
@@ -68,7 +69,8 @@ int submit_remote(core::ClientStub& bridge_client, const std::string& channel,
   if (!event.format) throw RpcError("submit_remote: event without format");
   // First-send registration of the inner event format (cached after that).
   bridge_client.format_cache().announce(event.format);
-  const Bytes message = pbio::encode_value_message(event.value, *event.format);
+  const Bytes message =
+      pbio::encode_value_message_chain(event.value, *event.format).coalesce();
   const Value ack = bridge_client.call(
       "submit_event",
       Value::record({{"channel", channel},

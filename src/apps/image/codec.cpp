@@ -51,15 +51,21 @@ Value image_to_value(const Image& image, const pbio::FormatDesc& format) {
 }
 
 Image image_from_value(const Value& value) {
-  const auto width = static_cast<int>(value.field("width").as_i64());
-  const auto height = static_cast<int>(value.field("height").as_i64());
+  const std::int64_t width = value.field("width").as_i64();
+  const std::int64_t height = value.field("height").as_i64();
   const std::string& pixels = value.field("pixels").as_string();
-  Image image(width, height);
-  if (pixels.size() != image.byte_size()) {
+  // Untrusted dimensions: range-checked, and matched against the pixels
+  // actually supplied, before the raster is allocated.
+  if (width <= 0 || height <= 0 || width > kMaxDimension || height > kMaxDimension) {
+    throw CodecError("image dimensions " + std::to_string(width) + "x" +
+                     std::to_string(height) + " out of range");
+  }
+  if (pixels.size() != static_cast<std::uint64_t>(width * height * 3)) {
     throw CodecError("pixel buffer size " + std::to_string(pixels.size()) +
                      " does not match " + std::to_string(width) + "x" +
                      std::to_string(height));
   }
+  Image image(static_cast<int>(width), static_cast<int>(height));
   std::copy(pixels.begin(), pixels.end(), image.bytes().begin());
   return image;
 }

@@ -61,7 +61,7 @@ std::string next_token(BytesView data, std::size_t& pos) {
 int parse_dim(const std::string& token) {
   try {
     const int v = std::stoi(token);
-    if (v <= 0 || v > 1 << 20) throw ParseError("PPM dimension out of range");
+    if (v <= 0 || v > kMaxDimension) throw ParseError("PPM dimension out of range");
     return v;
   } catch (const std::exception&) {
     throw ParseError("bad PPM header token: '" + token + "'");
@@ -81,8 +81,12 @@ Image read_ppm(BytesView ppm) {
   if (pos >= ppm.size()) throw ParseError("truncated PPM");
   ++pos;
 
+  // The raster must be present before it is allocated: the header alone can
+  // claim terabytes.
+  const std::size_t raster =
+      static_cast<std::size_t>(width) * static_cast<std::size_t>(height) * 3;
+  if (ppm.size() - pos < raster) throw ParseError("PPM raster truncated");
   Image image(width, height);
-  if (ppm.size() - pos < image.byte_size()) throw ParseError("PPM raster truncated");
   std::copy(ppm.begin() + static_cast<long>(pos),
             ppm.begin() + static_cast<long>(pos + image.byte_size()),
             image.bytes().begin());

@@ -21,6 +21,10 @@ struct Rgb {
   std::uint8_t b = 0;
 };
 
+/// Largest width or height accepted from untrusted input (PPM headers,
+/// decoded image Values); checked before any raster is allocated.
+inline constexpr int kMaxDimension = 1 << 20;
+
 /// Owning RGB8 raster, row-major.
 class Image {
  public:

@@ -132,34 +132,7 @@ void ChainReader::skip_empty_segments() {
   }
 }
 
-std::uint8_t ChainReader::read_u8() {
-  require(1);
-  const std::uint8_t v = chain_.segments_[seg_].view[off_];
-  ++off_;
-  ++pos_;
-  skip_empty_segments();
-  return v;
-}
-
-std::uint16_t ChainReader::read_u16(ByteOrder order) {
-  std::uint16_t v;
-  read_raw(&v, sizeof v);
-  return order == host_byte_order() ? v : byteswap16(v);
-}
-
-std::uint32_t ChainReader::read_u32(ByteOrder order) {
-  std::uint32_t v;
-  read_raw(&v, sizeof v);
-  return order == host_byte_order() ? v : byteswap32(v);
-}
-
-std::uint64_t ChainReader::read_u64(ByteOrder order) {
-  std::uint64_t v;
-  read_raw(&v, sizeof v);
-  return order == host_byte_order() ? v : byteswap64(v);
-}
-
-void ChainReader::read_raw(void* out, std::size_t n) {
+void ChainReader::read_across(void* out, std::size_t n) {
   require(n);
   auto* dst = static_cast<std::uint8_t*>(out);
   while (n > 0) {

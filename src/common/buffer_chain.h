@@ -15,6 +15,7 @@
 // increments it, which is how EndpointStats observes copy elimination.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -125,10 +126,10 @@ class BufferChain {
 /// are spliced in as their own segments via append_block(), flushing the
 /// staging bytes first so wire order is preserved. The result is a chain of
 /// a few segments — staging runs interleaved with borrowed payload blocks —
-/// whose coalesced bytes are identical to a flat encode.
+/// whose coalesced bytes are the message.
 ///
-/// Exposes the same append_* surface as ByteBuffer so codecs can be written
-/// once against either sink.
+/// It is the only sink of the PBIO encoders, and exposes ByteBuffer's
+/// append_* surface for the small writes.
 class ChainWriter {
  public:
   /// Blocks >= `borrow_threshold` bytes become their own segments; smaller
@@ -196,14 +197,42 @@ class ChainReader {
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool exhausted() const { return remaining() == 0; }
 
-  std::uint8_t read_u8();
-  std::uint16_t read_u16(ByteOrder order);
-  std::uint32_t read_u32(ByteOrder order);
-  std::uint64_t read_u64(ByteOrder order);
+  std::uint8_t read_u8() {
+    std::uint8_t v;
+    read_raw(&v, sizeof v);
+    return v;
+  }
+  std::uint16_t read_u16(ByteOrder order) {
+    std::uint16_t v;
+    read_raw(&v, sizeof v);
+    return order == host_byte_order() ? v : byteswap16(v);
+  }
+  std::uint32_t read_u32(ByteOrder order) {
+    std::uint32_t v;
+    read_raw(&v, sizeof v);
+    return order == host_byte_order() ? v : byteswap32(v);
+  }
+  std::uint64_t read_u64(ByteOrder order) {
+    std::uint64_t v;
+    read_raw(&v, sizeof v);
+    return order == host_byte_order() ? v : byteswap64(v);
+  }
   float read_f32(ByteOrder order) { return std::bit_cast<float>(read_u32(order)); }
   double read_f64(ByteOrder order) { return std::bit_cast<double>(read_u64(order)); }
 
-  void read_raw(void* out, std::size_t n);
+  /// Copies the next `n` bytes to `out`. Inline when they lie inside the
+  /// current segment and leave some of it unread, which is every scalar of
+  /// a payload held in one segment; other reads cross segment boundaries.
+  void read_raw(void* out, std::size_t n) {
+    if (seg_ < chain_.segments_.size() && chain_.segments_[seg_].view.size() - off_ > n) {
+      std::copy_n(chain_.segments_[seg_].view.data() + off_, n,
+                  static_cast<std::uint8_t*>(out));
+      off_ += n;
+      pos_ += n;
+      return;
+    }
+    read_across(out, n);
+  }
 
   /// Returns a view of the next `n` bytes and advances past them. The view
   /// stays valid for the reader's lifetime (scratch-backed when it spans
@@ -220,6 +249,7 @@ class ChainReader {
  private:
   void require(std::size_t n) const;
   void skip_empty_segments();
+  void read_across(void* out, std::size_t n);
 
   const BufferChain& chain_;
   std::size_t seg_ = 0;  // current segment index

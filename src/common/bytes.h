@@ -91,13 +91,6 @@ class ByteBuffer {
     return data_.data() + data_.size() - n;
   }
 
-  /// Overwrites 4 bytes at `offset` (used to patch length prefixes).
-  void patch_u32(std::size_t offset, std::uint32_t v, ByteOrder order) {
-    if (offset + 4 > data_.size()) throw CodecError("patch_u32 out of range");
-    if (order != host_byte_order()) v = byteswap32(v);
-    std::memcpy(data_.data() + offset, &v, sizeof v);
-  }
-
  private:
   Bytes data_;
 };

@@ -111,140 +111,6 @@ Bytes compress(BytesView input, const CompressOptions& options) {
   return out;
 }
 
-// --- StreamCompressor ------------------------------------------------------
-//
-// Byte-identical to compress() above because every decision the flat encoder
-// makes is reproduced under the same conditions:
-//   - a position is only encoded once kMaxMatch lookahead bytes exist (or the
-//     stream has ended), so max_len never depends on chunk boundaries;
-//   - hash-chain inserts are deferred until `p + kMinMatch <= total_`, the
-//     exact guard the flat encoder applies against its final n;
-//   - positions are absolute (the same u32 encoding), so the recycled-chain
-//     and window-distance checks behave identically after trimming.
-
-namespace {
-// Feeding a multi-megabyte segment still only stages this much at a time, so
-// working memory stays O(window), not O(message).
-constexpr std::size_t kFeedSlice = 16 * 1024;
-}  // namespace
-
-StreamCompressor::StreamCompressor(const CompressOptions& options)
-    : options_(options), head_(kHashSize, 0), prev_(kWindow, 0) {
-  out_.resize(4);  // u32 size prefix, patched in finish()
-  window_.reserve(2 * kWindow + kFeedSlice);
-}
-
-void StreamCompressor::catch_up_hashes(std::size_t limit) {
-  while (hashed_ < limit && hashed_ + kMinMatch <= total_) {
-    const std::uint32_t h = hash3(&window_[hashed_ - base_]);
-    prev_[hashed_ % kWindow] = head_[h];
-    head_[h] = static_cast<std::uint32_t>(hashed_ + 1);
-    ++hashed_;
-  }
-}
-
-void StreamCompressor::trim_window() {
-  std::size_t keep_from = pos_ > kWindow ? pos_ - kWindow : 0;
-  keep_from = std::min(keep_from, hashed_);
-  if (keep_from > base_ + kWindow) {  // amortize the erase
-    window_.erase(window_.begin(),
-                  window_.begin() + static_cast<std::ptrdiff_t>(keep_from - base_));
-    base_ = keep_from;
-  }
-}
-
-void StreamCompressor::emit_tokens(bool final_block) {
-  auto begin_token = [&] {
-    if (tokens_in_group_ == 0) {
-      flag_pos_ = out_.size();
-      out_.push_back(0);
-      flag_bits_ = 0;
-    }
-  };
-  auto finish_token = [&](bool literal) {
-    if (literal) flag_bits_ |= static_cast<std::uint8_t>(1u << tokens_in_group_);
-    out_[flag_pos_] = flag_bits_;
-    if (++tokens_in_group_ == 8) tokens_in_group_ = 0;
-  };
-
-  while (pos_ < total_ && (final_block || pos_ + kMaxMatch <= total_)) {
-    catch_up_hashes(pos_);
-
-    std::size_t best_len = 0;
-    std::size_t best_dist = 0;
-    if (pos_ + kMinMatch <= total_) {
-      std::uint32_t cand = head_[hash3(&window_[pos_ - base_])];
-      int chain = options_.max_chain;
-      const std::size_t max_len = std::min(kMaxMatch, total_ - pos_);
-      while (cand != 0 && chain-- > 0) {
-        const std::size_t cpos = cand - 1;
-        if (pos_ - cpos > kWindow) break;
-        std::size_t len = 0;
-        while (len < max_len &&
-               window_[cpos - base_ + len] == window_[pos_ - base_ + len]) {
-          ++len;
-        }
-        if (len > best_len) {
-          best_len = len;
-          best_dist = pos_ - cpos;
-          if (len == max_len) break;
-        }
-        const std::uint32_t next = prev_[cpos % kWindow];
-        if (next != 0 && next - 1 >= cpos) break;
-        cand = next;
-      }
-    }
-
-    if (best_len >= kMinMatch) {
-      begin_token();
-      const std::uint16_t token = static_cast<std::uint16_t>(
-          ((best_dist - 1) << 4) | (best_len - kMinMatch));
-      out_.push_back(static_cast<std::uint8_t>(token & 0xFF));
-      out_.push_back(static_cast<std::uint8_t>(token >> 8));
-      finish_token(false);
-      pos_ += best_len;
-    } else {
-      begin_token();
-      out_.push_back(window_[pos_ - base_]);
-      finish_token(true);
-      ++pos_;
-    }
-  }
-}
-
-void StreamCompressor::feed(BytesView chunk) {
-  if (finished_) throw CodecError("lzss: feed() after finish()");
-  while (!chunk.empty()) {
-    const std::size_t take = std::min(chunk.size(), kFeedSlice);
-    window_.insert(window_.end(), chunk.begin(), chunk.begin() + take);
-    total_ += take;
-    chunk = chunk.subspan(take);
-    emit_tokens(/*final_block=*/false);
-    trim_window();
-  }
-}
-
-Bytes StreamCompressor::finish() {
-  if (finished_) throw CodecError("lzss: finish() called twice");
-  finished_ = true;
-  emit_tokens(/*final_block=*/true);
-  const std::uint32_t size32 = static_cast<std::uint32_t>(total_);
-  out_[0] = static_cast<std::uint8_t>(size32 & 0xFF);
-  out_[1] = static_cast<std::uint8_t>((size32 >> 8) & 0xFF);
-  out_[2] = static_cast<std::uint8_t>((size32 >> 16) & 0xFF);
-  out_[3] = static_cast<std::uint8_t>((size32 >> 24) & 0xFF);
-  Bytes result = std::move(out_);
-  out_.clear();
-  window_.clear();
-  return result;
-}
-
-Bytes compress(const BufferChain& input, const CompressOptions& options) {
-  StreamCompressor sc(options);
-  for (BytesView segment : input) sc.feed(segment);
-  return sc.finish();
-}
-
 Bytes decompress(BytesView input) {
   ByteReader reader(input);
   const std::uint32_t expected = reader.read_u32(ByteOrder::kLittle);

@@ -14,9 +14,6 @@
 //              (distance ∈ [1, 4096], length ∈ [3, 18])
 #pragma once
 
-#include <vector>
-
-#include "common/buffer_chain.h"
 #include "common/bytes.h"
 
 namespace sbq::lz {
@@ -28,51 +25,6 @@ struct CompressOptions {
 
 /// Compresses `input`; output always decompresses to exactly `input`.
 Bytes compress(BytesView input, const CompressOptions& options = {});
-
-/// Segment-aware compress: feeds the chain through a StreamCompressor, so
-/// the input is never coalesced. Output is byte-identical to
-/// compress(chain.coalesce()).
-Bytes compress(const BufferChain& input, const CompressOptions& options = {});
-
-/// Incremental LZSS encoder with O(window) working memory: feed() arbitrary
-/// chunks (e.g. chain segments), then finish() to obtain the stream.
-///
-/// Emission is deferred while fewer than kMaxMatch lookahead bytes are
-/// buffered, so token choices are independent of how the input was chunked —
-/// the output is byte-for-byte identical to the one-shot compress() above
-/// (a property test asserts this). The sliding window keeps only the most
-/// recent ~4 KB of history, so compressing an N-byte message needs O(4 KB)
-/// memory instead of an N-byte flat copy of the input.
-class StreamCompressor {
- public:
-  explicit StreamCompressor(const CompressOptions& options = {});
-
-  void feed(BytesView chunk);
-  void feed(std::string_view chunk) { feed(as_bytes(chunk)); }
-
-  /// Completes the stream and returns it; the compressor is spent afterwards.
-  Bytes finish();
-
- private:
-  void catch_up_hashes(std::size_t limit);
-  void emit_tokens(bool final_block);
-  void trim_window();
-
-  CompressOptions options_;
-  Bytes out_;                        // compressed stream (size prefix patched
-                                     // at finish, once the total is known)
-  std::vector<std::uint32_t> head_;  // hash -> most recent position + 1
-  std::vector<std::uint32_t> prev_;  // position ring -> previous in chain
-  Bytes window_;                     // input bytes [base_, base_+window_.size())
-  std::size_t base_ = 0;             // absolute index of window_[0]
-  std::size_t pos_ = 0;              // next absolute position to encode
-  std::size_t hashed_ = 0;           // next absolute position to hash-insert
-  std::size_t total_ = 0;            // bytes fed so far
-  std::size_t flag_pos_ = 0;         // offset of the current flag byte in out_
-  std::uint8_t flag_bits_ = 0;
-  int tokens_in_group_ = 0;
-  bool finished_ = false;
-};
 
 /// Decompresses a buffer produced by compress(). Throws CodecError on
 /// corrupt input (bad distances, truncated stream, size mismatch).

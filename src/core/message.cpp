@@ -4,25 +4,6 @@
 
 namespace sbq::core {
 
-Bytes encode_bin_message(const BinEnvelope& envelope, BytesView pbio_message) {
-  if (envelope.operation.size() > 0xFFFF || envelope.message_type.size() > 0xFFFF) {
-    throw CodecError("bin envelope name too long");
-  }
-  ByteBuffer out(64 + pbio_message.size());
-  out.append_u16(static_cast<std::uint16_t>(envelope.operation.size()),
-                 ByteOrder::kLittle);
-  out.append(std::string_view{envelope.operation});
-  out.append_u16(static_cast<std::uint16_t>(envelope.message_type.size()),
-                 ByteOrder::kLittle);
-  out.append(std::string_view{envelope.message_type});
-  out.append_u64(envelope.timestamp_us, ByteOrder::kLittle);
-  out.append_u64(envelope.echoed_timestamp_us, ByteOrder::kLittle);
-  out.append_u64(envelope.server_prep_us, ByteOrder::kLittle);
-  out.append_f64(envelope.reported_rtt_us, ByteOrder::kLittle);
-  out.append(pbio_message);
-  return out.take();
-}
-
 BufferChain encode_bin_message(const BinEnvelope& envelope,
                                BufferChain&& pbio_message) {
   if (envelope.operation.size() > 0xFFFF || envelope.message_type.size() > 0xFFFF) {
@@ -42,19 +23,6 @@ BufferChain encode_bin_message(const BinEnvelope& envelope,
   BufferChain out;
   out.append(std::move(header));
   out.append(std::move(pbio_message));
-  return out;
-}
-
-DecodedBinMessage decode_bin_message(BytesView body) {
-  ByteReader reader(body);
-  DecodedBinMessage out;
-  out.envelope.operation = reader.read_string(reader.read_u16(ByteOrder::kLittle));
-  out.envelope.message_type = reader.read_string(reader.read_u16(ByteOrder::kLittle));
-  out.envelope.timestamp_us = reader.read_u64(ByteOrder::kLittle);
-  out.envelope.echoed_timestamp_us = reader.read_u64(ByteOrder::kLittle);
-  out.envelope.server_prep_us = reader.read_u64(ByteOrder::kLittle);
-  out.envelope.reported_rtt_us = reader.read_f64(ByteOrder::kLittle);
-  out.pbio_message = body.subspan(reader.position());
   return out;
 }
 

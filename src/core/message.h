@@ -49,26 +49,18 @@ struct BinEnvelope {
   double reported_rtt_us = 0.0;
 };
 
-/// Serializes the envelope followed by an already-encoded PBIO message.
-Bytes encode_bin_message(const BinEnvelope& envelope, BytesView pbio_message);
-
-/// Zero-copy variant: the envelope becomes one small owned segment and the
-/// PBIO chain's segments are spliced in behind it — the PBIO payload is
-/// never copied into a combined buffer.
+/// Serializes the envelope in front of an encoded PBIO message: the
+/// envelope becomes one small owned segment and the PBIO chain's segments
+/// are spliced in behind it — the PBIO payload is never copied into a
+/// combined buffer.
 BufferChain encode_bin_message(const BinEnvelope& envelope,
                                BufferChain&& pbio_message);
 
-/// Splits a wire body into envelope + PBIO message view (into `body`).
-struct DecodedBinMessage {
-  BinEnvelope envelope;
-  BytesView pbio_message;
-};
-DecodedBinMessage decode_bin_message(BytesView body);
-
-/// Chain-aware split: the PBIO message comes back as a chain sharing the
-/// body's segments (suffix slice, no flattening). `bytes_copied` counts the
-/// scratch bytes the envelope decode itself needed (fields straddling a
-/// segment boundary).
+/// Splits a wire body into envelope + PBIO message. The PBIO message comes
+/// back as a chain sharing the body's segments (suffix slice, no
+/// flattening); a flat body is read as BufferChain::borrowing(body).
+/// `bytes_copied` counts the scratch bytes the envelope decode itself
+/// needed (fields straddling a segment boundary).
 struct DecodedBinChain {
   BinEnvelope envelope;
   BufferChain pbio_message;

@@ -3,14 +3,10 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "pbio/sink.h"
 
 namespace sbq::pbio {
 
 namespace {
-
-using detail::CountingSink;
-using detail::sink_block;
 
 /// Layout-compatible view of any VarArray<T>.
 struct RawVarArray {
@@ -21,8 +17,7 @@ static_assert(sizeof(RawVarArray) == sizeof(VarArray<int>));
 static_assert(offsetof(RawVarArray, count) == offsetof(VarArray<int>, count));
 static_assert(offsetof(RawVarArray, data) == offsetof(VarArray<int>, data));
 
-template <typename Sink>
-void append_scalar(const std::uint8_t* src, TypeKind kind, Sink& out,
+void append_scalar(const std::uint8_t* src, TypeKind kind, ChainWriter& out,
                    ByteOrder order) {
   switch (scalar_size(kind)) {
     case 1:
@@ -45,13 +40,11 @@ void append_scalar(const std::uint8_t* src, TypeKind kind, Sink& out,
   }
 }
 
-template <typename Sink>
 void encode_record(const std::uint8_t* record, const FormatDesc& format,
-                   Sink& out, ByteOrder order);
+                   ChainWriter& out, ByteOrder order);
 
-template <typename Sink>
 void encode_elements(const std::uint8_t* base, const FieldDesc& field,
-                     std::size_t count, Sink& out, ByteOrder order) {
+                     std::size_t count, ChainWriter& out, ByteOrder order) {
   const std::size_t elem = field.element_size();
   if (field.kind == TypeKind::kStruct) {
     for (std::size_t i = 0; i < count; ++i) {
@@ -59,9 +52,9 @@ void encode_elements(const std::uint8_t* base, const FieldDesc& field,
     }
   } else if (order == host_byte_order() || elem == 1) {
     // Same-order scalar runs are a single block — the memcpy fast path that
-    // makes PBIO arrays cheap to marshal, and on the chain path a borrowed
-    // view into the record's own array (no copy at all).
-    sink_block(out, BytesView{base, count * elem}, nullptr);
+    // makes PBIO arrays cheap to marshal: a borrowed view into the record's
+    // own array once it is large enough (no copy at all).
+    out.append_block(BytesView{base, count * elem});
   } else {
     for (std::size_t i = 0; i < count; ++i) {
       append_scalar(base + i * elem, field.kind, out, order);
@@ -69,9 +62,8 @@ void encode_elements(const std::uint8_t* base, const FieldDesc& field,
   }
 }
 
-template <typename Sink>
 void encode_record(const std::uint8_t* record, const FormatDesc& format,
-                   Sink& out, ByteOrder order) {
+                   ChainWriter& out, ByteOrder order) {
   for (const FieldDesc& field : format.fields) {
     const std::uint8_t* src = record + field.offset;
     switch (field.arity) {
@@ -83,8 +75,7 @@ void encode_record(const std::uint8_t* record, const FormatDesc& format,
               s == nullptr ? 0 : static_cast<std::uint32_t>(std::strlen(s));
           out.append_u32(len, order);
           if (len > 0) {
-            sink_block(out, BytesView{reinterpret_cast<const std::uint8_t*>(s), len},
-                       nullptr);
+            out.append_block(BytesView{reinterpret_cast<const std::uint8_t*>(s), len});
           }
         } else if (field.kind == TypeKind::kStruct) {
           encode_record(src, *field.struct_format, out, order);
@@ -113,8 +104,9 @@ void encode_record(const std::uint8_t* record, const FormatDesc& format,
   }
 }
 
-template <typename Reader>
-WireHeader read_header_impl(Reader& reader) {
+}  // namespace
+
+WireHeader read_header(ChainReader& reader) {
   WireHeader h;
   h.format_id = reader.read_u64(ByteOrder::kLittle);
   const std::uint8_t order = reader.read_u8();
@@ -127,52 +119,25 @@ WireHeader read_header_impl(Reader& reader) {
   return h;
 }
 
-}  // namespace
-
-WireHeader read_header(ByteReader& reader) { return read_header_impl(reader); }
-
-WireHeader read_header(ChainReader& reader) { return read_header_impl(reader); }
-
-void encode_native(const void* record, const FormatDesc& format, ByteBuffer& out,
-                   ByteOrder wire_order) {
-  out.append_u64(format.format_id(), ByteOrder::kLittle);
-  out.append_u8(static_cast<std::uint8_t>(wire_order));
-  const std::size_t len_pos = out.size();
-  out.append_u32(0, ByteOrder::kLittle);
-  const std::size_t payload_start = out.size();
-  encode_record(static_cast<const std::uint8_t*>(record), format, out, wire_order);
-  out.patch_u32(len_pos, static_cast<std::uint32_t>(out.size() - payload_start),
-                ByteOrder::kLittle);
-}
-
-Bytes encode_message(const void* record, const FormatDesc& format,
-                     ByteOrder wire_order) {
-  ByteBuffer out(WireHeader::kSize + wire_size(record, format));
-  encode_native(record, format, out, wire_order);
-  return out.take();
+BufferChain frame_message(FormatId format_id, ByteOrder sender_order, BufferChain&& payload) {
+  ByteBuffer header(WireHeader::kSize);
+  header.append_u64(format_id, ByteOrder::kLittle);
+  header.append_u8(static_cast<std::uint8_t>(sender_order));
+  header.append_u32(static_cast<std::uint32_t>(payload.size()), ByteOrder::kLittle);
+  BufferChain message;
+  message.append(std::move(header));
+  message.append(std::move(payload));
+  return message;
 }
 
 BufferChain encode_message_chain(const void* record, const FormatDesc& format,
                                  ByteOrder wire_order) {
-  // Payload length is known exactly up front (wire_size), so the header is
-  // emitted complete — chains cannot be patched across segments.
-  const std::size_t payload_size = wire_size(record, format);
-  BufferChain chain;
-  ChainWriter writer(chain);
-  writer.append_u64(format.format_id(), ByteOrder::kLittle);
-  writer.append_u8(static_cast<std::uint8_t>(wire_order));
-  writer.append_u32(static_cast<std::uint32_t>(payload_size), ByteOrder::kLittle);
-  encode_record(static_cast<const std::uint8_t*>(record), format, writer,
-                wire_order);
-  writer.flush();
-  return chain;
-}
-
-std::size_t wire_size(const void* record, const FormatDesc& format) {
-  CountingSink counter;
-  encode_record(static_cast<const std::uint8_t*>(record), format, counter,
-                host_byte_order());
-  return counter.size();
+  BufferChain payload;
+  {
+    ChainWriter writer(payload);
+    encode_record(static_cast<const std::uint8_t*>(record), format, writer, wire_order);
+  }
+  return frame_message(format.format_id(), wire_order, std::move(payload));
 }
 
 }  // namespace sbq::pbio

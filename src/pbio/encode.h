@@ -9,6 +9,10 @@
 // Wire layout (header fields are always little-endian so the header itself
 // is unambiguous; the PAYLOAD uses the sender's declared order):
 //   [u64 format_id][u8 sender_byte_order][u32 payload_length][payload]
+//
+// Every encoder writes its payload into a BufferChain in one walk; the
+// header is then spliced in front of it as its own segment (frame_message),
+// so the payload never has to be sized first.
 #pragma once
 
 #include "common/buffer_chain.h"
@@ -26,33 +30,25 @@ struct WireHeader {
   static constexpr std::size_t kSize = 8 + 1 + 4;
 };
 
-/// Reads and validates the header, leaving `reader` at the payload.
-WireHeader read_header(ByteReader& reader);
-
-/// Chain-aware overload for messages that were never flattened.
+/// Reads and validates the header, leaving `reader` at the payload. A
+/// message held in one buffer is read as BufferChain::borrowing(message).
 WireHeader read_header(ChainReader& reader);
 
-/// Encodes the record at `record` (native layout per `format`) into `out`.
+/// Puts the header for `payload` (an encoded payload chain) in front of it:
+/// one owned WireHeader::kSize-byte segment, with the payload's segments
+/// spliced behind it uncopied.
+BufferChain frame_message(FormatId format_id, ByteOrder sender_order, BufferChain&& payload);
+
+/// Encodes the record at `record` (native layout per `format`) as header +
+/// payload. Small fields accumulate in staging segments; same-order scalar
+/// runs large enough to matter are appended as *borrowed* views straight
+/// into the record's native arrays — the caller must keep `record` (and the
+/// arrays its VarArrays point to) alive for the chain's lifetime.
 ///
 /// `wire_order` defaults to the host order — passing the other order
 /// simulates a foreign-endian sender, which exercises the receiver-side
 /// conversion path without heterogeneous hardware.
-void encode_native(const void* record, const FormatDesc& format, ByteBuffer& out,
-                   ByteOrder wire_order = host_byte_order());
-
-/// Convenience: header + payload in one buffer.
-Bytes encode_message(const void* record, const FormatDesc& format,
-                     ByteOrder wire_order = host_byte_order());
-
-/// Chain-emitting overload: header and small fields accumulate in staging
-/// segments; same-order scalar runs large enough to matter are appended as
-/// *borrowed* views straight into the record's native arrays — the caller
-/// must keep `record` (and the arrays its VarArrays point to) alive for the
-/// chain's lifetime. Coalesced output is byte-identical to encode_message.
 BufferChain encode_message_chain(const void* record, const FormatDesc& format,
                                  ByteOrder wire_order = host_byte_order());
-
-/// Payload size the record will occupy on the wire (exact, no encoding).
-std::size_t wire_size(const void* record, const FormatDesc& format);
 
 }  // namespace sbq::pbio

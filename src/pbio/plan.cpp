@@ -168,14 +168,14 @@ bool is_plain_scalar(const FieldDesc& f) {
 /// Each field's size and the running total saturate at 2^32, more than any
 /// payload: a peer's format can nest fixed arrays past 2^64 bytes, and a
 /// wrapped size could reach 0. With both terms capped the sum cannot wrap.
-std::size_t min_wire_size(const FormatDesc& format) {
+std::size_t min_wire_bytes(const FormatDesc& format) {
   constexpr std::size_t kCap = std::size_t{1} << 32;
   std::size_t total = 0;
   for (const FieldDesc& f : format.fields) {
     std::size_t bytes = 4;  // count or length prefix
     if (f.arity != Arity::kVarArray && f.kind != TypeKind::kString) {
       const std::size_t elem = f.kind == TypeKind::kStruct
-                                   ? min_wire_size(*f.struct_format)
+                                   ? min_wire_bytes(*f.struct_format)
                                    : scalar_size(f.kind);
       bytes = f.arity == Arity::kFixedArray ? f.fixed_count * elem : elem;
     }
@@ -274,7 +274,7 @@ PlanPtr DecodePlan::compile(FormatPtr sender, FormatPtr receiver, ByteOrder orde
     }
     if (wf.kind == TypeKind::kStruct) {
       op.kind = Op::Kind::kStructArray;
-      op.min_elem_wire = min_wire_size(*wf.struct_format);
+      op.min_elem_wire = min_wire_bytes(*wf.struct_format);
       if (nf != nullptr) {
         op.sub_plan = cache.get(wf.struct_format, nf->struct_format, order);
       }
@@ -451,7 +451,8 @@ std::size_t PlanCache::compile_count() const {
 void* decode_message(BytesView message, const FormatPtr& sender_format,
                      const FormatPtr& receiver_format, PlanCache& cache,
                      Arena& arena) {
-  ByteReader reader(message);
+  const BufferChain chain = BufferChain::borrowing(message);
+  ChainReader reader(chain);
   const WireHeader header = read_header(reader);
   if (header.format_id != sender_format->format_id()) {
     throw CodecError("message format id does not match sender format");

@@ -7,20 +7,12 @@
 #include "common/error.h"
 #include "pbio/array_words.h"
 #include "pbio/encode.h"
-#include "pbio/sink.h"
 
 namespace sbq::pbio {
 
 namespace {
 
-using detail::CountingSink;
-using detail::sink_block;
-
-/// View of a std::string's bytes (for borrowed bulk-block segments).
-BytesView string_block(const std::string& s) { return as_bytes(s); }
-
-template <typename Sink>
-void encode_scalar_value(const Value& v, TypeKind kind, Sink& out,
+void encode_scalar_value(const Value& v, TypeKind kind, ChainWriter& out,
                          ByteOrder order) {
   switch (kind) {
     case TypeKind::kInt32:
@@ -50,12 +42,10 @@ void encode_scalar_value(const Value& v, TypeKind kind, Sink& out,
   }
 }
 
-template <typename Sink>
-void encode_record_value(const Value& value, const FormatDesc& format, Sink& out,
+void encode_record_value(const Value& value, const FormatDesc& format, ChainWriter& out,
                          ByteOrder order, const BufferChain::Anchor& anchor);
 
-template <typename Sink>
-void encode_field_elements(const Value& array, const FieldDesc& field, Sink& out,
+void encode_field_elements(const Value& array, const FieldDesc& field, ChainWriter& out,
                            ByteOrder order, const BufferChain::Anchor& anchor) {
   // A contiguous array in its kind's class takes one loop; any other goes
   // element by element, converted to Values first if it is contiguous.
@@ -68,11 +58,7 @@ void encode_field_elements(const Value& array, const FieldDesc& field, Sink& out
         } else {
           if (detail::narrows_to<T>(field.kind)) {
             const std::size_t bytes = stored.size() * scalar_size(field.kind);
-            if constexpr (std::is_same_v<Sink, CountingSink>) {
-              out.append_raw(nullptr, bytes);
-            } else {
-              detail::narrow_words(stored, field.kind, order, out.extend(bytes));
-            }
+            detail::narrow_words(stored, field.kind, order, out.extend(bytes));
             return std::nullopt;
           }
           converted.assign(stored.begin(), stored.end());
@@ -89,8 +75,7 @@ void encode_field_elements(const Value& array, const FieldDesc& field, Sink& out
   }
 }
 
-template <typename Sink>
-void encode_record_value(const Value& value, const FormatDesc& format, Sink& out,
+void encode_record_value(const Value& value, const FormatDesc& format, ChainWriter& out,
                          ByteOrder order, const BufferChain::Anchor& anchor) {
   if (!value.is_record()) {
     throw CodecError("format '" + format.name + "' needs a record value");
@@ -106,7 +91,7 @@ void encode_record_value(const Value& value, const FormatDesc& format, Sink& out
         if (field.kind == TypeKind::kString) {
           const std::string& s = v->as_string();
           out.append_u32(static_cast<std::uint32_t>(s.size()), order);
-          sink_block(out, string_block(s), anchor);
+          out.append_block(as_bytes(s), anchor);
         } else if (field.kind == TypeKind::kStruct) {
           encode_record_value(*v, *field.struct_format, out, order, anchor);
         } else {
@@ -123,7 +108,7 @@ void encode_record_value(const Value& value, const FormatDesc& format, Sink& out
                              std::to_string(field.fixed_count) + " bytes, got " +
                              std::to_string(s.size()));
           }
-          sink_block(out, string_block(s), anchor);
+          out.append_block(as_bytes(s), anchor);
           break;
         }
         if (v->array_size() != field.fixed_count) {
@@ -137,7 +122,7 @@ void encode_record_value(const Value& value, const FormatDesc& format, Sink& out
         if (field.kind == TypeKind::kChar && v->is_string()) {
           const std::string& s = v->as_string();
           out.append_u32(static_cast<std::uint32_t>(s.size()), order);
-          sink_block(out, string_block(s), anchor);
+          out.append_block(as_bytes(s), anchor);
           break;
         }
         out.append_u32(static_cast<std::uint32_t>(v->array_size()), order);
@@ -147,8 +132,7 @@ void encode_record_value(const Value& value, const FormatDesc& format, Sink& out
   }
 }
 
-template <typename Reader>
-Value decode_scalar_value(Reader& reader, TypeKind kind, ByteOrder order) {
+Value decode_scalar_value(ChainReader& reader, TypeKind kind, ByteOrder order) {
   switch (kind) {
     case TypeKind::kInt32:
       return Value{static_cast<std::int64_t>(
@@ -172,8 +156,7 @@ Value decode_scalar_value(Reader& reader, TypeKind kind, ByteOrder order) {
 
 /// Decodes `count` scalars of `kind` into a contiguous array. The count is
 /// untrusted: it is bounded by the bytes left before anything is allocated.
-template <typename Reader>
-Value decode_contiguous(Reader& reader, TypeKind kind, std::uint32_t count, ByteOrder order) {
+Value decode_contiguous(ChainReader& reader, TypeKind kind, std::uint32_t count, ByteOrder order) {
   const std::size_t width = scalar_size(kind);
   if (count > reader.remaining() / width) {
     throw CodecError("PBIO array of " + std::to_string(count) +
@@ -182,8 +165,7 @@ Value decode_contiguous(Reader& reader, TypeKind kind, std::uint32_t count, Byte
   return detail::widen_words(reader.read_view(std::size_t{count} * width), kind, order);
 }
 
-template <typename Reader>
-Value decode_record_value(Reader& reader, const FormatDesc& format,
+Value decode_record_value(ChainReader& reader, const FormatDesc& format,
                           ByteOrder order) {
   Value record = Value::empty_record();
   for (const FieldDesc& field : format.fields) {
@@ -227,61 +209,15 @@ Value decode_record_value(Reader& reader, const FormatDesc& format,
 
 }  // namespace
 
-void encode_value(const Value& value, const FormatDesc& format, ByteBuffer& out,
-                  ByteOrder wire_order) {
-  encode_record_value(value, format, out, wire_order, nullptr);
-}
-
-void encode_value(const Value& value, const FormatDesc& format, ChainWriter& out,
-                  ByteOrder wire_order, BufferChain::Anchor anchor) {
-  encode_record_value(value, format, out, wire_order, anchor);
-}
-
-std::size_t value_wire_size(const Value& value, const FormatDesc& format) {
-  CountingSink counter;
-  encode_record_value(value, format, counter, host_byte_order(), nullptr);
-  return counter.size();
-}
-
-Bytes encode_value_message(const Value& value, const FormatDesc& format,
-                           ByteOrder wire_order) {
-  ByteBuffer out;
-  out.append_u64(format.format_id(), ByteOrder::kLittle);
-  out.append_u8(static_cast<std::uint8_t>(wire_order));
-  const std::size_t len_pos = out.size();
-  out.append_u32(0, ByteOrder::kLittle);
-  const std::size_t payload_start = out.size();
-  encode_record_value(value, format, out, wire_order, nullptr);
-  out.patch_u32(len_pos, static_cast<std::uint32_t>(out.size() - payload_start),
-                ByteOrder::kLittle);
-  return out.take();
-}
-
 BufferChain encode_value_message_chain(const Value& value, const FormatDesc& format,
                                        ByteOrder wire_order,
                                        BufferChain::Anchor anchor) {
-  // The payload length is measured with a dry run so the header can be
-  // emitted complete — a chain cannot be patched after bulk segments have
-  // been spliced in.
-  const std::size_t payload_size = value_wire_size(value, format);
-  BufferChain chain;
-  ChainWriter writer(chain);
-  writer.append_u64(format.format_id(), ByteOrder::kLittle);
-  writer.append_u8(static_cast<std::uint8_t>(wire_order));
-  writer.append_u32(static_cast<std::uint32_t>(payload_size), ByteOrder::kLittle);
-  encode_record_value(value, format, writer, wire_order, anchor);
-  writer.flush();
-  return chain;
-}
-
-Value decode_value_payload(BytesView payload, ByteOrder sender_order,
-                           const FormatDesc& format) {
-  ByteReader reader(payload);
-  Value v = decode_record_value(reader, format, sender_order);
-  if (!reader.exhausted()) {
-    throw CodecError("PBIO payload has trailing bytes after value");
+  BufferChain payload;
+  {
+    ChainWriter writer(payload);
+    encode_record_value(value, format, writer, wire_order, anchor);
   }
-  return v;
+  return frame_message(format.format_id(), wire_order, std::move(payload));
 }
 
 Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
@@ -295,13 +231,13 @@ Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
 }
 
 Value decode_value_message(BytesView message, const FormatDesc& format) {
-  ByteReader reader(message);
+  const BufferChain chain = BufferChain::borrowing(message);
+  ChainReader reader(chain);
   const WireHeader header = read_header(reader);
   if (header.format_id != format.format_id()) {
     throw CodecError("value message format id mismatch");
   }
-  return decode_value_payload(reader.read_view(header.payload_length),
-                              header.sender_order, format);
+  return decode_value_payload(reader, header.payload_length, header.sender_order, format);
 }
 
 namespace {

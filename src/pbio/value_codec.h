@@ -5,6 +5,11 @@
 // to a dynamic receiver and vice versa — that is what lets the SOAP runtime
 // (dynamic, WSDL-driven) interoperate with application code holding plain
 // C++ structs.
+//
+// There is one encode walk and one decode walk: the encoder writes the
+// payload into a BufferChain through a ChainWriter and frame_message puts
+// the header in front (pbio/encode.h); the decoder reads through a
+// ChainReader, so a message that arrived in segments is never flattened.
 #pragma once
 
 #include "common/buffer_chain.h"
@@ -14,49 +19,25 @@
 
 namespace sbq::pbio {
 
-/// Encodes `value` (a record matching `format`) as a payload appended to
-/// `out`. Missing record fields throw CodecError — use `project_value` to
-/// build reduced messages deliberately.
-void encode_value(const Value& value, const FormatDesc& format, ByteBuffer& out,
-                  ByteOrder wire_order = host_byte_order());
-
-/// Chain-emitting encode: small fields accumulate in the writer's staging
-/// buffer, bulk blocks (strings, char arrays) are appended as borrowed
-/// segments pinned by `anchor` (or by the caller's guarantee that `value`
-/// outlives the chain when no anchor is given). Coalesced output is
-/// byte-identical to the ByteBuffer overload.
-void encode_value(const Value& value, const FormatDesc& format, ChainWriter& out,
-                  ByteOrder wire_order = host_byte_order(),
-                  BufferChain::Anchor anchor = nullptr);
-
-/// Header + payload in one buffer (same framing as encode_message).
-Bytes encode_value_message(const Value& value, const FormatDesc& format,
-                           ByteOrder wire_order = host_byte_order());
-
-/// Header + payload as a BufferChain without a final concatenation: the
-/// payload length is pre-computed (value_wire_size) so the header needs no
-/// patching, and bulk payload blocks borrow from `value`'s storage. Pass an
-/// `anchor` owning `value` when the chain must outlive the caller's frame
-/// (e.g. server responses); request paths where `value` outlives the round
-/// trip may leave it null.
+/// Header + payload as a BufferChain, encoded in one walk: small fields
+/// accumulate in the writer's staging segments and bulk blocks (strings,
+/// char arrays) of ChainWriter::kDefaultBorrowThreshold bytes or more borrow
+/// from `value`'s storage. Pass an `anchor` owning `value` when the chain
+/// must outlive the caller's frame (e.g. server responses); request paths
+/// where `value` outlives the round trip may leave it null. Missing record
+/// fields throw CodecError — use `project_value` to build reduced messages
+/// deliberately.
 BufferChain encode_value_message_chain(const Value& value, const FormatDesc& format,
                                        ByteOrder wire_order = host_byte_order(),
                                        BufferChain::Anchor anchor = nullptr);
 
-/// Exact payload size `value` will occupy on the wire (no encoding).
-std::size_t value_wire_size(const Value& value, const FormatDesc& format);
-
-/// Decodes a payload known to use `format` into a Value record.
-Value decode_value_payload(BytesView payload, ByteOrder sender_order,
-                           const FormatDesc& format);
-
-/// Chain-aware decode: consumes exactly `payload_length` bytes from the
-/// reader. Bulk blocks that lie inside one segment are read without
-/// flattening the message.
+/// Decodes a payload known to use `format` into a Value record, consuming
+/// exactly `payload_length` bytes from the reader. Bulk blocks that lie
+/// inside one segment are read without flattening the message.
 Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
                            ByteOrder sender_order, const FormatDesc& format);
 
-/// Decodes a full message (header + payload).
+/// Decodes a full message (header + payload) held in one buffer.
 Value decode_value_message(BytesView message, const FormatDesc& format);
 
 /// Projects `value` onto `target` format: fields present in both are copied,

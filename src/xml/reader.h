@@ -16,8 +16,8 @@
 // nesting so hostile documents cannot exhaust anything. Errors are
 // XmlErrors with 1-based line/column positions.
 //
-// SaxParser (callbacks) and parse_document (the DOM) are built on this
-// reader; the SOAP codec pulls from it directly.
+// This is the one public parse interface: parse_document (the DOM, for WSDL)
+// is a loop over it, and the SOAP codec pulls from it directly.
 #pragma once
 
 #include <cstddef>

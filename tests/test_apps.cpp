@@ -17,6 +17,7 @@
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
 #include "xml/dom.h"
+#include "support/wire.h"
 
 namespace sbq {
 namespace {
@@ -50,6 +51,15 @@ TEST(Ppm, MalformedInputsThrow) {
   EXPECT_THROW(parse("P6\n1 1\n65535\nxx"), ParseError);    // wide maxval
   EXPECT_THROW(parse("P6\n2 2\n255\nxy"), ParseError);      // truncated raster
   EXPECT_THROW(parse("P6\n0 1\n255\n"), ParseError);        // zero dimension
+}
+
+TEST(Ppm, HugeHeaderDimensionsAreCheckedAgainstTheRaster) {
+  // A 1M x 1M header (3 TiB of raster) over a 3-byte body is a truncated
+  // raster, not an allocation.
+  const std::string_view ppm = "P6\n1048576 1048576\n255\nxyz";
+  EXPECT_THROW(image::read_ppm(BytesView{reinterpret_cast<const std::uint8_t*>(ppm.data()),
+                                         ppm.size()}),
+               ParseError);
 }
 
 TEST(Synth, DeterministicAndSized) {
@@ -127,7 +137,7 @@ TEST(ImageCodec, ValueRoundTrip) {
 TEST(ImageCodec, PbioWireIsNearRawSize) {
   const image::Image img = image::synth_star_field();
   const Value v = image::image_to_value(img, *image::image_format());
-  const Bytes wire = pbio::encode_value_message(v, *image::image_format());
+  const Bytes wire = test::value_wire(v, *image::image_format());
   // Binary wire ≈ raw pixels + small header, nothing like XML inflation.
   EXPECT_LT(wire.size(), img.byte_size() + 64);
 }
@@ -146,6 +156,19 @@ TEST(ImageCodec, ResizeQualityHandler) {
 TEST(ImageCodec, SizeMismatchThrows) {
   Value bad = Value::record({{"width", 10}, {"height", 10}, {"pixels", Value{std::string(5, 'x')}}});
   EXPECT_THROW(image::image_from_value(bad), CodecError);
+}
+
+TEST(ImageCodec, HugeDimensionsThrowCodecError) {
+  // i64 dimensions far past int range, with 3 bytes of pixels: rejected as
+  // a codec error before any raster is allocated or dimension truncated.
+  const Value huge = Value::record({{"width", std::int64_t{2000000000}},
+                                    {"height", std::int64_t{2000000000}},
+                                    {"pixels", Value{std::string(3, 'x')}}});
+  EXPECT_THROW(image::image_from_value(huge), CodecError);
+  const Value negative = Value::record({{"width", std::int64_t{-1}},
+                                        {"height", std::int64_t{-3}},
+                                        {"pixels", Value{std::string(3, 'x')}}});
+  EXPECT_THROW(image::image_from_value(negative), CodecError);
 }
 
 TEST(Transforms, BuiltinsAndSpecs) {
@@ -247,7 +270,7 @@ TEST(Md, TimestepWireSizeIsAboutFourKilobytes) {
   md::BondSimulation sim;
   const md::Timestep ts = sim.step();
   const Value v = md::timestep_to_value(ts);
-  const Bytes wire = pbio::encode_value_message(v, *md::timestep_format());
+  const Bytes wire = test::value_wire(v, *md::timestep_format());
   EXPECT_GT(wire.size(), 2500u);
   EXPECT_LT(wire.size(), 6500u);
 }
@@ -266,7 +289,7 @@ TEST(Md, BatchRoundTripThroughWire) {
   md::BondSimulation sim;
   const auto steps = sim.steps(3);
   const Value batch = md::batch_to_value(steps, *md::batch_format(3));
-  const Bytes wire = pbio::encode_value_message(batch, *md::batch_format(3));
+  const Bytes wire = test::value_wire(batch, *md::batch_format(3));
   const Value decoded = pbio::decode_value_message(BytesView{wire},
                                                    *md::batch_format(3));
   const auto back = md::batch_from_value(decoded);
@@ -359,7 +382,7 @@ TEST(MdAnalysis, StatsValueRoundTrip) {
   EXPECT_EQ(back.largest_cluster, stats.largest_cluster);
   // And it crosses the wire like any other PBIO record.
   const Bytes wire =
-      pbio::encode_value_message(md::stats_to_value(stats), *md::graph_stats_format());
+      test::value_wire(md::stats_to_value(stats), *md::graph_stats_format());
   EXPECT_LT(wire.size(), 80u);  // summary ≪ the ~4KB graph it describes
 }
 
@@ -427,7 +450,7 @@ TEST(Airline, TableOneSizeRatios) {
   const airline::CateringExcerpt excerpt =
       airline::catering_excerpt(*store.flight(store.flight_numbers()[0]));
   const Value v = airline::excerpt_to_value(excerpt);
-  const Bytes bin = pbio::encode_value_message(v, *airline::catering_excerpt_format());
+  const Bytes bin = test::value_wire(v, *airline::catering_excerpt_format());
   const std::string xml =
       soap::value_to_xml(v, *airline::catering_excerpt_format(), "excerpt");
   const double ratio = static_cast<double>(xml.size()) / static_cast<double>(bin.size());

@@ -1,10 +1,11 @@
 // BufferChain and the zero-copy wire pipeline.
 //
-// The load-bearing property throughout: a message built as a chain must be
-// byte-for-byte identical to the flat encoding, no matter how the input is
-// segmented — the pipeline changes where bytes live, never what goes on the
-// wire. Randomized segmentation tests enforce that for the chain primitives,
-// the PBIO codecs, the LZSS stream compressor, and HTTP serialization.
+// The load-bearing property throughout: the pipeline changes where bytes
+// live, never what goes on the wire. A message reads back to the same bytes
+// and values no matter how it is segmented; randomized segmentation tests
+// enforce that for the chain primitives, the PBIO decoder, and HTTP
+// serialization. The PBIO bytes themselves are pinned by
+// tests/test_pbio_golden.cpp.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,7 +14,6 @@
 
 #include "common/buffer_chain.h"
 #include "common/error.h"
-#include "compress/lzss.h"
 #include "core/client.h"
 #include "core/message.h"
 #include "core/service.h"
@@ -266,15 +266,30 @@ Value rich_value(std::size_t pixel_count) {
   return v;
 }
 
+/// Checks `message` against its own header: the header is one segment of
+/// its own, names `format` and `order`, and its payload length covers the
+/// rest of the chain exactly; the message decodes back to `value`.
+void expect_well_framed(const BufferChain& message, const Value& value,
+                        const pbio::FormatDesc& format, ByteOrder order) {
+  ASSERT_GE(message.segment_count(), 1u);
+  EXPECT_EQ(message.segment(0).size(), pbio::WireHeader::kSize);
+  ChainReader reader(message);
+  const pbio::WireHeader header = pbio::read_header(reader);
+  EXPECT_EQ(header.format_id, format.format_id());
+  EXPECT_EQ(header.sender_order, order);
+  EXPECT_EQ(header.payload_length + pbio::WireHeader::kSize, message.size());
+  EXPECT_TRUE(pbio::decode_value_payload(reader, header.payload_length, order, format) ==
+              value);
+}
+
 TEST(PbioChain, ValueMessageChainMatchesFlatEncoding) {
   const FormatPtr format = rich_format();
   for (const std::size_t pixels : {std::size_t{0}, std::size_t{64},
                                    std::size_t{100000}}) {
     const Value value = rich_value(pixels);
-    const Bytes flat = pbio::encode_value_message(value, *format);
     const BufferChain chain = pbio::encode_value_message_chain(value, *format);
-    EXPECT_EQ(chain.coalesce(), flat) << "pixels=" << pixels;
-    EXPECT_EQ(chain.size(), flat.size());
+    SCOPED_TRACE("pixels=" + std::to_string(pixels));
+    expect_well_framed(chain, value, *format, host_byte_order());
   }
 }
 
@@ -284,10 +299,9 @@ TEST(PbioChain, ForeignOrderChainMatchesFlatEncoding) {
   const ByteOrder foreign = host_byte_order() == ByteOrder::kLittle
                                 ? ByteOrder::kBig
                                 : ByteOrder::kLittle;
-  const Bytes flat = pbio::encode_value_message(value, *format, foreign);
   const BufferChain chain =
       pbio::encode_value_message_chain(value, *format, foreign);
-  EXPECT_EQ(chain.coalesce(), flat);
+  expect_well_framed(chain, value, *format, foreign);
 }
 
 TEST(PbioChain, BulkBlocksBorrowFromTheValue) {
@@ -307,7 +321,7 @@ TEST(PbioChain, BulkBlocksBorrowFromTheValue) {
 TEST(PbioChain, ChainDecodeEqualsFlatDecodeUnderRandomSegmentation) {
   const FormatPtr format = rich_format();
   const Value value = rich_value(30000);
-  const Bytes flat = pbio::encode_value_message(value, *format);
+  const Bytes flat = pbio::encode_value_message_chain(value, *format).coalesce();
   const Value flat_decoded = pbio::decode_value_message(BytesView{flat}, *format);
 
   std::mt19937 rng(7);
@@ -341,9 +355,15 @@ TEST(PbioChain, NativeMessageChainMatchesFlatEncoding) {
   for (int i = 0; i < 4; ++i) rec.xs[i] = i * 0.25;
   rec.counts = {static_cast<std::uint32_t>(counts.size()), counts.data()};
 
-  const Bytes flat = pbio::encode_message(&rec, *format);
   const BufferChain chain = pbio::encode_message_chain(&rec, *format);
-  EXPECT_EQ(chain.coalesce(), flat);
+  // The dynamic encoder of the same record is the reference.
+  Value counts_value = Value::empty_array();
+  for (const std::uint32_t c : counts) counts_value.push_back(Value{std::uint64_t{c}});
+  const Value value = Value::record({{"id", 11},
+                                     {"xs", Value::array({0.0, 0.25, 0.5, 0.75})},
+                                     {"counts", std::move(counts_value)}});
+  EXPECT_EQ(chain.coalesce(), pbio::encode_value_message_chain(value, *format).coalesce());
+  expect_well_framed(chain, value, *format, host_byte_order());
   // The bulk array rides as a borrowed view into the record's own storage.
   bool borrowed = false;
   for (BytesView segment : chain) {
@@ -367,13 +387,24 @@ TEST(CoreChain, BinMessageChainMatchesFlatAndDecodesBack) {
 
   const FormatPtr format = rich_format();
   const Value value = rich_value(40000);
-  const Bytes flat_pbio = pbio::encode_value_message(value, *format);
-  const Bytes flat = core::encode_bin_message(envelope, BytesView{flat_pbio});
+  const Bytes flat_pbio = pbio::encode_value_message_chain(value, *format).coalesce();
 
   BufferChain pbio_chain = pbio::encode_value_message_chain(value, *format);
   const BufferChain chain =
       core::encode_bin_message(envelope, std::move(pbio_chain));
-  EXPECT_EQ(chain.coalesce(), flat);
+  // The reference is the envelope layout written out field by field
+  // (core/message.h), followed by the PBIO message.
+  ByteBuffer expected;
+  expected.append_u16(8, ByteOrder::kLittle);
+  expected.append(std::string_view{"getImage"});
+  expected.append_u16(10, ByteOrder::kLittle);
+  expected.append(std::string_view{"half_image"});
+  expected.append_u64(123456, ByteOrder::kLittle);
+  expected.append_u64(111, ByteOrder::kLittle);
+  expected.append_u64(222, ByteOrder::kLittle);
+  expected.append_f64(875.5, ByteOrder::kLittle);
+  expected.append(BytesView{flat_pbio});
+  EXPECT_EQ(chain.coalesce(), expected.take());
 
   const core::DecodedBinChain decoded = core::decode_bin_message(chain);
   EXPECT_EQ(decoded.envelope.operation, "getImage");
@@ -381,55 +412,6 @@ TEST(CoreChain, BinMessageChainMatchesFlatAndDecodesBack) {
   EXPECT_EQ(decoded.envelope.timestamp_us, 123456u);
   EXPECT_EQ(decoded.envelope.reported_rtt_us, 875.5);
   EXPECT_EQ(decoded.pbio_message.coalesce(), flat_pbio);
-}
-
-// --- LZSS streaming --------------------------------------------------------
-
-Bytes compressible_bytes(std::mt19937& rng, std::size_t n) {
-  // Repetitive-ish data so matches actually occur across chunk boundaries.
-  static constexpr const char* kWords[] = {"<sample>", "</sample>", "value=",
-                                           "0.125", "telescope", "  "};
-  std::string s;
-  while (s.size() < n) s += kWords[rng() % 6];
-  s.resize(n);
-  return to_bytes(s);
-}
-
-TEST(LzssStream, ChunkedOutputIsByteIdenticalToFlat) {
-  std::mt19937 rng(99);
-  for (int trial = 0; trial < 12; ++trial) {
-    const bool repetitive = trial % 2 == 0;
-    const std::size_t n = 1 + rng() % 60000;
-    const Bytes data =
-        repetitive ? compressible_bytes(rng, n) : random_bytes(rng, n);
-    const Bytes flat = lz::compress(BytesView{data});
-
-    lz::StreamCompressor sc;
-    std::size_t pos = 0;
-    while (pos < data.size()) {
-      const std::size_t chunk =
-          std::min<std::size_t>(1 + rng() % 4096, data.size() - pos);
-      sc.feed(BytesView{data}.subspan(pos, chunk));
-      pos += chunk;
-    }
-    EXPECT_EQ(sc.finish(), flat) << "trial=" << trial << " n=" << n;
-    EXPECT_EQ(lz::decompress(BytesView{flat}), data);
-  }
-}
-
-TEST(LzssStream, ChainCompressMatchesFlatCompress) {
-  std::mt19937 rng(5);
-  const Bytes data = compressible_bytes(rng, 80000);
-  const BufferChain chain = random_chain(rng, BytesView{data});
-  EXPECT_EQ(lz::compress(chain), lz::compress(BytesView{data}));
-}
-
-TEST(LzssStream, EmptyAndTinyInputs) {
-  lz::StreamCompressor empty;
-  EXPECT_EQ(empty.finish(), lz::compress(BytesView{}));
-  lz::StreamCompressor tiny;
-  tiny.feed(std::string_view{"x"});
-  EXPECT_EQ(tiny.finish(), lz::compress_string("x"));
 }
 
 // --- HTTP over chains ------------------------------------------------------

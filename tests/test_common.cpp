@@ -74,16 +74,6 @@ TEST(Bytes, ReadViewAndString) {
   EXPECT_EQ(to_string(rest), "world");
 }
 
-TEST(Bytes, PatchU32) {
-  ByteBuffer buf;
-  buf.append_u32(0, ByteOrder::kLittle);
-  buf.append_u8(9);
-  buf.patch_u32(0, 42, ByteOrder::kLittle);
-  ByteReader r(buf.view());
-  EXPECT_EQ(r.read_u32(ByteOrder::kLittle), 42u);
-  EXPECT_THROW(buf.patch_u32(2, 1, ByteOrder::kLittle), CodecError);
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  hello \t\n"), "hello");
   EXPECT_EQ(trim(""), "");

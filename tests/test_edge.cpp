@@ -10,6 +10,7 @@
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"
+#include "support/wire.h"
 
 namespace sbq {
 namespace {
@@ -41,7 +42,7 @@ Value extremes_value() {
 }
 
 TEST(Extremes, BinaryRoundTrip) {
-  const Bytes wire = pbio::encode_value_message(extremes_value(), *extremes_format());
+  const Bytes wire = test::value_wire(extremes_value(), *extremes_format());
   EXPECT_EQ(pbio::decode_value_message(BytesView{wire}, *extremes_format()),
             extremes_value());
 }
@@ -51,7 +52,7 @@ TEST(Extremes, BinaryRoundTripForeignOrder) {
                                 ? ByteOrder::kBig
                                 : ByteOrder::kLittle;
   const Bytes wire =
-      pbio::encode_value_message(extremes_value(), *extremes_format(), foreign);
+      test::value_wire(extremes_value(), *extremes_format(), foreign);
   EXPECT_EQ(pbio::decode_value_message(BytesView{wire}, *extremes_format()),
             extremes_value());
 }
@@ -72,7 +73,7 @@ TEST(Extremes, InfinityThroughXml) {
 TEST(Extremes, NegativeZeroSurvivesBinary) {
   auto fmt = FormatBuilder("f").add_scalar("v", TypeKind::kFloat64).build();
   const Value v = Value::record({{"v", -0.0}});
-  const Bytes wire = pbio::encode_value_message(v, *fmt);
+  const Bytes wire = test::value_wire(v, *fmt);
   const double back =
       pbio::decode_value_message(BytesView{wire}, *fmt).field("v").as_f64();
   EXPECT_TRUE(std::signbit(back));
@@ -87,7 +88,7 @@ TEST(EdgeStrings, EmbeddedAndBoundaryContent) {
         std::string(70000, 'L')}) {
     const Value v = Value::record({{"text", content}});
     // Binary.
-    const Bytes wire = pbio::encode_value_message(v, *fmt);
+    const Bytes wire = test::value_wire(v, *fmt);
     EXPECT_EQ(pbio::decode_value_message(BytesView{wire}, *fmt), v);
     // XML (whitespace in strings must be preserved verbatim).
     EXPECT_EQ(soap::value_from_xml(soap::value_to_xml(v, *fmt, "s"), *fmt).field("text").as_string(), content);
@@ -98,7 +99,7 @@ TEST(EdgeStrings, NulBytesSurviveBinaryWire) {
   auto fmt = FormatBuilder("s").add_string("text").build();
   const std::string with_nul("a\0b", 3);
   const Value v = Value::record({{"text", with_nul}});
-  const Bytes wire = pbio::encode_value_message(v, *fmt);
+  const Bytes wire = test::value_wire(v, *fmt);
   EXPECT_EQ(pbio::decode_value_message(BytesView{wire}, *fmt)
                 .field("text")
                 .as_string()
@@ -114,7 +115,7 @@ TEST(EdgeContainers, EmptyEverything) {
                  .build();
   const Value v = Value::record(
       {{"s", std::string{}}, {"ints", Value::empty_array()}, {"blob", std::string{}}});
-  const Bytes wire = pbio::encode_value_message(v, *fmt);
+  const Bytes wire = test::value_wire(v, *fmt);
   EXPECT_EQ(pbio::decode_value_message(BytesView{wire}, *fmt), v);
   EXPECT_EQ(soap::value_from_xml(soap::value_to_xml(v, *fmt, "e"), *fmt), v);
 }
@@ -122,7 +123,7 @@ TEST(EdgeContainers, EmptyEverything) {
 TEST(EdgeContainers, SingleFieldSingleByte) {
   auto fmt = FormatBuilder("one").add_scalar("c", TypeKind::kChar).build();
   const Value v = Value::record({{"c", 'Z'}});
-  const Bytes wire = pbio::encode_value_message(v, *fmt);
+  const Bytes wire = test::value_wire(v, *fmt);
   EXPECT_EQ(wire.size(), pbio::WireHeader::kSize + 1);
   EXPECT_EQ(pbio::decode_value_message(BytesView{wire}, *fmt), v);
 }
@@ -132,7 +133,7 @@ TEST(EdgeContainers, LargeVarArray) {
   Value array = Value::empty_array();
   for (int i = 0; i < 200000; ++i) array.push_back(i * 0.5);
   const Value v = Value::record({{"v", std::move(array)}});
-  const Bytes wire = pbio::encode_value_message(v, *fmt);
+  const Bytes wire = test::value_wire(v, *fmt);
   EXPECT_EQ(wire.size(), pbio::WireHeader::kSize + 4 + 200000u * 8);
   const Value back = pbio::decode_value_message(BytesView{wire}, *fmt);
   EXPECT_EQ(back.field("v").array_size(), 200000u);

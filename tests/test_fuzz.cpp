@@ -24,6 +24,7 @@
 #include "pbio/value_codec.h"
 #include "qos/quality_file.h"
 #include "soap/envelope.h"
+#include "support/wire.h"
 #include "wsdl/wsdl.h"
 #include "xml/dom.h"
 
@@ -264,7 +265,7 @@ TEST_P(FuzzSeeds, PbioDecoderSurvivesRandomAndMutatedMessages) {
                           .build();
   const pbio::Value v = pbio::Value::record(
       {{"a", 1}, {"s", "text"}, {"v", pbio::Value::array({1.0, 2.0})}});
-  const Bytes valid = pbio::encode_value_message(v, *format);
+  const Bytes valid = test::value_wire(v, *format);
 
   for (int i = 0; i < 60; ++i) {
     Bytes wire = valid;
@@ -311,7 +312,7 @@ class NativeDecodeTarget {
                                .add_scalar("a", pbio::TypeKind::kInt32)
                                .build()};
     const pbio::Value point_value = pbio::Value::record({{"x", 0.5}, {"n", 3}});
-    valid_ = pbio::encode_value_message(
+    valid_ = test::value_wire(
         pbio::Value::record({{"a", 7},
                              {"s", "text"},
                              {"v", pbio::Value::array({1.5, 2.5})},
@@ -408,24 +409,25 @@ class ValueDecodeTarget {
          {"blob", "xyz"},
          {"pts", pbio::Value::array({point_value, point_value})}});
     for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
-      ByteBuffer out;
-      pbio::encode_value(value, *format_, out, order);
-      valid_.push_back(out.take());
+      const Bytes message = test::value_wire(value, *format_, order);
+      valid_.emplace_back(message.begin() + pbio::WireHeader::kSize, message.end());
     }
   }
 
   /// The valid payload in each byte order, little-endian first.
   [[nodiscard]] const std::vector<Bytes>& valid() const { return valid_; }
 
-  /// Decodes `payload` through both overloads and returns how many
-  /// accepted it; the rest must have thrown an sbq::Error. When both
-  /// accept, they must agree: compared as re-encoded bytes, since a flipped
-  /// bit can make a NaN, which never compares equal.
+  /// Decodes `payload` held in one segment and cut into 7-byte segments,
+  /// and returns how many accepted it; the rest must have thrown an
+  /// sbq::Error. When both accept, they must agree: compared as re-encoded
+  /// bytes, since a flipped bit can make a NaN, which never compares equal.
   int decode_all(BytesView payload, ByteOrder order) const {
     std::optional<pbio::Value> flat;
     std::optional<pbio::Value> chained;
     try {
-      flat = pbio::decode_value_payload(payload, order, *format_);
+      const BufferChain whole = BufferChain::borrowing(payload);
+      ChainReader reader(whole);
+      flat = pbio::decode_value_payload(reader, payload.size(), order, *format_);
     } catch (const Error&) {
     }
     BufferChain chain;
@@ -438,8 +440,7 @@ class ValueDecodeTarget {
     } catch (const Error&) {
     }
     if (flat && chained) {
-      EXPECT_EQ(pbio::encode_value_message(*flat, *format_),
-                pbio::encode_value_message(*chained, *format_));
+      EXPECT_EQ(test::value_wire(*flat, *format_), test::value_wire(*chained, *format_));
     }
     return (flat ? 1 : 0) + (chained ? 1 : 0);
   }
@@ -484,7 +485,7 @@ TEST_P(FuzzSeeds, BinEnvelopeSurvivesRandomBytes) {
   for (int i = 0; i < 40; ++i) {
     const Bytes junk = random_bytes(rng_, 120);
     try {
-      (void)core::decode_bin_message(BytesView{junk});
+      (void)core::decode_bin_message(BufferChain::borrowing(BytesView{junk}));
     } catch (const Error&) {
     }
   }
@@ -572,20 +573,21 @@ pbio::FormatPtr trunc_format() {
 
 Bytes valid_bin_wire() {
   const pbio::Value v = pbio::Value::record({{"a", 9}, {"s", "payload"}});
-  const Bytes pbio_message = pbio::encode_value_message(v, *trunc_format());
-
   core::BinEnvelope envelope;
   envelope.operation = "fetch";
   envelope.message_type = "tr";
   envelope.timestamp_us = 1234;
   envelope.reported_rtt_us = 5678.0;
-  return core::encode_bin_message(envelope, BytesView{pbio_message});
+  return core::encode_bin_message(envelope,
+                                  pbio::encode_value_message_chain(v, *trunc_format()))
+      .coalesce();
 }
 
 /// Full receive path of a binary body: envelope split + PBIO value decode.
 pbio::Value decode_full_bin(BytesView body) {
-  const core::DecodedBinMessage decoded = core::decode_bin_message(body);
-  return pbio::decode_value_message(decoded.pbio_message, *trunc_format());
+  const core::DecodedBinChain decoded = core::decode_bin_message(BufferChain::borrowing(body));
+  return pbio::decode_value_message(BytesView{decoded.pbio_message.coalesce()},
+                                    *trunc_format());
 }
 
 TEST(TruncationSweep, EveryBinEnvelopePrefixThrowsTypedError) {

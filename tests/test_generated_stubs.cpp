@@ -12,6 +12,7 @@
 #include "pbio/encode.h"
 #include "pbio/plan.h"
 #include "pbio/value_codec.h"
+#include "support/wire.h"
 
 namespace {
 
@@ -42,7 +43,7 @@ TEST(GeneratedStubs, NativeRecordRoundTrip) {
   request.region = roi{10, 20, 320, 240};
   request.exposure_ms = 12.5;
 
-  const sbq::Bytes wire = sbq::pbio::encode_message(&request, *format_frame_request());
+  const sbq::Bytes wire = sbq::test::native_wire(&request, *format_frame_request());
   sbq::Arena arena;
   sbq::pbio::PlanCache plans;
   const auto* back = sbq::pbio::decode_message_as<frame_request>(

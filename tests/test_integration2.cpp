@@ -113,8 +113,6 @@ TEST(ForeignEndianIngress, ServerDecodesBigEndianClientMessage) {
   const Value params = Value::record({{"v", 77}, {"data", std::string("abc")}});
   // The sender must announce its format (first-message registration).
   env.format_server->register_format(msg_format());
-  const Bytes pbio_message = pbio::encode_value_message(params, *msg_format(), foreign);
-
   BinEnvelope envelope;
   envelope.operation = "echo";
   envelope.message_type = "m";
@@ -123,16 +121,17 @@ TEST(ForeignEndianIngress, ServerDecodesBigEndianClientMessage) {
   http::Request request;
   request.method = "POST";
   request.headers.set("Content-Type", std::string(kContentTypePbio));
-  request.body = encode_bin_message(envelope, BytesView{pbio_message});
+  request.set_body_chain(encode_bin_message(
+      envelope, pbio::encode_value_message_chain(params, *msg_format(), foreign)));
 
   const http::Response response = env.runtime.handle(request);
   ASSERT_EQ(response.status, 200) << response.body_string();
-  const DecodedBinMessage out = decode_bin_message(response.body_view());
+  const DecodedBinChain out = decode_bin_message(response.body_as_chain());
   EXPECT_EQ(out.envelope.echoed_timestamp_us, 42u);
-  ByteReader reader(out.pbio_message);
+  ChainReader reader(out.pbio_message);
   const pbio::WireHeader header = pbio::read_header(reader);
-  const Value result = pbio::decode_value_payload(
-      reader.read_view(header.payload_length), header.sender_order, *msg_format());
+  const Value result = pbio::decode_value_payload(reader, header.payload_length,
+                                                  header.sender_order, *msg_format());
   EXPECT_EQ(result.field("v").as_i64(), 77);
   EXPECT_EQ(result.field("data").as_string(), "abc");
 }

@@ -13,9 +13,13 @@
 #include "pbio/registry.h"
 #include "pbio/value.h"
 #include "pbio/value_codec.h"
+#include "support/wire.h"
 
 namespace sbq::pbio {
 namespace {
+
+using test::native_wire;
+using test::value_wire;
 
 // A native struct whose layout the FormatBuilder must reproduce.
 struct Sensor {
@@ -195,7 +199,7 @@ TEST(NativeCodec, FlatRoundTrip) {
   Sensor s{42, 3.5, 'y', "cam-1", {3, samples}};
   auto f = sensor_format();
 
-  const Bytes wire = encode_message(&s, *f);
+  const Bytes wire = native_wire(&s, *f);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Sensor>(BytesView{wire}, f, f, plans, arena);
@@ -215,7 +219,7 @@ TEST(NativeCodec, NestedStructRoundTrip) {
   Molecule m{2, {0.5, 0.5, 0.5}, {2, atoms}};
   auto f = molecule_format();
 
-  const Bytes wire = encode_message(&m, *f);
+  const Bytes wire = native_wire(&m, *f);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Molecule>(BytesView{wire}, f, f, plans, arena);
@@ -234,7 +238,7 @@ TEST(NativeCodec, ForeignEndianSenderIsConverted) {
   const ByteOrder foreign = host_byte_order() == ByteOrder::kLittle
                                 ? ByteOrder::kBig
                                 : ByteOrder::kLittle;
-  const Bytes wire = encode_message(&s, *f, foreign);
+  const Bytes wire = native_wire(&s, *f, foreign);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Sensor>(BytesView{wire}, f, f, plans, arena);
@@ -247,8 +251,8 @@ TEST(NativeCodec, ForeignEndianSenderIsConverted) {
 TEST(NativeCodec, WireBytesDifferAcrossByteOrders) {
   Sensor s{0x01020304, 1.0, 'x', "", {0, nullptr}};
   auto f = sensor_format();
-  const Bytes le = encode_message(&s, *f, ByteOrder::kLittle);
-  const Bytes be = encode_message(&s, *f, ByteOrder::kBig);
+  const Bytes le = native_wire(&s, *f, ByteOrder::kLittle);
+  const Bytes be = native_wire(&s, *f, ByteOrder::kBig);
   EXPECT_NE(le, be);
 }
 
@@ -264,7 +268,7 @@ TEST(NativeCodec, ReceiverMakesRightFieldSubset) {
                   .build();
   const std::int32_t samples[] = {1, 2, 3, 4};
   Sensor s{9, 2.75, 'q', "full", {4, samples}};
-  const Bytes wire = encode_message(&s, *sensor_format());
+  const Bytes wire = native_wire(&s, *sensor_format());
 
   Arena arena;
   PlanCache plans;
@@ -282,7 +286,7 @@ TEST(NativeCodec, MissingFieldsAreZeroFilled) {
   };
   auto id_only = FormatBuilder("id_only").add_scalar("id", TypeKind::kInt32).build();
   IdOnly src{31};
-  const Bytes wire = encode_message(&src, *id_only);
+  const Bytes wire = native_wire(&src, *id_only);
 
   Arena arena;
   PlanCache plans;
@@ -313,7 +317,7 @@ TEST(NativeCodec, NumericKindConversion) {
                   .add_scalar("f", TypeKind::kFloat64)
                   .build();
   Narrow src{-77, 1.5F};
-  const Bytes wire = encode_message(&src, *narrow);
+  const Bytes wire = native_wire(&src, *narrow);
   Arena arena;
   PlanCache plans;
   const auto* back =
@@ -336,7 +340,7 @@ TEST(NativeCodec, FixedStructArrays) {
   EXPECT_EQ(f->canonical(), "segment{endpoints:point{x:f64,y:f64,z:f64}[2],id:i32}");
 
   Segment s{{{1, 2, 3}, {4, 5, 6}}, 17};
-  const Bytes wire = encode_message(&s, *f);
+  const Bytes wire = native_wire(&s, *f);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Segment>(BytesView{wire}, f, f, plans, arena);
@@ -353,7 +357,7 @@ TEST(NativeCodec, FixedStructArrays) {
         Value::array({Value::record({{"x", 1.0}, {"y", 2.0}, {"z", 3.0}}),
                       Value::record({{"x", 4.0}, {"y", 5.0}, {"z", 6.0}})})},
        {"id", 17}});
-  EXPECT_EQ(encode_value_message(v, *f), wire);
+  EXPECT_EQ(value_wire(v, *f), wire);
   EXPECT_EQ(decode_value_message(BytesView{wire}, *f), v);
 }
 
@@ -368,7 +372,7 @@ TEST(NativeCodec, FixedArrays) {
                .build();
   EXPECT_EQ(f->native_size, sizeof(Fixed));
   Fixed src{5, {1.0, 2.0, 3.0, 4.0}};
-  const Bytes wire = encode_message(&src, *f);
+  const Bytes wire = native_wire(&src, *f);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Fixed>(BytesView{wire}, f, f, plans, arena);
@@ -379,7 +383,7 @@ TEST(NativeCodec, FixedArrays) {
 TEST(NativeCodec, EmptyVarArrayAndEmptyString) {
   Sensor s{1, 0.0, 'z', "", {0, nullptr}};
   auto f = sensor_format();
-  const Bytes wire = encode_message(&s, *f);
+  const Bytes wire = native_wire(&s, *f);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Sensor>(BytesView{wire}, f, f, plans, arena);
@@ -389,21 +393,25 @@ TEST(NativeCodec, EmptyVarArrayAndEmptyString) {
 
 TEST(NativeCodec, NullDataWithNonzeroCountThrows) {
   Sensor s{1, 0.0, 'z', "x", {3, nullptr}};
-  ByteBuffer out;
-  EXPECT_THROW(encode_native(&s, *sensor_format(), out), CodecError);
+  EXPECT_THROW((void)encode_message_chain(&s, *sensor_format()), CodecError);
 }
 
 TEST(NativeCodec, WireSizeMatchesEncoding) {
   const Point atoms[] = {{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
   Molecule m{3, {0, 0, 0}, {3, atoms}};
   auto f = molecule_format();
-  EXPECT_EQ(wire_size(&m, *f) + WireHeader::kSize, encode_message(&m, *f).size());
+  const BufferChain wire = encode_message_chain(&m, *f);
+  ChainReader reader(wire);
+  const WireHeader header = read_header(reader);
+  // atom_count, center, the atoms' count prefix, three atoms.
+  EXPECT_EQ(header.payload_length, 4u + 24u + 4u + 3u * 24u);
+  EXPECT_EQ(header.payload_length + WireHeader::kSize, wire.size());
 }
 
 TEST(NativeCodec, TruncatedMessageThrows) {
   Sensor s{1, 2.0, 'a', "abc", {0, nullptr}};
   auto f = sensor_format();
-  Bytes wire = encode_message(&s, *f);
+  Bytes wire = native_wire(&s, *f);
   wire.resize(wire.size() - 2);
   Arena arena;
   PlanCache plans;
@@ -412,7 +420,7 @@ TEST(NativeCodec, TruncatedMessageThrows) {
 
 TEST(NativeCodec, HeaderValidation) {
   Sensor s{1, 2.0, 'a', "abc", {0, nullptr}};
-  Bytes wire = encode_message(&s, *sensor_format());
+  Bytes wire = native_wire(&s, *sensor_format());
   wire[8] = 9;  // corrupt byte-order tag
   Arena arena;
   PlanCache plans;
@@ -593,7 +601,6 @@ TEST(NativeCodec, NullStructArrayDataThrowsOnEveryEncodePath) {
   const auto batch =
       FormatBuilder("batch").add_struct_var_array("items", tagged).build();
   const Batch b{{2, nullptr}};
-  EXPECT_THROW((void)encode_message(&b, *batch), CodecError);
   EXPECT_THROW((void)encode_message_chain(&b, *batch), CodecError);
 }
 
@@ -643,7 +650,7 @@ TEST(Plans, ForeignOrderUsesConversionOps) {
 TEST(Plans, ExecutesEquivalentlyToDecoder) {
   const std::int32_t samples[] = {5, -6, 7};
   Sensor s{42, 3.5, 'y', "cam-1", {3, samples}};
-  const Bytes wire = encode_message(&s, *sensor_format());
+  const Bytes wire = native_wire(&s, *sensor_format());
 
   PlanCache cache;
   Arena arena;
@@ -679,7 +686,7 @@ TEST(Plans, SharedSubFormatCompilesOnce) {
   EXPECT_EQ(cache.size(), 11u);
   EXPECT_EQ(cache.hit_count(), 10u);
 
-  const Bytes wire = encode_value_message(zero_value(*tree), *tree);
+  const Bytes wire = value_wire(zero_value(*tree), *tree);
   Arena arena;
   EXPECT_NO_THROW((void)decode_message(BytesView{wire}, tree, tree, cache, arena));
   EXPECT_EQ(cache.compile_count(), 11u);
@@ -692,7 +699,7 @@ TEST(Plans, SkippedStructFieldsCompileNoSubPlan) {
       FormatBuilder("molecule").add_scalar("atom_count", TypeKind::kInt32).build();
   const Point atoms[] = {{1, 2, 3}, {4, 5, 6}};
   Molecule m{2, {0.5, 0.5, 0.5}, {2, atoms}};
-  const Bytes wire = encode_message(&m, *molecule_format());
+  const Bytes wire = native_wire(&m, *molecule_format());
 
   PlanCache cache;
   Arena arena;
@@ -709,7 +716,7 @@ TEST(Plans, ReceiverSubsetSkipsAndConverts) {
   auto wide = FormatBuilder("wide").add_scalar("id", TypeKind::kInt64).build();
   const std::int32_t samples[] = {1, 2};
   Sensor s{-9, 1.5, 'q', "drop-me", {2, samples}};
-  const Bytes wire = encode_message(&s, *sensor_format());
+  const Bytes wire = native_wire(&s, *sensor_format());
 
   PlanCache cache;
   Arena arena;
@@ -904,7 +911,7 @@ Value sample_sensor_value() {
 
 TEST(ValueCodec, RoundTrip) {
   auto f = sensor_format();
-  const Bytes wire = encode_value_message(sample_sensor_value(), *f);
+  const Bytes wire = value_wire(sample_sensor_value(), *f);
   const Value back = decode_value_message(BytesView{wire}, *f);
   EXPECT_EQ(back, sample_sensor_value());
 }
@@ -916,7 +923,7 @@ TEST(ValueCodec, NestedRoundTrip) {
        {"center", Value::record({{"x", 0.5}, {"y", 0.5}, {"z", 0.5}})},
        {"atoms", Value::array({Value::record({{"x", 1.0}, {"y", 2.0}, {"z", 3.0}}),
                                Value::record({{"x", 4.0}, {"y", 5.0}, {"z", 6.0}})})}});
-  const Bytes wire = encode_value_message(m, *f);
+  const Bytes wire = value_wire(m, *f);
   EXPECT_EQ(decode_value_message(BytesView{wire}, *f), m);
 }
 
@@ -925,7 +932,7 @@ TEST(ValueCodec, ForeignEndianRoundTrip) {
   const ByteOrder foreign = host_byte_order() == ByteOrder::kLittle
                                 ? ByteOrder::kBig
                                 : ByteOrder::kLittle;
-  const Bytes wire = encode_value_message(sample_sensor_value(), *f, foreign);
+  const Bytes wire = value_wire(sample_sensor_value(), *f, foreign);
   EXPECT_EQ(decode_value_message(BytesView{wire}, *f), sample_sensor_value());
 }
 
@@ -933,12 +940,12 @@ TEST(ValueCodec, NativeAndValuePathsProduceIdenticalBytes) {
   const std::int32_t samples[] = {5, -6, 7};
   Sensor s{42, 3.5, 'y', "cam-1", {3, samples}};
   auto f = sensor_format();
-  EXPECT_EQ(encode_message(&s, *f), encode_value_message(sample_sensor_value(), *f));
+  EXPECT_EQ(native_wire(&s, *f), value_wire(sample_sensor_value(), *f));
 }
 
 TEST(ValueCodec, NativeDecodesValueEncoded) {
   auto f = sensor_format();
-  const Bytes wire = encode_value_message(sample_sensor_value(), *f);
+  const Bytes wire = value_wire(sample_sensor_value(), *f);
   Arena arena;
   PlanCache plans;
   const auto* back = decode_message_as<Sensor>(BytesView{wire}, f, f, plans, arena);
@@ -950,15 +957,13 @@ TEST(ValueCodec, NativeDecodesValueEncoded) {
 
 TEST(ValueCodec, MissingFieldThrows) {
   Value incomplete = Value::record({{"id", 1}});
-  ByteBuffer out;
-  EXPECT_THROW(encode_value(incomplete, *sensor_format(), out), CodecError);
+  EXPECT_THROW((void)encode_value_message_chain(incomplete, *sensor_format()), CodecError);
 }
 
 TEST(ValueCodec, FixedArrayCountEnforced) {
   auto f = FormatBuilder("fx").add_fixed_array("a", TypeKind::kInt32, 3).build();
   Value bad = Value::record({{"a", Value::array({1, 2})}});
-  ByteBuffer out;
-  EXPECT_THROW(encode_value(bad, *f, out), CodecError);
+  EXPECT_THROW((void)encode_value_message_chain(bad, *f), CodecError);
 }
 
 TEST(ValueCodec, ZeroValueSkeleton) {
@@ -967,9 +972,7 @@ TEST(ValueCodec, ZeroValueSkeleton) {
   EXPECT_EQ(z.field("label").as_string(), "");
   EXPECT_EQ(z.field("samples").array_size(), 0u);
   // Skeleton must be encodable as-is.
-  ByteBuffer out;
-  encode_value(z, *sensor_format(), out);
-  EXPECT_GT(out.size(), 0u);
+  EXPECT_GT(encode_value_message_chain(z, *sensor_format()).size(), WireHeader::kSize);
 }
 
 TEST(ValueCodec, ProjectionCopiesCommonAndPadsRest) {
@@ -992,7 +995,7 @@ TEST(ValueCodec, ProjectionRoundTripThroughSmallerType) {
                    .add_scalar("reading", TypeKind::kFloat64)
                    .build();
   const Value sent = project_value(sample_sensor_value(), *small);
-  const Bytes wire = encode_value_message(sent, *small);
+  const Bytes wire = value_wire(sent, *small);
   const Value received = decode_value_message(BytesView{wire}, *small);
   const Value padded = project_value(received, *full);
   EXPECT_EQ(padded.field("id").as_i64(), 42);

@@ -17,11 +17,14 @@
 #include "pbio/plan.h"
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
+#include "support/wire.h"
 
 namespace sbq::pbio {
 namespace {
 
 using sbq::Rng;
+using test::native_wire;
+using test::value_wire;
 
 /// Random scalar kind (no struct/string — handled separately).
 TypeKind random_scalar_kind(Rng& rng) {
@@ -178,7 +181,7 @@ TEST_P(CodecProperties, BinaryRoundTripHostOrder) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const FormatPtr format = random_format(rng, 2);
   const Value v = random_value(rng, *format);
-  const Bytes wire = encode_value_message(v, *format);
+  const Bytes wire = value_wire(v, *format);
   EXPECT_EQ(decode_value_message(BytesView{wire}, *format), v)
       << "format: " << format->canonical();
 }
@@ -192,9 +195,9 @@ TEST_P(CodecProperties, CopiesAndMovesPreserveValueAndWire) {
   const Value moved = std::move(source);
   EXPECT_EQ(copy, original);
   EXPECT_EQ(moved, original);
-  const Bytes wire = encode_value_message(original, *format);
-  EXPECT_EQ(encode_value_message(copy, *format), wire) << "format: " << format->canonical();
-  EXPECT_EQ(encode_value_message(moved, *format), wire) << "format: " << format->canonical();
+  const Bytes wire = value_wire(original, *format);
+  EXPECT_EQ(value_wire(copy, *format), wire) << "format: " << format->canonical();
+  EXPECT_EQ(value_wire(moved, *format), wire) << "format: " << format->canonical();
 }
 
 TEST_P(CodecProperties, BinaryRoundTripForeignOrder) {
@@ -204,7 +207,7 @@ TEST_P(CodecProperties, BinaryRoundTripForeignOrder) {
   const ByteOrder foreign = host_byte_order() == ByteOrder::kLittle
                                 ? ByteOrder::kBig
                                 : ByteOrder::kLittle;
-  const Bytes wire = encode_value_message(v, *format, foreign);
+  const Bytes wire = value_wire(v, *format, foreign);
   EXPECT_EQ(decode_value_message(BytesView{wire}, *format), v)
       << "format: " << format->canonical();
 }
@@ -238,8 +241,7 @@ TEST_P(CodecProperties, ProjectionLaws) {
 
   // Projection onto the same format preserves encodability and all fields.
   const Value same = project_value(v, *full);
-  ByteBuffer out;
-  encode_value(same, *full, out);
+  (void)encode_value_message_chain(same, *full);
   EXPECT_EQ(same, v) << full->canonical();
 
   // Projection onto a subset format keeps shared top-level fields.
@@ -251,8 +253,7 @@ TEST_P(CodecProperties, ProjectionLaws) {
     const Value projected = project_value(v, *sub);
     EXPECT_EQ(projected.field(keep.name), v.field(keep.name));
     // And the projection must be encodable under the subset format.
-    ByteBuffer sub_out;
-    encode_value(projected, *sub, sub_out);
+    (void)encode_value_message_chain(projected, *sub);
 
     // Lifting back: shared field survives, others are zero.
     const Value lifted = project_value(projected, *full);
@@ -271,7 +272,7 @@ TEST_P(CodecProperties, ZeroValueIsProjectionFixedPoint) {
   const Value zeros = zero_value(*format);
   EXPECT_EQ(project_value(zeros, *format), zeros);
   // And it round-trips the wire.
-  const Bytes wire = encode_value_message(zeros, *format);
+  const Bytes wire = value_wire(zeros, *format);
   EXPECT_EQ(decode_value_message(BytesView{wire}, *format), zeros);
 }
 
@@ -295,15 +296,15 @@ TEST_P(CodecProperties, PlannedDecodeMatchesInterpretive) {
     }
     receiver = rb.build();
   }
-  const Bytes expected = encode_value_message(project_value(v, *receiver), *receiver);
+  const Bytes expected = value_wire(project_value(v, *receiver), *receiver);
 
   PlanCache plans;
   for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
-    const Bytes wire = encode_value_message(v, *sender, order);
+    const Bytes wire = value_wire(v, *sender, order);
     Arena arena;
     const void* planned =
         decode_message(BytesView{wire}, sender, receiver, plans, arena);
-    EXPECT_EQ(encode_message(planned, *receiver), expected)
+    EXPECT_EQ(native_wire(planned, *receiver), expected)
         << "sender: " << sender->canonical()
         << "\nreceiver: " << receiver->canonical()
         << "\norder: " << static_cast<int>(order);
@@ -357,7 +358,7 @@ TEST_P(CodecProperties, ArrayStorageFormIsInvisible) {
       std::vector<Value> forms = {record(pushed), record(array_literal(elements)),
                                   record(Value{elements})};
       for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
-        const Bytes wire = encode_value_message(forms[0], *format, order);
+        const Bytes wire = value_wire(forms[0], *format, order);
         forms.push_back(decode_value_message(BytesView{wire}, *format));
         const BufferChain chain = encode_value_message_chain(forms[1], *format, order);
         ChainReader reader(chain);
@@ -380,15 +381,15 @@ TEST_P(CodecProperties, ArrayStorageFormIsInvisible) {
                              : Value{static_cast<std::int64_t>(mixed[i].as_u64())};
       }
       for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
-        const Bytes wire = encode_value_message(forms[0], *format, order);
-        EXPECT_EQ(encode_value_message(record(Value{mixed}), *format, order), wire) << where;
+        const Bytes wire = value_wire(forms[0], *format, order);
+        EXPECT_EQ(value_wire(record(Value{mixed}), *format, order), wire) << where;
         for (const Value& form : forms) {
-          EXPECT_EQ(encode_value_message(form, *format, order), wire) << where;
-          EXPECT_EQ(encode_value_message_chain(form, *format, order).coalesce(), wire)
-              << where;
-          // The header is 13 bytes: format id, byte order, payload length.
-          EXPECT_EQ(value_wire_size(form, *format), wire.size() - 13) << where;
+          EXPECT_EQ(value_wire(form, *format, order), wire) << where;
         }
+        // The header is 13 bytes: format id, byte order, payload length.
+        const BufferChain flat = BufferChain::borrowing(BytesView{wire});
+        ChainReader header_reader(flat);
+        EXPECT_EQ(read_header(header_reader).payload_length, wire.size() - 13) << where;
       }
       for (const Value& form : forms) {
         EXPECT_EQ(form, forms[0]) << where;
@@ -403,7 +404,7 @@ TEST_P(CodecProperties, TruncatedWirePayloadsNeverCrash) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 6000);
   const FormatPtr format = random_format(rng, 2);
   const Value v = random_value(rng, *format);
-  const Bytes wire = encode_value_message(v, *format);
+  const Bytes wire = value_wire(v, *format);
   // Every strict prefix must either throw CodecError or be rejected — no
   // UB, no silent success with different content.
   for (std::size_t cut = 0; cut < wire.size();

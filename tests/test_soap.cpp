@@ -7,6 +7,7 @@
 #include "pbio/value_codec.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"
+#include "support/wire.h"
 
 namespace sbq::soap {
 namespace {
@@ -97,7 +98,7 @@ TEST(Codec, XmlIsSeveralTimesLargerThanPbioForArrays) {
   big.set_field("samples", std::move(samples));
 
   const std::string xml = value_to_xml(big, *sensor_format(), "sensor");
-  const Bytes bin = pbio::encode_value_message(big, *sensor_format());
+  const Bytes bin = test::value_wire(big, *sensor_format());
   const double ratio = static_cast<double>(xml.size()) / static_cast<double>(bin.size());
   EXPECT_GT(ratio, 3.0);
   EXPECT_LT(ratio, 8.0);
@@ -121,7 +122,7 @@ TEST(Codec, NestedStructXmlInflationExceedsArrayInflation) {
     v = Value::record({{"tag", depth}, {"child0", v}, {"child1", v}});
   }
   const std::string xml = value_to_xml(v, *fmt, "root");
-  const Bytes bin = pbio::encode_value_message(v, *fmt);
+  const Bytes bin = test::value_wire(v, *fmt);
   const double struct_ratio =
       static_cast<double>(xml.size()) / static_cast<double>(bin.size());
 
@@ -139,7 +140,7 @@ TEST(Codec, NestedStructXmlInflationExceedsArrayInflation) {
     arr_holder.set_field("samples", std::move(samples));
   }
   const std::string arr_xml = value_to_xml(arr_holder, *sensor_format(), "sensor");
-  const Bytes arr_bin = pbio::encode_value_message(arr_holder, *sensor_format());
+  const Bytes arr_bin = test::value_wire(arr_holder, *sensor_format());
   const double array_ratio =
       static_cast<double>(arr_xml.size()) / static_cast<double>(arr_bin.size());
 

@@ -11,7 +11,7 @@
 #include "pbio/format.h"
 #include "pbio/value.h"
 #include "soap/envelope.h"
-#include "xml/sax.h"
+#include "xml/reader.h"
 
 namespace sbq::soap {
 namespace {

@@ -1,7 +1,8 @@
-// Unit tests for the XML substrate: escaping, the pull reader, the SAX
-// parser on top of it, DOM, writer.
+// Unit tests for the XML substrate: escaping, the pull reader, the DOM on
+// top of it, writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -10,7 +11,6 @@
 #include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/reader.h"
-#include "xml/sax.h"
 #include "xml/writer.h"
 
 namespace sbq::xml {
@@ -46,159 +46,14 @@ TEST(Escape, MalformedEntitiesThrow) {
   EXPECT_THROW(unescape("&#x110000;"), ParseError);
 }
 
-// ---------------------------------------------------------------- SAX
-
-struct Trace {
-  std::string events;
-};
-
-SaxHandlers tracing_handlers(Trace& trace) {
-  SaxHandlers h;
-  h.start_element = [&](std::string_view name, const std::vector<Attribute>& attrs) {
-    trace.events += "<" + std::string(name);
-    for (const auto& a : attrs) trace.events += " " + a.name + "=" + a.value;
-    trace.events += ">";
-  };
-  h.end_element = [&](std::string_view name) {
-    trace.events += "</" + std::string(name) + ">";
-  };
-  h.characters = [&](std::string_view text) {
-    trace.events.append("[").append(text).append("]");
-  };
-  h.comment = [&](std::string_view text) {
-    trace.events += "{c:" + std::string(text) + "}";
-  };
-  h.processing_instruction = [&](std::string_view target, std::string_view data) {
-    trace.events += "{pi:" + std::string(target) + ":" + std::string(data) + "}";
-  };
-  return h;
-}
-
-TEST(Sax, SimpleDocument) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<root><a>1</a><b x=\"2\"/></root>");
-  EXPECT_EQ(t.events, "<root><a>[1]</a><b x=2></b></root>");
-}
-
-TEST(Sax, DeclarationAndWhitespaceProlog) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n  <r/>\n");
-  EXPECT_EQ(t.events, "<r></r>");
-}
-
-TEST(Sax, EntitiesInTextAndAttributes) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<r a=\"x&amp;y\">1 &lt; 2</r>");
-  EXPECT_EQ(t.events, "<r a=x&y>[1 < 2]</r>");
-}
-
-TEST(Sax, CdataDeliveredVerbatim) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<r><![CDATA[<not & parsed>]]></r>");
-  EXPECT_EQ(t.events, "<r>[<not & parsed>]</r>");
-}
-
-TEST(Sax, CommentsAndPis) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<!-- head --><r><!-- in --><?proc data?></r><!-- tail -->");
-  EXPECT_EQ(t.events, "{c: head }<r>{c: in }{pi:proc:data}</r>{c: tail }");
-}
-
-TEST(Sax, NestedElements) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<a><b><c/></b><b2/></a>");
-  EXPECT_EQ(t.events, "<a><b><c></c></b><b2></b2></a>");
-}
-
-TEST(Sax, NamespacedNamesPassThrough) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<soap:Envelope xmlns:soap=\"uri\"><soap:Body/></soap:Envelope>");
-  EXPECT_EQ(t.events,
-            "<soap:Envelope xmlns:soap=uri><soap:Body></soap:Body></soap:Envelope>");
-}
-
-TEST(Sax, MismatchedTagThrowsWithPosition) {
-  SaxParser p({});
-  try {
-    p.parse("<a>\n  <b></c>\n</a>");
-    FAIL() << "expected XmlError";
-  } catch (const XmlError& e) {
-    EXPECT_EQ(e.line(), 2);
-    EXPECT_NE(std::string(e.what()).find("mismatched"), std::string::npos);
-  }
-}
-
-TEST(Sax, WellFormednessViolations) {
-  SaxParser p({});
-  EXPECT_THROW(p.parse(""), XmlError);
-  EXPECT_THROW(p.parse("just text"), XmlError);
-  EXPECT_THROW(p.parse("<a>"), XmlError);
-  EXPECT_THROW(p.parse("<a></a><b></b>"), XmlError);
-  EXPECT_THROW(p.parse("<a></a>trailing"), XmlError);
-  EXPECT_THROW(p.parse("<a x=1></a>"), XmlError);         // unquoted attr
-  EXPECT_THROW(p.parse("<a x=\"1\" x=\"2\"/>"), XmlError);  // duplicate attr
-  EXPECT_THROW(p.parse("<a><b attr=\"<\"/></a>"), XmlError);
-  EXPECT_THROW(p.parse("<!DOCTYPE foo []><a/>"), XmlError);
-  EXPECT_THROW(p.parse("<a><!-- -- --></a>"), XmlError);
-}
-
-TEST(Sax, DeepNestingWithinLimitParses) {
-  std::string doc;
-  for (int i = 0; i < 200; ++i) doc += "<n>";
-  doc += "x";
-  for (int i = 0; i < 200; ++i) doc += "</n>";
-  int depth = 0;
-  int max_depth = 0;
-  SaxHandlers h;
-  h.start_element = [&](std::string_view, const std::vector<Attribute>&) {
-    max_depth = std::max(max_depth, ++depth);
-  };
-  h.end_element = [&](std::string_view) { --depth; };
-  SaxParser p(std::move(h));
-  p.parse(doc);
-  EXPECT_EQ(max_depth, 200);
-}
-
-TEST(Sax, NestingBeyondLimitIsRejected) {
-  std::string doc;
-  for (int i = 0; i < 500; ++i) doc += "<n>";
-  doc += "x";
-  for (int i = 0; i < 500; ++i) doc += "</n>";
-  SaxParser p({});
-  EXPECT_THROW(p.parse(doc), XmlError);
-
-  SaxParser strict({}, /*max_depth=*/4);
-  EXPECT_THROW(strict.parse("<a><b><c><d><e/></d></c></b></a>"), XmlError);
-  SaxParser ok({}, /*max_depth=*/5);
-  ok.parse("<a><b><c><d><e/></d></c></b></a>");
-}
-
-TEST(Sax, AttributeWhitespaceTolerance) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<r a = \"1\"  b=\"2\" />");
-  EXPECT_EQ(t.events, "<r a=1 b=2></r>");
-}
-
-TEST(Sax, SingleQuotedAttributes) {
-  Trace t;
-  SaxParser p(tracing_handlers(t));
-  p.parse("<r a='va\"lue'/>");
-  EXPECT_EQ(t.events, "<r a=va\"lue></r>");
-}
-
 // ---------------------------------------------------------------- reader
 
 using Token = Reader::Token;
 
-std::string tokens(std::string_view doc) {
+/// Renders every token of `doc`; with `cdata_as_text`, CDATA sections read
+/// as plain character data, the way a consumer that only collects text sees
+/// them.
+std::string tokens(std::string_view doc, bool cdata_as_text = false) {
   Reader r(doc);
   std::string out;
   for (Token t = r.next(); t != Token::kEndOfDocument; t = r.next()) {
@@ -212,7 +67,10 @@ std::string tokens(std::string_view doc) {
         break;
       case Token::kEndElement: out.append("</").append(r.name()).append(">"); break;
       case Token::kText: out.append("[").append(r.text()).append("]"); break;
-      case Token::kCData: out.append("{cdata:").append(r.text()).append("}"); break;
+      case Token::kCData:
+        out.append(cdata_as_text ? "[" : "{cdata:").append(r.text());
+        out.append(cdata_as_text ? "]" : "}");
+        break;
       case Token::kComment: out.append("{c:").append(r.text()).append("}"); break;
       case Token::kProcessingInstruction:
         out.append("{pi:").append(r.name()).append(":").append(r.text()).append("}");
@@ -227,6 +85,98 @@ TEST(Reader, YieldsEveryTokenKind) {
   EXPECT_EQ(tokens("<?xml version=\"1.0\"?><!--h--><r a=\"x&amp;y\" b='2'>t&lt;1<e/>"
                    "<![CDATA[<raw&>]]><?p d?></r><!--t-->"),
             "{c:h}<r a=x&y b=2>[t<1]<e></e>{cdata:<raw&>}{pi:p:d}</r>{c:t}");
+}
+
+/// Reads `doc` to the end; throws XmlError if it is malformed.
+void read_all(std::string_view doc, int max_depth = kDefaultMaxDepth) {
+  Reader r(doc, max_depth);
+  while (r.next() != Token::kEndOfDocument) {
+  }
+}
+
+TEST(Reader, SimpleDocument) {
+  EXPECT_EQ(tokens("<root><a>1</a><b x=\"2\"/></root>"),
+            "<root><a>[1]</a><b x=2></b></root>");
+}
+
+TEST(Reader, DeclarationAndWhitespaceProlog) {
+  EXPECT_EQ(tokens("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n  <r/>\n"), "<r></r>");
+}
+
+TEST(Reader, EntitiesInTextAndAttributes) {
+  EXPECT_EQ(tokens("<r a=\"x&amp;y\">1 &lt; 2</r>"), "<r a=x&y>[1 < 2]</r>");
+}
+
+TEST(Reader, CdataDeliveredVerbatim) {
+  EXPECT_EQ(tokens("<r><![CDATA[<not & parsed>]]></r>", /*cdata_as_text=*/true),
+            "<r>[<not & parsed>]</r>");
+}
+
+TEST(Reader, CommentsAndPis) {
+  EXPECT_EQ(tokens("<!-- head --><r><!-- in --><?proc data?></r><!-- tail -->"),
+            "{c: head }<r>{c: in }{pi:proc:data}</r>{c: tail }");
+}
+
+TEST(Reader, NestedElements) {
+  EXPECT_EQ(tokens("<a><b><c/></b><b2/></a>"), "<a><b><c></c></b><b2></b2></a>");
+}
+
+TEST(Reader, NamespacedNamesPassThrough) {
+  EXPECT_EQ(tokens("<soap:Envelope xmlns:soap=\"uri\"><soap:Body/></soap:Envelope>"),
+            "<soap:Envelope xmlns:soap=uri><soap:Body></soap:Body></soap:Envelope>");
+}
+
+TEST(Reader, MismatchedTagThrowsWithPosition) {
+  try {
+    read_all("<a>\n  <b></c>\n</a>");
+    FAIL() << "expected XmlError";
+  } catch (const XmlError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("mismatched"), std::string::npos);
+  }
+}
+
+TEST(Reader, WellFormednessViolations) {
+  EXPECT_THROW(read_all(""), XmlError);
+  EXPECT_THROW(read_all("just text"), XmlError);
+  EXPECT_THROW(read_all("<a>"), XmlError);
+  EXPECT_THROW(read_all("<a></a><b></b>"), XmlError);
+  EXPECT_THROW(read_all("<a></a>trailing"), XmlError);
+  EXPECT_THROW(read_all("<a x=1></a>"), XmlError);         // unquoted attr
+  EXPECT_THROW(read_all("<a x=\"1\" x=\"2\"/>"), XmlError);  // duplicate attr
+  EXPECT_THROW(read_all("<a><b attr=\"<\"/></a>"), XmlError);
+  EXPECT_THROW(read_all("<!DOCTYPE foo []><a/>"), XmlError);
+  EXPECT_THROW(read_all("<a><!-- -- --></a>"), XmlError);
+}
+
+TEST(Reader, DeepNestingWithinLimitParses) {
+  std::string doc;
+  for (int i = 0; i < 200; ++i) doc += "<n>";
+  doc += "x";
+  for (int i = 0; i < 200; ++i) doc += "</n>";
+  Reader r(doc);
+  std::size_t max_depth = 0;
+  while (r.next() != Token::kEndOfDocument) max_depth = std::max(max_depth, r.depth());
+  EXPECT_EQ(max_depth, 200u);
+}
+
+TEST(Reader, NestingBeyondLimitIsRejected) {
+  std::string doc;
+  for (int i = 0; i < 500; ++i) doc += "<n>";
+  doc += "x";
+  for (int i = 0; i < 500; ++i) doc += "</n>";
+  EXPECT_THROW(read_all(doc), XmlError);
+
+  EXPECT_THROW(read_all("<a><b><c><d><e/></d></c></b></a>", /*max_depth=*/4), XmlError);
+  read_all("<a><b><c><d><e/></d></c></b></a>", /*max_depth=*/5);
+}
+
+TEST(Reader, AttributeWhitespaceTolerance) {
+  EXPECT_EQ(tokens("<r a = \"1\"  b=\"2\" />"), "<r a=1 b=2></r>");
+}
+
+TEST(Reader, SingleQuotedAttributes) {
+  EXPECT_EQ(tokens("<r a='va\"lue'/>"), "<r a=va\"lue></r>");
 }
 
 TEST(Reader, TextWithoutEntitiesIsAViewIntoTheDocument) {
@@ -315,7 +265,7 @@ TEST(Reader, LocalPartStripsThePrefix) {
 
 // Messages and positions of every well-formedness error, pinned so that a
 // change to the lexer cannot move them.
-TEST(Sax, ErrorMessagesAndPositionsArePinned) {
+TEST(Reader, ErrorMessagesAndPositionsArePinned) {
   const struct {
     const char* doc;
     int max_depth;
@@ -356,9 +306,8 @@ TEST(Sax, ErrorMessagesAndPositionsArePinned) {
       {"<a><b>\n</a>", 256, "xml:2:4: mismatched end tag: expected </b>, got </a>"},
   };
   for (const auto& c : cases) {
-    SaxParser p({}, c.max_depth);
     try {
-      p.parse(c.doc);
+      read_all(c.doc, c.max_depth);
       ADD_FAILURE() << "expected XmlError for " << c.doc;
     } catch (const XmlError& e) {
       EXPECT_EQ(std::string(e.what()), std::string("parse error: ") + c.what) << c.doc;
