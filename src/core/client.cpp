@@ -372,6 +372,9 @@ pbio::Value ClientStub::call_xml_wire(const wsdl::OperationDesc& op,
     response_xml = response.body_string();
   }
 
+  // One tokenizer pass over the envelope: parse_envelope stops at the body
+  // element, and parse_fault or decode_body reads on from there and checks
+  // the rest.
   Stopwatch unmarshal;
   const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(response_xml));
   if (envelope.is_fault()) {

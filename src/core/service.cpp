@@ -348,6 +348,8 @@ http::Response ServiceRuntime::handle_xml(const http::Request& request,
     }
   }
 
+  // One tokenizer pass over the envelope: parse_envelope stops at the body
+  // element, and decode_body reads on from there and checks the rest.
   Stopwatch unmarshal;
   const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(xml_text));
   const std::string operation(envelope.operation());

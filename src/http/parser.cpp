@@ -49,7 +49,10 @@ MessageReader::Phase MessageReader::phase() const {
 }
 
 std::optional<std::string> MessageReader::try_take_head() {
-  const std::size_t end = buffer_.find("\r\n\r\n");
+  // Resume where the last scan stopped, less the 3 bytes of a terminator
+  // that may have been cut there, so a trickled head is scanned once.
+  const std::size_t from = head_scanned_ > 3 ? head_scanned_ - 3 : 0;
+  const std::size_t end = buffer_.find("\r\n\r\n", from);
   if (end != std::string::npos) {
     if (end + 4 > limits_.max_header_bytes) {
       throw ParseError("header block exceeds limit");
@@ -57,8 +60,10 @@ std::optional<std::string> MessageReader::try_take_head() {
     std::string head = buffer_.substr(0, end + 4);
     buffer_.erase(0, end + 4);
     consumed_ += head.size();
+    head_scanned_ = 0;
     return head;
   }
+  head_scanned_ = buffer_.size();
   if (buffer_.size() > limits_.max_header_bytes) {
     throw ParseError("header block exceeds limit");
   }

@@ -97,6 +97,9 @@ class MessageReader {
   ParserLimits limits_;
   std::string buffer_;
   std::uint64_t consumed_ = 0;
+  // Bytes at the front of buffer_ already searched for the end of the
+  // head, so the next search starts near there.
+  std::size_t head_scanned_ = 0;
 
   // In-flight incremental state: exactly one of pending_request_ /
   // pending_response_ is engaged while a head has parsed but its body is

@@ -3,6 +3,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "soap/codec.h"
+#include "xml/reader.h"
 #include "xml/writer.h"
 
 namespace sbq::soap {
@@ -25,6 +26,38 @@ std::string build_envelope(std::string_view body_name, const pbio::Value& params
   writer.end_element();
   writer.end_element();
   return writer.take();
+}
+
+using Token = xml::Reader::Token;
+
+/// Advances to the next start or end tag, past text, comments and PIs.
+Token next_tag(xml::Reader& reader) {
+  for (;;) {
+    const Token token = reader.next();
+    if (token == Token::kStartElement || token == Token::kEndElement) return token;
+  }
+}
+
+/// Resumes the tokenizer where parse_envelope stopped and reads the body
+/// element's start tag again.
+xml::Reader resume_at_body(const ParsedEnvelope& envelope) {
+  xml::Reader reader = xml::Reader::resume(
+      envelope.text, envelope.body_offset,
+      {envelope.slice(envelope.envelope_tag), envelope.slice(envelope.body_tag)});
+  if (reader.next() != Token::kStartElement) throw ParseError("SOAP Body element not found");
+  return reader;
+}
+
+/// After the body element: reads the rest of the document, so the pair of
+/// calls checks all that one whole-document pass would. Only text, comments
+/// and PIs may follow it inside the Body.
+void read_to_end(xml::Reader& reader) {
+  if (next_tag(reader) == Token::kStartElement) {
+    throw ParseError("SOAP Body must contain exactly one element, found a second: <" +
+                     std::string(reader.name()) + ">");
+  }
+  while (reader.next() != Token::kEndOfDocument) {
+  }
 }
 
 }  // namespace
@@ -57,49 +90,32 @@ std::string build_fault(std::string_view faultcode, std::string_view faultstring
 ParsedEnvelope parse_envelope(std::string xml_text) {
   ParsedEnvelope parsed;
   parsed.text = std::move(xml_text);
-  std::string_view root;
-  bool saw_body = false;
-  bool in_body = false;
-  std::size_t body_elements = 0;
-  xml::Reader reader(parsed.text);
-  for (auto token = reader.next(); token != xml::Reader::Token::kEndOfDocument;
-       token = reader.next()) {
-    if (token == xml::Reader::Token::kEndElement) {
-      if (in_body && reader.depth() == 1) in_body = false;
-      continue;
-    }
-    if (token != xml::Reader::Token::kStartElement) continue;
-    switch (reader.depth()) {
-      case 1:
-        root = reader.name();
-        break;
-      case 2:
-        // The first Body child of the root is the body.
-        if (!saw_body && xml::local_part(reader.name()) == "Body") saw_body = in_body = true;
-        break;
-      case 3:
-        if (in_body && body_elements++ == 0) {
-          const std::string_view operation = xml::local_part(reader.name());
-          parsed.body_offset = reader.offset();
-          parsed.operation_offset = static_cast<std::size_t>(operation.data() - parsed.text.data());
-          parsed.operation_size = operation.size();
-        }
-        break;
-      default:
-        break;
-    }
-  }
+  const std::string_view text = parsed.text;
+  const auto span_of = [text](std::string_view name) {
+    return TextSpan{static_cast<std::size_t>(name.data() - text.data()), name.size()};
+  };
+  xml::Reader reader(text);
+  next_tag(reader);  // the root's start tag
+  const std::string_view root = reader.name();
   if (xml::local_part(root) != "Envelope") {
     throw ParseError("root element is <" + std::string(root) + ">, expected Envelope");
   }
-  if (!saw_body) {
-    throw ParseError("element <" + std::string(root) + "> missing child <Body>");
+  parsed.envelope_tag = span_of(root);
+  // The first Body child of the root is the body; a Header before it is
+  // skipped, still checked.
+  for (;;) {
+    if (next_tag(reader) == Token::kEndElement) {
+      throw ParseError("element <" + std::string(root) + "> missing child <Body>");
+    }
+    if (xml::local_part(reader.name()) == "Body") break;
+    reader.skip_element();
   }
-  // The body must contain exactly one operation element.
-  if (body_elements != 1) {
-    throw ParseError("SOAP Body must contain exactly one element, has " +
-                     std::to_string(body_elements));
+  parsed.body_tag = span_of(reader.name());
+  if (next_tag(reader) == Token::kEndElement) {
+    throw ParseError("SOAP Body must contain exactly one element, has none");
   }
+  parsed.body_offset = reader.offset();
+  parsed.operation_name = span_of(xml::local_part(reader.name()));
   return parsed;
 }
 
@@ -108,13 +124,13 @@ Fault parse_fault(const ParsedEnvelope& envelope) {
   Fault out;
   bool have_code = false;
   bool have_message = false;
-  xml::Reader reader = xml::Reader::element_at(envelope.text, envelope.body_offset);
-  reader.next();  // <Fault>
+  xml::Reader reader = resume_at_body(envelope);
+  const std::size_t fault_depth = reader.depth();
   for (;;) {
-    const xml::Reader::Token token = reader.next();
-    if (token == xml::Reader::Token::kEndElement && reader.depth() == 0) break;  // </Fault>
+    const Token token = reader.next();
+    if (token == Token::kEndElement && reader.depth() < fault_depth) break;  // </Fault>
     // Children are consumed whole below, so every start tag here is one.
-    if (token != xml::Reader::Token::kStartElement) continue;
+    if (token != Token::kStartElement) continue;
     const std::string_view name = xml::local_part(reader.name());
     std::string* field = nullptr;
     if (name == "faultcode" && !have_code) {
@@ -132,16 +148,16 @@ Fault parse_fault(const ParsedEnvelope& envelope) {
     reader.read_text(text);
     *field = std::string(trim(text));
   }
+  read_to_end(reader);
   return out;
 }
 
 pbio::Value decode_body(const ParsedEnvelope& envelope,
                         const pbio::FormatDesc& format) {
-  xml::Reader reader = xml::Reader::element_at(envelope.text, envelope.body_offset);
-  if (reader.next() != xml::Reader::Token::kStartElement) {
-    throw ParseError("SOAP Body element not found");
-  }
-  return read_value_xml(reader, format);
+  xml::Reader reader = resume_at_body(envelope);
+  pbio::Value value = read_value_xml(reader, format);
+  read_to_end(reader);
+  return value;
 }
 
 }  // namespace sbq::soap

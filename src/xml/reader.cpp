@@ -47,12 +47,18 @@ Reader::Reader(std::string_view document, int max_depth)
   attributes_.reserve(8);
 }
 
-Reader Reader::element_at(std::string_view document, std::size_t offset) {
+Reader Reader::resume(std::string_view document, std::size_t offset,
+                      std::initializer_list<std::string_view> open) {
   Reader reader(document);
-  reader.pos_ = offset < document.size() ? offset : document.size();
-  reader.phase_ = Phase::kProlog;
-  reader.fragment_ = true;
+  reader.enter(offset, open);
   return reader;
+}
+
+void Reader::enter(std::size_t offset, std::initializer_list<std::string_view> open) {
+  pos_ = offset < doc_.size() ? offset : doc_.size();
+  token_start_ = pos_;
+  open_.assign(open);
+  phase_ = open_.empty() ? Phase::kProlog : Phase::kContent;
 }
 
 void Reader::fail(const std::string& message) const {
@@ -262,7 +268,7 @@ Reader::Token Reader::lex_end_tag() {
 Reader::Token Reader::end_element() {
   name_ = open_.back();
   open_.pop_back();
-  if (open_.empty()) phase_ = fragment_ ? Phase::kDone : Phase::kEpilog;
+  if (open_.empty()) phase_ = Phase::kEpilog;
   return Token::kEndElement;
 }
 

@@ -17,11 +17,16 @@
 // XmlErrors with 1-based line/column positions.
 //
 // This is the one public parse interface: parse_document (the DOM, for WSDL)
-// is a loop over it, and the SOAP codec pulls from it directly.
+// is a loop over it, and the SOAP codec pulls from it directly. A document
+// can be read in two legs without lexing any byte twice: one reader stops
+// partway (the SOAP envelope parse stops at the body's operation element),
+// and resume() picks the document up at that offset with the same open
+// elements and reads it to its end.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -82,11 +87,16 @@ class Reader {
   /// Reads a whole document; `document` must outlive the reader.
   explicit Reader(std::string_view document, int max_depth = kDefaultMaxDepth);
 
-  /// Reads the one element that starts at `offset` of `document` and then
-  /// reports the end of the document: for re-reading an element of a
-  /// document this reader (or another) has already checked whole. Error
-  /// positions still count from the start of `document`.
-  [[nodiscard]] static Reader element_at(std::string_view document, std::size_t offset);
+  /// Resumes reading `document` at `offset`, inside the elements `open`
+  /// names (outermost first; views that outlive the reader, usually the
+  /// names of the start tags an earlier reader stopped after). The reader
+  /// is then where a whole-document reader would be, so it checks the rest
+  /// of the document to its end: end tags against `open`, the epilog, the
+  /// single root. It does not re-check what lies before `offset`. With
+  /// `open` empty it resumes before the root. Error positions count from
+  /// the start of `document`.
+  [[nodiscard]] static Reader resume(std::string_view document, std::size_t offset,
+                                     std::initializer_list<std::string_view> open);
 
   /// Advances to the next token. Throws XmlError on malformed input.
   Token next();
@@ -120,6 +130,9 @@ class Reader {
 
   enum class Phase : std::uint8_t { kStart, kProlog, kContent, kEpilog, kDone };
 
+  /// resume(): moves to `offset` with `open` as the open elements.
+  void enter(std::size_t offset, std::initializer_list<std::string_view> open);
+
   Token lex_markup_outside_root();
   Token lex_content();
   Token lex_start_tag();
@@ -139,7 +152,6 @@ class Reader {
   std::size_t token_start_ = 0;
   std::size_t max_depth_;
   Phase phase_ = Phase::kStart;
-  bool fragment_ = false;       // element_at: stop after the first element
   bool empty_element_ = false;  // `<a/>`: its end tag is owed
   std::vector<std::string_view> open_;
   std::vector<Attribute> attributes_;

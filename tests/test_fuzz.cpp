@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <tuple>
 
 #include "common/base64.h"
 #include "common/rng.h"
@@ -156,16 +157,23 @@ pbio::Value soap_int_array_value() {
 struct SoapFuzzTarget {
   std::string name;
   pbio::FormatPtr format;
+  pbio::Value value;  // what the envelope carries; null for the fault
   std::string envelope;
 };
 
+constexpr std::string_view kFuzzFaultCode = "soap:Server";
+constexpr std::string_view kFuzzFaultString = "disk <full> & \"busy\"";
+
 std::vector<SoapFuzzTarget> soap_fuzz_targets() {
   std::vector<SoapFuzzTarget> targets;
-  targets.push_back({"tree", soap_tree_format(3), {}});
-  targets.back().envelope = soap::build_request("echo", soap_tree_value(3), *targets.back().format);
-  targets.push_back({"int_array", soap_int_array_format(), {}});
-  targets.back().envelope =
-      soap::build_request("echo", soap_int_array_value(), *targets.back().format);
+  for (auto [name, format, value] :
+       {std::tuple{"tree", soap_tree_format(3), soap_tree_value(3)},
+        std::tuple{"int_array", soap_int_array_format(), soap_int_array_value()}}) {
+    std::string envelope = soap::build_request("echo", value, *format);
+    targets.push_back({name, format, value, std::move(envelope)});
+  }
+  targets.push_back({"fault", soap_int_array_format(), pbio::Value(),
+                     soap::build_fault(kFuzzFaultCode, kFuzzFaultString)});
   return targets;
 }
 
@@ -761,6 +769,104 @@ TEST(TruncationSweep, EverySoapEnvelopePrefixThrowsTypedError) {
                       << " bytes decoded as a complete envelope";
       } catch (const Error&) {
       }
+    }
+  }
+}
+
+// An oracle for the SOAP receive path. parse_envelope stops at the body
+// element and decode_body or parse_fault reads the rest, so between them
+// they must reject, with a ParseError, every text that one whole-document
+// parse rejects: XML the DOM parser refuses, a root that is not Envelope, a
+// missing first Body, or a Body that does not hold exactly one element.
+bool whole_document_accepts(std::string_view text) {
+  std::unique_ptr<xml::Element> root;
+  try {
+    root = xml::parse_document(text);
+  } catch (const ParseError&) {
+    return false;
+  }
+  if (root->local_name() != "Envelope") return false;
+  const xml::Element* body = root->child("Body");
+  return body != nullptr && body->children.size() == 1;
+}
+
+/// Runs the receive pair on `text` against the oracle. When `intact` is
+/// set, `text` carries the target's payload unchanged and must decode to it.
+void check_against_oracle(const SoapFuzzTarget& target, const std::string& text,
+                          bool intact = false) {
+  const bool accepted = whole_document_accepts(text);
+  ASSERT_TRUE(accepted || !intact) << target.name << ": oracle rejects " << text;
+  try {
+    const soap::ParsedEnvelope envelope = soap::parse_envelope(text);
+    if (envelope.is_fault()) {
+      const soap::Fault fault = soap::parse_fault(envelope);
+      if (intact) {
+        EXPECT_EQ(fault.code, kFuzzFaultCode);
+        EXPECT_EQ(fault.message, kFuzzFaultString);
+      }
+    } else {
+      const pbio::Value value = soap::decode_body(envelope, *target.format);
+      if (intact) {
+        EXPECT_EQ(value, target.value) << target.name;
+      }
+    }
+  } catch (const ParseError&) {
+    EXPECT_FALSE(intact) << target.name << ": rejected " << text;
+    return;
+  } catch (const Error& e) {
+    EXPECT_TRUE(accepted) << target.name << ": threw " << e.what()
+                          << ", not a ParseError, for " << text;
+    return;
+  }
+  EXPECT_TRUE(accepted) << target.name << ": decoded what a whole-document parse rejects: "
+                        << text;
+}
+
+TEST(SoapReceiveOracle, IntactEnvelopesDecodeToTheBuiltValue) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    check_against_oracle(target, target.envelope, /*intact=*/true);
+    // Edits around the payload that keep the envelope valid.
+    std::string with_header = target.envelope;
+    with_header.insert(with_header.find("<soap:Body"), "<soap:Header><h>1</h></soap:Header>");
+    check_against_oracle(target, with_header, true);
+    std::string padded_body = target.envelope;
+    padded_body.insert(padded_body.find("</soap:Body>"), "\n<!-- c --><?pi x?>text");
+    check_against_oracle(target, padded_body, true);
+    check_against_oracle(target, target.envelope + "<!-- after --> ", true);
+    std::string second_body = target.envelope;
+    second_body.insert(second_body.find("</soap:Envelope>"), "<soap:Body><a/><b/></soap:Body>");
+    check_against_oracle(target, second_body, true);
+  }
+}
+
+TEST(SoapReceiveOracle, BrokenEnvelopesThrowParseError) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    const std::string& envelope = target.envelope;
+    const std::size_t body_end = envelope.find("</soap:Body>");
+    const std::string broken[] = {
+        envelope.substr(0, body_end) + "<second/>" + envelope.substr(body_end),
+        envelope.substr(0, body_end) + "<second>" + envelope.substr(body_end),
+        envelope + "<x/>",
+        envelope + "junk",
+        envelope.substr(0, envelope.find("<soap:Body")) + "<soap:Body/></soap:Envelope>",
+        envelope.substr(0, envelope.find("<soap:Body")) + "</soap:Envelope>",
+    };
+    for (const std::string& text : broken) {
+      ASSERT_FALSE(whole_document_accepts(text)) << text;
+      check_against_oracle(target, text);
+    }
+  }
+}
+
+TEST(SoapReceiveOracle, PrefixesAndMutationsAgreeWithAWholeDocumentParse) {
+  Rng rng(20040324);
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    for (std::size_t n = 0; n < target.envelope.size(); ++n) {
+      check_against_oracle(target, target.envelope.substr(0, n));
+    }
+    for (int i = 0; i < 200; ++i) {
+      check_against_oracle(
+          target, mutate(rng, target.envelope, 1 + static_cast<int>(rng.next_below(8))));
     }
   }
 }

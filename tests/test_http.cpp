@@ -361,6 +361,61 @@ TEST(ResumableParserTest, ByteAtATimeFeedsParkAsStateNotThreads) {
   EXPECT_TRUE(reader.buffer_empty());
 }
 
+// The head scan resumes where the last feed's scan stopped. A terminator
+// cut at any offset and then trickled a byte per feed must be found
+// exactly when its last byte arrives; a next request already buffered
+// behind it must be scanned from its own start; the limit still holds.
+TEST(ResumableParserTest, TrickledHeadIsFoundWhereverItsTerminatorIsSplit) {
+  Request first;
+  first.method = "POST";
+  first.target = "/svc";
+  first.headers.set("X-Pad", "a\rb\nc\n\rd");
+  first.set_body("hello");
+  Request second;
+  second.target = "/next";
+  const std::string wire = wire_string(first);
+  const std::string both = wire + wire_string(second);
+  const std::size_t head_size = wire.find("\r\n\r\n") + 4;
+  for (std::size_t split = 0; split <= head_size; ++split) {
+    auto [unused, feed_end] = net::make_pipe();
+    MessageReader reader(*feed_end);
+    reader.feed(as_bytes(both.substr(0, split)));
+    ASSERT_FALSE(reader.try_next_request().has_value()) << "split " << split;
+    for (std::size_t i = split; i < head_size; ++i) {
+      reader.feed(as_bytes(both.substr(i, 1)));
+      ASSERT_FALSE(reader.try_next_request().has_value()) << "split " << split << ", byte " << i;
+    }
+    EXPECT_EQ(reader.phase(), MessageReader::Phase::kBody) << "split " << split;
+    // The body and the whole next request arrive in one feed.
+    reader.feed(as_bytes(both.substr(head_size)));
+    std::optional<Request> got = reader.try_next_request();
+    ASSERT_TRUE(got.has_value()) << "split " << split;
+    EXPECT_EQ(got->target, "/svc");
+    EXPECT_EQ(got->headers.get("X-Pad"), "a\rb\nc\n\rd");
+    EXPECT_EQ(got->body_string(), "hello");
+    EXPECT_EQ(reader.bytes_consumed(), wire.size());
+    got = reader.try_next_request();
+    ASSERT_TRUE(got.has_value()) << "split " << split;
+    EXPECT_EQ(got->target, "/next");
+    EXPECT_EQ(reader.bytes_consumed(), both.size());
+  }
+
+  // A head past max_header_bytes throws, whether trickled or fed whole.
+  ParserLimits limits;
+  limits.max_header_bytes = head_size - 1;
+  for (const std::size_t chunk : {std::size_t{1}, wire.size()}) {
+    auto [unused, feed_end] = net::make_pipe();
+    MessageReader reader(*feed_end, limits);
+    const auto trickle = [&] {
+      for (std::size_t i = 0; i < wire.size(); i += chunk) {
+        reader.feed(as_bytes(wire.substr(i, chunk)));
+        (void)reader.try_next_request();
+      }
+    };
+    EXPECT_THROW(trickle(), ParseError) << "chunk " << chunk;
+  }
+}
+
 TEST(ResumableParserTest, PhaseTracksHeadThenBody) {
   auto [unused, feed_end] = net::make_pipe();
   MessageReader reader(*feed_end);

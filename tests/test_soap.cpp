@@ -186,10 +186,23 @@ TEST(Envelope, RejectsEmptyBody) {
                ParseError);
 }
 
+// parse_envelope stops at the first body element; the pair of calls every
+// receiver makes rejects the second one.
 TEST(Envelope, RejectsMultiElementBody) {
-  EXPECT_THROW(parse_envelope("<soap:Envelope xmlns:soap=\"u\"><soap:Body>"
-                              "<a/><b/></soap:Body></soap:Envelope>"),
-               ParseError);
+  const ParsedEnvelope env = parse_envelope(
+      "<soap:Envelope xmlns:soap=\"u\"><soap:Body>"
+      "<a><v>1</v></a><b/></soap:Body></soap:Envelope>");
+  EXPECT_EQ(env.operation(), "a");
+  const auto format = pbio::FormatBuilder("a").add_scalar("v", pbio::TypeKind::kInt32).build();
+  EXPECT_THROW(decode_body(env, *format), ParseError);
+}
+
+TEST(Envelope, RejectsMultiElementFaultBody) {
+  std::string xml = build_fault("soap:Server", "x");
+  xml.insert(xml.find("</soap:Body>"), "<b/>");
+  const ParsedEnvelope env = parse_envelope(xml);
+  ASSERT_TRUE(env.is_fault());
+  EXPECT_THROW(parse_fault(env), ParseError);
 }
 
 TEST(Base64, KnownVectors) {

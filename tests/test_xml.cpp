@@ -220,19 +220,37 @@ TEST(Reader, ReadTextKeepsOnlyTheElementsOwnCharacterData) {
   EXPECT_EQ(r.next(), Token::kEndOfDocument);
 }
 
-TEST(Reader, ElementAtReadsOneElementAndStops) {
+TEST(Reader, ResumeReadsTheRestOfTheDocument) {
   const std::string doc = "<env><body><op><v>1</v></op></body><tail>junk</tail></env>";
-  Reader r = Reader::element_at(doc, doc.find("<op>"));
+  Reader r = Reader::resume(doc, doc.find("<op>"), {"env", "body"});
+  EXPECT_EQ(r.depth(), 2u);
   EXPECT_EQ(r.next(), Token::kStartElement);
   EXPECT_EQ(r.name(), "op");
-  EXPECT_EQ(r.depth(), 1u);
+  EXPECT_EQ(r.depth(), 3u);
   r.skip_element();
+  EXPECT_EQ(r.next(), Token::kEndElement);
+  EXPECT_EQ(r.name(), "body");
+  EXPECT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "tail");
+  r.skip_element();
+  EXPECT_EQ(r.next(), Token::kEndElement);
+  EXPECT_EQ(r.name(), "env");
   EXPECT_EQ(r.next(), Token::kEndOfDocument);
+  // The open elements are checked as a whole-document reader checks them.
+  for (const std::string_view bad : {"<env><body><op/></env></env>",
+                                     "<env><body><op/></body></env><x/>", "<env><body><op/></body>"}) {
+    Reader tail = Reader::resume(bad, bad.find("<op"), {"env", "body"});
+    const auto read_all = [&tail] {
+      while (tail.next() != Token::kEndOfDocument) {
+      }
+    };
+    EXPECT_THROW(read_all(), XmlError) << bad;
+  }
 }
 
-TEST(Reader, ElementAtReportsPositionsInTheWholeDocument) {
+TEST(Reader, ResumeReportsPositionsInTheWholeDocument) {
   const std::string doc = "<env>\n<op><v>1</w></op></env>";
-  Reader r = Reader::element_at(doc, doc.find("<op>"));
+  Reader r = Reader::resume(doc, doc.find("<op>"), {"env"});
   try {
     r.next();
     r.skip_element();
