@@ -25,7 +25,6 @@ class Stopwatch {
   [[nodiscard]] double elapsed_us() const {
     return static_cast<double>(elapsed_ns()) / 1000.0;
   }
-  void restart() { start_ = steady_now_ns(); }
 
  private:
   std::uint64_t start_;

@@ -46,6 +46,41 @@ std::uint64_t stable_seed(std::string_view identity) {
   return h == 0 ? 1 : h;
 }
 
+bool is_retryable(const Error& error, const RetryPolicy& retry) {
+  return dynamic_cast<const TransportError*>(&error) != nullptr ||
+         (retry.retry_codec_errors &&
+          dynamic_cast<const CodecError*>(&error) != nullptr);
+}
+
+Backoff::Backoff(const RetryPolicy& retry, std::string_view identity,
+                 std::uint64_t call_ordinal)
+    : retry_(retry),
+      // The default seed (0) derives from the caller's identity, so two
+      // clients left on defaults back off on different schedules after a
+      // shared fault.
+      jitter_rng_((retry.jitter_seed != 0 ? retry.jitter_seed
+                                           : stable_seed(identity)) *
+                      0x9E3779B97F4A7C15ull +
+                  call_ordinal),
+      backoff_us_(retry.initial_backoff_us) {}
+
+std::uint64_t Backoff::next_delay_us(const Error& error) {
+  std::uint64_t delay = backoff_us_;
+  // A shed server knows its own recovery horizon: its Retry-After overrides
+  // the local schedule and needs no jitter.
+  const auto* shed = dynamic_cast<const OverloadError*>(&error);
+  if (shed != nullptr && shed->retry_after_us() > 0) {
+    delay = shed->retry_after_us();
+  } else if (retry_.jitter > 0.0 && delay > 0) {
+    const double factor = 1.0 + jitter_rng_.uniform(-retry_.jitter, retry_.jitter);
+    delay = static_cast<std::uint64_t>(static_cast<double>(delay) * factor);
+  }
+  backoff_us_ = std::min(static_cast<std::uint64_t>(static_cast<double>(backoff_us_) *
+                                                    retry_.backoff_multiplier),
+                         retry_.max_backoff_us);
+  return delay;
+}
+
 void wait_on(net::TimeSource& clock, std::uint64_t us) {
   if (us == 0) return;
   if (auto* sim = dynamic_cast<net::SimClock*>(&clock)) {
@@ -67,11 +102,7 @@ ClientStub::ClientStub(Transport& transport, WireFormat wire_format,
   if (!clock_) throw TransportError("ClientStub needs a time source");
   static std::atomic<std::uint64_t> next_stub_id{1};
   client_id_ = "stub-" + std::to_string(next_stub_id.fetch_add(1));
-  // Announce the service's formats (the client is a sender too).
-  for (const auto& op : service_.operations) {
-    format_cache_.announce(op.input);
-    format_cache_.announce(op.output);
-  }
+  reannounce_formats();  // the client is a sender too
 }
 
 void ClientStub::set_quality_manager(std::shared_ptr<qos::QualityManager> quality) {
@@ -92,55 +123,24 @@ pbio::Value ClientStub::call(const std::string& operation, const pbio::Value& pa
   ++stats_.calls;
   transport_.set_attempt_timeout_us(options.deadline_us);
 
-  const RetryPolicy& retry = options.retry;
-  const int max_attempts = std::max(1, retry.max_attempts);
-  // Deterministic jitter: same seed + same call ordinal → same delays. The
-  // default seed (0) derives from this stub's identity, so two stubs left
-  // on defaults back off on different schedules after a shared fault.
-  const std::uint64_t seed =
-      retry.jitter_seed != 0 ? retry.jitter_seed : stable_seed(client_id_);
-  Rng jitter_rng(seed * 0x9E3779B97F4A7C15ull + stats_.calls);
-  std::uint64_t backoff = retry.initial_backoff_us;
+  const int max_attempts = std::max(1, options.retry.max_attempts);
+  Backoff backoff(options.retry, client_id_, stats_.calls);
   for (int attempt = 1;; ++attempt) {
     try {
-      return dispatch(op, params);
+      return exchange(op, params);
     } catch (const Error& e) {
-      // Only wire-level faults are worth retrying; RpcError / ParseError /
-      // QosError are deterministic and would fail again identically.
-      const auto* shed = dynamic_cast<const OverloadError*>(&e);
-      const bool is_timeout = dynamic_cast<const TimeoutError*>(&e) != nullptr;
-      const bool is_fault =
-          dynamic_cast<const TransportError*>(&e) != nullptr ||
-          (retry.retry_codec_errors &&
-           dynamic_cast<const CodecError*>(&e) != nullptr);
-      if (!is_fault) throw;
-      if (shed != nullptr) {
+      if (!is_retryable(e, options.retry)) throw;
+      if (dynamic_cast<const OverloadError*>(&e) != nullptr) {
         // A shed is deliberate flow control, not evidence of a broken link:
         // count it, but spare the quality loop the loss-like penalty.
         ++stats_.sheds;
       } else {
-        note_fault(options, is_timeout);
+        note_fault(options, dynamic_cast<const TimeoutError*>(&e) != nullptr);
       }
       if (attempt >= max_attempts || !op.idempotent) throw;
       ++stats_.retries;
-
-      // Capped exponential backoff with deterministic jitter, charged to
-      // the endpoint's clock (virtual time under simulation). A shed server
-      // knows its own recovery horizon: its Retry-After overrides the local
-      // schedule (and needs no jitter — the server set the pacing).
-      std::uint64_t delay = backoff;
-      if (shed != nullptr && shed->retry_after_us() > 0) {
-        delay = shed->retry_after_us();
-      } else if (retry.jitter > 0.0 && delay > 0) {
-        const double factor =
-            1.0 + jitter_rng.uniform(-retry.jitter, retry.jitter);
-        delay = static_cast<std::uint64_t>(static_cast<double>(delay) * factor);
-      }
-      wait_us(delay);
-      backoff = std::min(
-          static_cast<std::uint64_t>(static_cast<double>(backoff) *
-                                     retry.backoff_multiplier),
-          retry.max_backoff_us);
+      // Charged to the endpoint's clock (virtual time under simulation).
+      wait_on(*clock_, backoff.next_delay_us(e));
 
       // The failed connection may be gone for good: rebuild it and repeat
       // the sender-side format registration handshake before resending.
@@ -148,19 +148,6 @@ pbio::Value ClientStub::call(const std::string& operation, const pbio::Value& pa
       reannounce_formats();
     }
   }
-}
-
-pbio::Value ClientStub::dispatch(const wsdl::OperationDesc& op,
-                                 const pbio::Value& params) {
-  switch (wire_format_) {
-    case WireFormat::kBinary:
-      return call_binary(op, params);
-    case WireFormat::kXml:
-      return call_xml_wire(op, params, /*compressed=*/false);
-    case WireFormat::kCompressedXml:
-      return call_xml_wire(op, params, /*compressed=*/true);
-  }
-  throw RpcError("bad wire format");
 }
 
 void ClientStub::note_fault(const CallOptions& options, bool is_timeout) {
@@ -178,21 +165,12 @@ void ClientStub::note_fault(const CallOptions& options, bool is_timeout) {
   }
 }
 
-void ClientStub::note_response_type(const wsdl::OperationDesc& op) {
-  const bool full = last_response_type_ == op.output->name;
-  if (response_was_full_ && !full) ++stats_.degradations;
-  if (!response_was_full_ && full) ++stats_.recoveries;
-  response_was_full_ = full;
-}
-
 void ClientStub::reannounce_formats() {
   for (const auto& op : service_.operations) {
     format_cache_.announce(op.input);
     format_cache_.announce(op.output);
   }
 }
-
-void ClientStub::wait_us(std::uint64_t us) { wait_on(*clock_, us); }
 
 std::string ClientStub::call_xml(const std::string& operation,
                                  const std::string& params_xml) {
@@ -211,41 +189,88 @@ std::string ClientStub::call_xml(const std::string& operation,
   return result_xml;
 }
 
-pbio::Value ClientStub::call_binary(const wsdl::OperationDesc& op,
-                                    const pbio::Value& params) {
-  // Client-side quality: possibly send a reduced request type (opt-in).
-  pbio::FormatPtr request_format = op.input;
-  std::string message_type = op.input->name;
+pbio::Value ClientStub::exchange(const wsdl::OperationDesc& op,
+                                 const pbio::Value& params) {
+  // Client-side quality (opt-in): send a reduced request type, which the
+  // server pads back up.
+  qos::MessageType type{op.input->name, op.input, nullptr};
   const pbio::Value* to_send = &params;
   pbio::Value reduced;
   if (quality_ && request_quality_enabled_) {
-    const qos::MessageType& type = quality_->select();
+    type = quality_->select();
     reduced = quality_->apply(params, type);
     to_send = &reduced;
-    request_format = type.format;
-    message_type = type.name;
-    format_cache_.announce(request_format);
   }
-
-  BinEnvelope envelope;
-  envelope.operation = op.name;
-  envelope.message_type = message_type;
-  envelope.timestamp_us = clock_->now_us();
-  envelope.reported_rtt_us = rtt_estimate_us();
 
   http::Request request;
   request.method = "POST";
   request.target = "/" + service_.name;
+  const bool binary = wire_format_ == WireFormat::kBinary;
+  const std::uint64_t sent_at_us = binary
+                                       ? write_bin_request(request, op, *to_send, type)
+                                       : write_xml_request(request, op, *to_send, type);
+  stats_.bytes_sent += request.body_size();
+
+  const http::Response response = transport_.round_trip(request);
+  stats_.bytes_received += response.body_size();
+  throw_if_shed(response);
+  Reply reply = binary ? read_bin_reply(response) : read_xml_reply(response, sent_at_us);
+
+  // RTT sample: now minus the echoed send time, minus the server's
+  // self-reported preparation time (§IV-C.h's rectification).
+  last_rtt_us_ = qos::rtt_sample_us(reply.envelope.echoed_timestamp_us, clock_->now_us(),
+                                    reply.envelope.server_prep_us);
+  if (quality_) {
+    quality_->observe_rtt(last_rtt_us_);
+  } else {
+    fallback_rtt_.update(last_rtt_us_);
+  }
+
+  if (binary) {
+    decode_bin_reply(reply);
+  } else {
+    decode_xml_reply(reply, response, op);
+  }
+  // Track degradation/recovery transitions of the response type.
+  last_response_type_ = std::move(reply.envelope.message_type);
+  const bool full = last_response_type_ == op.output->name;
+  if (response_was_full_ && !full) ++stats_.degradations;
+  if (!response_was_full_ && full) ++stats_.recoveries;
+  response_was_full_ = full;
+
+  if (reply.format->format_id() != op.output->format_id()) {
+    // Reduced-quality response: pad back up to the full application type.
+    Stopwatch unmarshal;
+    reply.value = pbio::project_value(reply.value, *op.output);
+    stats_.unmarshal_us += unmarshal.elapsed_us();
+  }
+  return std::move(reply.value);
+}
+
+std::uint64_t ClientStub::write_bin_request(http::Request& request,
+                                            const wsdl::OperationDesc& op,
+                                            const pbio::Value& value,
+                                            const qos::MessageType& type) {
+  // The binary wire names formats by id: a reduced type's format reaches
+  // the format server before its first message, and only then.
+  if (!format_cache_.contains(type.format->format_id())) {
+    format_cache_.announce(type.format);
+  }
+  BinEnvelope envelope;
+  envelope.operation = op.name;
+  envelope.message_type = type.name;
+  envelope.timestamp_us = clock_->now_us();
+  envelope.reported_rtt_us = rtt_estimate_us();
+
   request.headers.set("Content-Type", std::string(kContentTypePbio));
   request.headers.set(std::string(kHeaderClientId), client_id_);
   request.headers.set("SOAPAction", "\"" + op.name + "\"");
-  // Bulk blocks in the PBIO message borrow from `*to_send`, which outlives
-  // the round trip (params is the caller's, `reduced` is a local), so no
+  // Bulk blocks in the PBIO message borrow from `value`, which outlives the
+  // round trip (the caller's params or exchange()'s reduced copy), so no
   // anchor is needed; the envelope is one small owned segment spliced in
   // front. The payload is never copied into a combined body buffer.
   Stopwatch marshal;
-  BufferChain pbio_chain =
-      pbio::encode_value_message_chain(*to_send, *request_format);
+  BufferChain pbio_chain = pbio::encode_value_message_chain(value, *type.format);
   stats_.marshal_us += marshal.elapsed_us();
   Stopwatch env;
   BufferChain body = encode_bin_message(envelope, std::move(pbio_chain));
@@ -253,85 +278,26 @@ pbio::Value ClientStub::call_binary(const wsdl::OperationDesc& op,
   stats_.segments_written += body.segment_count();
   stats_.bytes_copied += body.bytes_copied();
   request.set_body_chain(std::move(body));
-  stats_.bytes_sent += request.body_size();
-
-  const http::Response response = transport_.round_trip(request);
-  stats_.bytes_received += response.body_size();
-  throw_if_shed(response);
-  if (response.status != 200) {
-    throw RpcError("server error " + std::to_string(response.status) + ": " +
-                   response.body_string());
-  }
-
-  const BufferChain response_body = response.body_as_chain();
-  DecodedBinChain incoming = decode_bin_message(response_body);
-  stats_.bytes_copied += incoming.bytes_copied;
-  last_response_type_ = incoming.envelope.message_type;
-  note_response_type(op);
-
-  // RTT sample: now minus the echoed send timestamp, minus the server's
-  // self-reported preparation time (§IV-C.h's rectification). Every binary
-  // response echoes the request timestamp, including timestamp 0 from a
-  // freshly started simulated clock.
-  {
-    const double sample = qos::rtt_sample_us(incoming.envelope.echoed_timestamp_us,
-                                             clock_->now_us(),
-                                             incoming.envelope.server_prep_us);
-    last_rtt_us_ = sample;
-    if (quality_) {
-      quality_->observe_rtt(sample);
-    } else {
-      fallback_rtt_.update(sample);
-    }
-  }
-
-  Stopwatch unmarshal;
-  ChainReader reader(incoming.pbio_message);
-  const pbio::WireHeader header = pbio::read_header(reader);
-  const pbio::FormatPtr sender_format = format_cache_.resolve(header.format_id);
-  pbio::Value result = pbio::decode_value_payload(reader, header.payload_length,
-                                                  header.sender_order, *sender_format);
-  if (header.format_id != op.output->format_id()) {
-    // Reduced-quality response: pad back up to the full application type.
-    result = pbio::project_value(result, *op.output);
-  }
-  stats_.unmarshal_us += unmarshal.elapsed_us();
-  stats_.bytes_copied += reader.bytes_copied();
-  return result;
+  return envelope.timestamp_us;
 }
 
-pbio::Value ClientStub::call_xml_wire(const wsdl::OperationDesc& op,
-                                      const pbio::Value& params, bool compressed) {
-  // Client-side quality on the XML wire: possibly reduce the request
-  // (opt-in, as on the binary wire).
-  pbio::FormatPtr request_format = op.input;
-  std::string message_type = op.input->name;
-  const pbio::Value* to_send = &params;
-  pbio::Value reduced;
-  if (quality_ && request_quality_enabled_) {
-    const qos::MessageType& type = quality_->select();
-    reduced = quality_->apply(params, type);
-    to_send = &reduced;
-    request_format = type.format;
-    message_type = type.name;
-  }
-
+std::uint64_t ClientStub::write_xml_request(http::Request& request,
+                                            const wsdl::OperationDesc& op,
+                                            const pbio::Value& value,
+                                            const qos::MessageType& type) {
   Stopwatch marshal;
-  const std::string request_xml =
-      soap::build_request(op.name, *to_send, *request_format);
+  const std::string request_xml = soap::build_request(op.name, value, *type.format);
   stats_.marshal_us += marshal.elapsed_us();
 
-  http::Request request;
-  request.method = "POST";
-  request.target = "/" + service_.name;
+  // The binary envelope's metadata travels in headers.
   request.headers.set("SOAPAction", "\"" + op.name + "\"");
   request.headers.set(std::string(kHeaderClientId), client_id_);
-  request.headers.set(std::string(kHeaderQualityType), message_type);
+  request.headers.set(std::string(kHeaderQualityType), type.name);
   if (rtt_estimate_us() > 0.0) {
     request.headers.set(std::string(kHeaderReportedRtt),
                         std::to_string(rtt_estimate_us()));
   }
-  if (compressed) {
+  if (wire_format_ == WireFormat::kCompressedXml) {
     Stopwatch sw;
     request.body = lz::compress_string(request_xml);
     stats_.compress_us += sw.elapsed_us();
@@ -340,31 +306,49 @@ pbio::Value ClientStub::call_xml_wire(const wsdl::OperationDesc& op,
     request.set_body(request_xml);
     request.headers.set("Content-Type", std::string(kContentTypeXml));
   }
-  stats_.bytes_sent += request.body_size();
+  return clock_->now_us();
+}
 
-  // RTT on the XML wire is measured around the round trip, minus the
-  // server's self-reported preparation time.
-  const std::uint64_t sent_at_us = clock_->now_us();
-  const http::Response response = transport_.round_trip(request);
-  stats_.bytes_received += response.body_size();
-  throw_if_shed(response);
-  {
-    std::uint64_t prep_us = 0;
-    if (auto prep = response.headers.get(kHeaderServerPrep)) {
-      prep_us = parse_u64(*prep);
-    }
-    const double sample = qos::rtt_sample_us(sent_at_us, clock_->now_us(), prep_us);
-    last_rtt_us_ = sample;
-    if (quality_) {
-      quality_->observe_rtt(sample);
-    } else {
-      fallback_rtt_.update(sample);
-    }
+ClientStub::Reply ClientStub::read_bin_reply(const http::Response& response) {
+  if (response.status != 200) {
+    throw RpcError("server error " + std::to_string(response.status) + ": " +
+                   response.body_string());
   }
+  // Every binary response echoes the request timestamp, including 0 from a
+  // freshly started simulated clock.
+  DecodedBinChain incoming = decode_bin_message(response.body_as_chain());
+  stats_.bytes_copied += incoming.bytes_copied;
+  return Reply{std::move(incoming.envelope), std::move(incoming.pbio_message), {}, {}};
+}
 
+ClientStub::Reply ClientStub::read_xml_reply(const http::Response& response,
+                                             std::uint64_t sent_at_us) {
+  // XML echoes no timestamp: the RTT runs from the local send time. The
+  // body is read after the sample is taken.
+  Reply reply;
+  reply.envelope.echoed_timestamp_us = sent_at_us;
+  if (auto prep = response.headers.get(kHeaderServerPrep)) {
+    reply.envelope.server_prep_us = parse_u64(*prep);
+  }
+  return reply;
+}
+
+void ClientStub::decode_bin_reply(Reply& reply) {
+  Stopwatch unmarshal;
+  ChainReader reader(reply.pbio_message);
+  const pbio::WireHeader header = pbio::read_header(reader);
+  reply.format = format_cache_.resolve(header.format_id);
+  reply.value = pbio::decode_value_payload(reader, header.payload_length,
+                                           header.sender_order, *reply.format);
+  stats_.unmarshal_us += unmarshal.elapsed_us();
+  stats_.bytes_copied += reader.bytes_copied();
+}
+
+void ClientStub::decode_xml_reply(Reply& reply, const http::Response& response,
+                                  const wsdl::OperationDesc& op) {
   std::string response_xml;
-  if (compressed && response.headers.get("Content-Type").value_or("") ==
-                        kContentTypeCompressedXml) {
+  if (wire_format_ == WireFormat::kCompressedXml &&
+      response.headers.get("Content-Type").value_or("") == kContentTypeCompressedXml) {
     Stopwatch sw;
     response_xml = lz::decompress_string(response.body_view());
     stats_.compress_us += sw.elapsed_us();
@@ -385,27 +369,22 @@ pbio::Value ClientStub::call_xml_wire(const wsdl::OperationDesc& op,
     throw RpcError("server error " + std::to_string(response.status));
   }
 
-  // A quality-managed server may respond with a reduced message type named
-  // in a header; decode with that type's format, then pad back up.
-  pbio::FormatPtr response_format = op.output;
-  last_response_type_ = op.output->name;
+  // XML carries no format ids: a reduced response type is named in a header
+  // and resolved through the client's own quality manager.
+  reply.format = op.output;
+  reply.envelope.message_type = op.output->name;
   if (auto type_name = response.headers.get(kHeaderQualityType)) {
-    last_response_type_ = std::string(*type_name);
+    reply.envelope.message_type = std::string(*type_name);
     if (*type_name != op.output->name) {
       if (!quality_) {
-        throw RpcError("server sent quality type '" + last_response_type_ +
+        throw RpcError("server sent quality type '" + reply.envelope.message_type +
                        "' but no quality manager is attached");
       }
-      response_format = quality_->required_type(*type_name).format;
+      reply.format = quality_->required_type(*type_name).format;
     }
   }
-  note_response_type(op);
-  pbio::Value result = soap::decode_body(envelope, *response_format);
-  if (response_format->format_id() != op.output->format_id()) {
-    result = pbio::project_value(result, *op.output);
-  }
+  reply.value = soap::decode_body(envelope, *reply.format);
   stats_.unmarshal_us += unmarshal.elapsed_us();
-  return result;
 }
 
 }  // namespace sbq::core

@@ -12,11 +12,13 @@
 //                   just in time before sending and binary → XML after
 //                   receiving (compatibility mode, client side).
 //
-// With a qos::QualityManager attached, every binary call measures RTT from
-// the echoed timestamp (minus the server's reported preparation time),
-// smooths it with the α = 0.875 estimator, reports it to the server on the
-// next request, and may reduce *request* parameters through the client-side
-// quality policy.
+// Every call on every wire runs one exchange path: it may reduce the request
+// through the client-side quality policy, measures RTT (minus the server's
+// reported preparation time), smooths it with the α = 0.875 estimator for
+// the next request's report, and pads a reduced response back up. The wire
+// changes only how the Value and its metadata are written and read back:
+// a PBIO message behind a BinEnvelope, or a SOAP envelope with X-SOAP-*
+// headers (LZSS-compressed on the compressed wire).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +26,10 @@
 #include <string>
 #include <string_view>
 
+#include "common/error.h"
 #include "common/rng.h"
-#include "core/message.h"
 #include "common/stats.h"
+#include "core/message.h"
 #include "http/message.h"
 #include "net/sim_clock.h"
 #include "pbio/registry.h"
@@ -35,8 +38,6 @@
 #include "wsdl/wsdl.h"
 
 namespace sbq::core {
-
-enum class WireFormat { kXml, kBinary, kCompressedXml };
 
 /// Request/response transport used by the stub (HTTP over TCP, in-process
 /// loopback, or the simulated-link transport).
@@ -83,6 +84,28 @@ struct RetryPolicy {
 /// tests and the resilience layer can reproduce it.
 [[nodiscard]] std::uint64_t stable_seed(std::string_view identity);
 
+/// True for the failures a retry may cure: transport faults (shed and timeout
+/// included) and, if the policy opts in, codec errors. RpcError, ParseError
+/// and QosError are deterministic and would fail again.
+[[nodiscard]] bool is_retryable(const Error& error, const RetryPolicy& retry);
+
+/// The retry schedule of one call (ClientStub and ResilientStub): capped
+/// exponential backoff with jitter seeded by the policy's jitter_seed, or by
+/// stable_seed(identity) when that is 0, plus the call ordinal.
+class Backoff {
+ public:
+  Backoff(const RetryPolicy& retry, std::string_view identity,
+          std::uint64_t call_ordinal);
+
+  /// Delay before the next attempt after `error`; grows the backoff.
+  std::uint64_t next_delay_us(const Error& error);
+
+ private:
+  RetryPolicy retry_;
+  Rng jitter_rng_;
+  std::uint64_t backoff_us_;
+};
+
 /// Passes time on an endpoint's clock: advances a SimClock in place, sleeps
 /// the thread otherwise. The one blessed delay primitive for client-side
 /// code — anything pacing retries, probes, or hedges must route through it
@@ -125,9 +148,6 @@ class ClientStub {
   /// Options applied by the two-argument call() and call_xml().
   void set_default_call_options(CallOptions options) {
     default_options_ = std::move(options);
-  }
-  [[nodiscard]] const CallOptions& default_call_options() const {
-    return default_options_;
   }
 
   /// XML-native application entry point: takes `<params...>` XML, returns
@@ -186,17 +206,36 @@ class ClientStub {
   void reannounce_formats();
 
  private:
-  pbio::Value dispatch(const wsdl::OperationDesc& op, const pbio::Value& params);
-  pbio::Value call_binary(const wsdl::OperationDesc& op, const pbio::Value& params);
-  pbio::Value call_xml_wire(const wsdl::OperationDesc& op, const pbio::Value& params,
-                            bool compressed);
+  /// Filled in by two per-wire steps: reading the framing gives the
+  /// envelope metadata (from X-SOAP-* headers on the XML wires), decoding
+  /// gives the value as the server sent it.
+  struct Reply {
+    BinEnvelope envelope;
+    BufferChain pbio_message;  // binary wire
+    pbio::Value value;
+    pbio::FormatPtr format;
+  };
+
+  /// One attempt of a call, on every wire.
+  pbio::Value exchange(const wsdl::OperationDesc& op, const pbio::Value& params);
+  // Per-wire steps of exchange(); the writers return the local send time.
+  std::uint64_t write_bin_request(http::Request& request,
+                                  const wsdl::OperationDesc& op,
+                                  const pbio::Value& value,
+                                  const qos::MessageType& type);
+  std::uint64_t write_xml_request(http::Request& request,
+                                  const wsdl::OperationDesc& op,
+                                  const pbio::Value& value,
+                                  const qos::MessageType& type);
+  Reply read_bin_reply(const http::Response& response);
+  Reply read_xml_reply(const http::Response& response, std::uint64_t sent_at_us);
+  void decode_bin_reply(Reply& reply);
+  void decode_xml_reply(Reply& reply, const http::Response& response,
+                        const wsdl::OperationDesc& op);
+
   /// Records the fault in stats and feeds the loss-like penalty sample to
   /// the quality loop (or the fallback estimator).
   void note_fault(const CallOptions& options, bool is_timeout);
-  /// Tracks degradation/recovery transitions of the response type.
-  void note_response_type(const wsdl::OperationDesc& op);
-  /// Passes time on the endpoint's clock (see wait_on).
-  void wait_us(std::uint64_t us);
 
   Transport& transport_;
   WireFormat wire_format_;

@@ -25,6 +25,9 @@
 
 namespace sbq::core {
 
+/// The three wire formats; only their body and metadata codec differs.
+enum class WireFormat { kXml, kBinary, kCompressedXml };
+
 /// HTTP content types distinguishing the wire formats.
 inline constexpr std::string_view kContentTypeXml = "text/xml; charset=utf-8";
 inline constexpr std::string_view kContentTypePbio = "application/x-soap-pbio";

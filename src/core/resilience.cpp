@@ -386,7 +386,7 @@ void ResilientStub::pump_probes() {
 
 pbio::Value ResilientStub::call(const std::string& operation,
                                 const pbio::Value& params) {
-  return call(operation, params, default_options_);
+  return call(operation, params, CallOptions{});
 }
 
 pbio::Value ResilientStub::call(const std::string& operation,
@@ -396,13 +396,8 @@ pbio::Value ResilientStub::call(const std::string& operation,
   ++stats_.calls;
   pump_probes();
 
-  const RetryPolicy& retry = options.retry;
-  const int max_attempts = std::max(1, retry.max_attempts);
-  const std::uint64_t seed = retry.jitter_seed != 0
-                                 ? retry.jitter_seed
-                                 : stable_seed(set_.client_id());
-  Rng jitter_rng(seed * 0x9E3779B97F4A7C15ull + stats_.calls);
-  std::uint64_t backoff = retry.initial_backoff_us;
+  const int max_attempts = std::max(1, options.retry.max_attempts);
+  Backoff backoff(options.retry, set_.client_id(), stats_.calls);
   std::vector<char> failed(set_.size(), 0);
   std::size_t prev = kNone;
   const ResilienceOptions& ro = set_.options();
@@ -463,12 +458,7 @@ pbio::Value ResilientStub::call(const std::string& operation,
       return attempt_on(primary, operation, params, options,
                         options.deadline_us, /*timeout_is_hedge=*/false);
     } catch (const Error& e) {
-      const auto* shed = dynamic_cast<const OverloadError*>(&e);
-      const bool is_fault =
-          dynamic_cast<const TransportError*>(&e) != nullptr ||
-          (retry.retry_codec_errors &&
-           dynamic_cast<const CodecError*>(&e) != nullptr);
-      if (!is_fault) throw;
+      if (!is_retryable(e, options.retry)) throw;
       if (attempt >= max_attempts || !op.idempotent) throw;
       ++stats_.retries;
       failed[used] = 1;
@@ -481,20 +471,7 @@ pbio::Value ResilientStub::call(const std::string& operation,
       // re-trying, exactly like the single-endpoint retry loop.
       const std::uint64_t after = set_.time_source().now_us();
       if (pick_allowed(failed, after, kNone) == kNone) {
-        std::uint64_t delay = backoff;
-        if (shed != nullptr && shed->retry_after_us() > 0) {
-          delay = shed->retry_after_us();
-        } else if (retry.jitter > 0.0 && delay > 0) {
-          const double factor =
-              1.0 + jitter_rng.uniform(-retry.jitter, retry.jitter);
-          delay =
-              static_cast<std::uint64_t>(static_cast<double>(delay) * factor);
-        }
-        wait_on(set_.time_source(), delay);
-        backoff = std::min(
-            static_cast<std::uint64_t>(static_cast<double>(backoff) *
-                                       retry.backoff_multiplier),
-            retry.max_backoff_us);
+        wait_on(set_.time_source(), backoff.next_delay_us(e));
       }
 
       // Rebuild the failed replica's connection so a later attempt (or

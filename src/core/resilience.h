@@ -233,16 +233,10 @@ class ResilientStub {
  public:
   explicit ResilientStub(EndpointSet& endpoints);
 
+  /// Calls with default CallOptions: no deadline, no retry.
   pbio::Value call(const std::string& operation, const pbio::Value& params);
   pbio::Value call(const std::string& operation, const pbio::Value& params,
                    const CallOptions& options);
-
-  void set_default_call_options(CallOptions options) {
-    default_options_ = std::move(options);
-  }
-  [[nodiscard]] const CallOptions& default_call_options() const {
-    return default_options_;
-  }
 
   /// Attaches one quality manager to every replica stub and to the
   /// resilience layer itself: per-attempt RTT/fault samples flow in from
@@ -304,7 +298,6 @@ class ResilientStub {
                              const CallOptions& options, bool is_timeout);
 
   EndpointSet& set_;
-  CallOptions default_options_;
   std::shared_ptr<qos::QualityManager> quality_;
   EndpointStats stats_;
   std::size_t last_index_ = 0;

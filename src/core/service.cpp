@@ -211,66 +211,59 @@ http::Response ServiceRuntime::dispatch(const http::Request& request) {
     return error_response(405, "SOAP endpoints accept POST only");
   }
   const std::string content_type(request.headers.get("Content-Type").value_or(""));
+  // Default: standard SOAP over text/xml.
+  const WireFormat wire = content_type.starts_with(kContentTypePbio) ? WireFormat::kBinary
+                          : content_type.starts_with(kContentTypeCompressedXml)
+                              ? WireFormat::kCompressedXml
+                              : WireFormat::kXml;
   try {
-    if (content_type.starts_with(kContentTypePbio)) {
-      return handle_binary(request);
-    }
-    if (content_type.starts_with(kContentTypeCompressedXml)) {
-      return handle_xml(request, /*compressed=*/true);
-    }
-    // Default: standard SOAP over text/xml.
-    return handle_xml(request, /*compressed=*/false);
+    return exchange(request, wire);
   } catch (const std::exception& e) {
-    if (content_type.starts_with(kContentTypePbio)) {
-      return error_response(500, e.what());
-    }
+    if (wire == WireFormat::kBinary) return error_response(500, e.what());
     // SOAP 1.1 fault codes: bad requests are the client's fault, handler
     // and codec failures the server's.
     const char* code = (dynamic_cast<const RpcError*>(&e) != nullptr ||
                         dynamic_cast<const ParseError*>(&e) != nullptr)
                            ? "soap:Client"
                            : "soap:Server";
-    return fault_response(code, e.what(),
-                          content_type.starts_with(kContentTypeCompressedXml));
+    return fault_response(code, e.what(), wire == WireFormat::kCompressedXml);
   }
 }
 
-http::Response ServiceRuntime::handle_binary(const http::Request& request) {
-  const BufferChain request_body = request.body_as_chain();
-  const DecodedBinChain incoming = decode_bin_message(request_body);
-  const Operation& op = find_operation(incoming.envelope.operation);
+http::Response ServiceRuntime::exchange(const http::Request& request, WireFormat wire) {
+  const bool binary = wire == WireFormat::kBinary;
+  Received in = binary ? read_bin_request(request) : read_xml_request(request, wire);
   const std::shared_ptr<qos::QualityManager> quality = quality_for(request);
 
   // Degrade rung: publish the smoothed server load so a quality file
   // monitoring `server_load` steps message types down before shedding starts.
   if (quality && load_monitor_) {
-    quality->update_attribute(qos::LoadMonitor::kAttribute,
-                              load_monitor_->load());
+    quality->update_attribute(qos::LoadMonitor::kAttribute, load_monitor_->load());
   }
   // Inform quality management of the client's current RTT estimate — unless
   // the policy monitors server load, which client-reported RTT must not
   // clobber.
-  if (quality && incoming.envelope.reported_rtt_us > 0.0 &&
-      quality->attribute_name() != qos::LoadMonitor::kAttribute) {
-    quality->update_attribute(quality->attribute_name(),
-                              incoming.envelope.reported_rtt_us);
+  if (quality && quality->attribute_name() != qos::LoadMonitor::kAttribute) {
+    double rtt = in.envelope.reported_rtt_us;
+    if (!binary) {
+      const auto reported = request.headers.get(kHeaderReportedRtt);
+      rtt = reported ? parse_f64(*reported) : 0.0;
+    }
+    if (rtt > 0.0) quality->update_attribute(quality->attribute_name(), rtt);
   }
 
-  // Resolve the sender's format through the format server (cached after the
-  // first message), decode, and lift onto the full input type if the client
-  // sent a reduced message.
+  // Decode with the sender's format, and lift onto the full input type if
+  // the client sent a reduced message.
   Stopwatch unmarshal;
-  ChainReader reader(incoming.pbio_message);
-  const pbio::WireHeader header = pbio::read_header(reader);
-  const pbio::FormatPtr sender_format = format_cache_.resolve(header.format_id);
-  pbio::Value params = pbio::decode_value_payload(reader, header.payload_length,
-                                                  header.sender_order, *sender_format);
-  if (header.format_id != op.input->format_id()) {
+  pbio::Value params =
+      binary ? decode_bin_request(in) : decode_xml_request(in, request, quality.get());
+  const Operation& op = *in.op;
+  if (in.format->format_id() != op.input->format_id()) {
     params = pbio::project_value(params, *op.input);
   }
   bump_stats([&](EndpointStats& s) {
     s.unmarshal_us += unmarshal.elapsed_us();
-    s.bytes_copied += incoming.bytes_copied + reader.bytes_copied();
+    s.bytes_copied += in.bytes_copied;
   });
 
   // Application work, measured so the client can subtract it from RTT.
@@ -278,25 +271,88 @@ http::Response ServiceRuntime::handle_binary(const http::Request& request) {
   pbio::Value result = invoke(op, params);
   const auto prep_us = static_cast<std::uint64_t>(prep.elapsed_us());
 
-  // SOAP-binQ: choose the response message type from the quality policy.
-  pbio::FormatPtr response_format = op.output;
-  std::string message_type = op.output->name;
-  pbio::Value* to_send = &result;
-  pbio::Value reduced;
+  // SOAP-binQ: choose the response message type from the quality policy and
+  // reduce the result to it.
+  qos::MessageType type{op.output->name, op.output, nullptr};
   if (quality) {
-    const qos::MessageType& type = quality->select();
-    reduced = quality->apply(result, type);
-    to_send = &reduced;
-    response_format = type.format;
-    format_cache_.announce(response_format);
-    message_type = type.name;
+    type = quality->select();
+    result = quality->apply(result, type);
   }
+  http::Response resp = binary ? write_bin_response(in, std::move(result), type, prep_us)
+                               : write_xml_response(in, result, type, prep_us, wire);
+  bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body_size(); });
+  return resp;
+}
 
+ServiceRuntime::Received ServiceRuntime::read_bin_request(const http::Request& request) {
+  DecodedBinChain incoming = decode_bin_message(request.body_as_chain());
+  Received in;
+  in.envelope = std::move(incoming.envelope);
+  in.op = &find_operation(in.envelope.operation);
+  in.pbio_message = std::move(incoming.pbio_message);
+  in.bytes_copied = incoming.bytes_copied;
+  return in;
+}
+
+ServiceRuntime::Received ServiceRuntime::read_xml_request(const http::Request& request,
+                                                          WireFormat wire) {
+  Received in;
+  if (wire == WireFormat::kCompressedXml) {
+    Stopwatch sw;
+    in.xml = lz::decompress_string(request.body_view());
+    bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
+  } else {
+    in.xml = request.body_string();
+  }
+  return in;
+}
+
+pbio::Value ServiceRuntime::decode_bin_request(Received& in) {
+  // The sender's format comes from the format server (cached after the
+  // first message).
+  ChainReader reader(in.pbio_message);
+  const pbio::WireHeader header = pbio::read_header(reader);
+  in.format = format_cache_.resolve(header.format_id);
+  pbio::Value params = pbio::decode_value_payload(reader, header.payload_length,
+                                                  header.sender_order, *in.format);
+  in.bytes_copied += reader.bytes_copied();
+  return params;
+}
+
+pbio::Value ServiceRuntime::decode_xml_request(Received& in, const http::Request& request,
+                                               const qos::QualityManager* quality) {
+  // One tokenizer pass over the envelope: parse_envelope stops at the body
+  // element, and decode_body reads on from there and checks the rest.
+  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(in.xml));
+  in.envelope.operation = std::string(envelope.operation());
+  in.op = &find_operation(in.envelope.operation);
+
+  // XML carries no format ids: a reduced request type is named in a header
+  // and resolved through the quality manager (ignored without one).
+  in.format = in.op->input;
+  if (quality) {
+    if (auto type_name = request.headers.get(kHeaderQualityType)) {
+      if (*type_name != in.op->input->name) {
+        in.format = quality->required_type(*type_name).format;
+      }
+    }
+  }
+  return soap::decode_body(envelope, *in.format);
+}
+
+http::Response ServiceRuntime::write_bin_response(Received& in, pbio::Value&& value,
+                                                  const qos::MessageType& type,
+                                                  std::uint64_t prep_us) {
+  // The binary wire names formats by id: a reduced type's format reaches
+  // the format server before its first message, and only then.
+  if (!format_cache_.contains(type.format->format_id())) {
+    format_cache_.announce(type.format);
+  }
   BinEnvelope out;
-  out.operation = incoming.envelope.operation;
-  out.message_type = message_type;
+  out.operation = std::move(in.envelope.operation);
+  out.message_type = type.name;
   out.timestamp_us = clock_->now_us();
-  out.echoed_timestamp_us = incoming.envelope.timestamp_us;
+  out.echoed_timestamp_us = in.envelope.timestamp_us;
   out.server_prep_us = prep_us;
 
   http::Response resp;
@@ -307,9 +363,9 @@ http::Response ServiceRuntime::handle_binary(const http::Request& request) {
   // response (and anything sharing its chain) exists — well past this
   // handler frame.
   Stopwatch marshal;
-  auto owned = std::make_shared<pbio::Value>(std::move(*to_send));
+  auto owned = std::make_shared<pbio::Value>(std::move(value));
   BufferChain pbio_chain = pbio::encode_value_message_chain(
-      *owned, *response_format, host_byte_order(), owned);
+      *owned, *type.format, host_byte_order(), owned);
   bump_stats([&](EndpointStats& s) { s.marshal_us += marshal.elapsed_us(); });
   Stopwatch env;
   BufferChain body = encode_bin_message(out, std::move(pbio_chain));
@@ -319,86 +375,24 @@ http::Response ServiceRuntime::handle_binary(const http::Request& request) {
     s.bytes_copied += body.bytes_copied();
   });
   resp.set_body_chain(std::move(body));
-  bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body_size(); });
   return resp;
 }
 
-http::Response ServiceRuntime::handle_xml(const http::Request& request,
-                                          bool compressed) {
-  std::string xml_text;
-  if (compressed) {
-    Stopwatch sw;
-    xml_text = lz::decompress_string(request.body_view());
-    bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
-  } else {
-    xml_text = request.body_string();
-  }
-
-  // RTT reporting also works on the XML wire, via headers; server load wins
-  // over client-reported RTT when the policy monitors `server_load`.
-  const std::shared_ptr<qos::QualityManager> quality = quality_for(request);
-  if (quality && load_monitor_) {
-    quality->update_attribute(qos::LoadMonitor::kAttribute,
-                              load_monitor_->load());
-  }
-  if (quality && quality->attribute_name() != qos::LoadMonitor::kAttribute) {
-    if (auto reported = request.headers.get(kHeaderReportedRtt)) {
-      const double rtt = parse_f64(*reported);
-      if (rtt > 0.0) quality->update_attribute(quality->attribute_name(), rtt);
-    }
-  }
-
-  // One tokenizer pass over the envelope: parse_envelope stops at the body
-  // element, and decode_body reads on from there and checks the rest.
-  Stopwatch unmarshal;
-  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(xml_text));
-  const std::string operation(envelope.operation());
-  const Operation& op = find_operation(operation);
-
-  // A quality-managed client may have sent a reduced request type, named in
-  // a header; decode with that type's format and lift onto the full input.
-  pbio::FormatPtr request_format = op.input;
-  if (quality) {
-    if (auto type_name = request.headers.get(kHeaderQualityType)) {
-      if (*type_name != op.input->name) {
-        request_format = quality->required_type(*type_name).format;
-      }
-    }
-  }
-  pbio::Value params = soap::decode_body(envelope, *request_format);
-  if (request_format->format_id() != op.input->format_id()) {
-    params = pbio::project_value(params, *op.input);
-  }
-  bump_stats([&](EndpointStats& s) { s.unmarshal_us += unmarshal.elapsed_us(); });
-
-  Stopwatch prep;
-  const pbio::Value result = invoke(op, params);
-  const auto prep_us = static_cast<std::uint64_t>(prep.elapsed_us());
-
-  // SOAP-binQ on the XML wire: select + apply a quality handler before the
-  // response is serialized.
-  pbio::FormatPtr response_format = op.output;
-  std::string message_type = op.output->name;
-  const pbio::Value* to_send = &result;
-  pbio::Value reduced;
-  if (quality) {
-    const qos::MessageType& type = quality->select();
-    reduced = quality->apply(result, type);
-    to_send = &reduced;
-    response_format = type.format;
-    message_type = type.name;
-  }
-
+http::Response ServiceRuntime::write_xml_response(const Received& in,
+                                                  const pbio::Value& value,
+                                                  const qos::MessageType& type,
+                                                  std::uint64_t prep_us,
+                                                  WireFormat wire) {
   Stopwatch marshal;
-  std::string response_xml =
-      soap::build_response(operation, *to_send, *response_format);
+  std::string response_xml = soap::build_response(in.envelope.operation, value, *type.format);
   bump_stats([&](EndpointStats& s) { s.marshal_us += marshal.elapsed_us(); });
 
+  // The binary envelope's metadata travels in headers.
   http::Response resp;
   resp.status = 200;
-  resp.headers.set(std::string(kHeaderQualityType), message_type);
+  resp.headers.set(std::string(kHeaderQualityType), type.name);
   resp.headers.set(std::string(kHeaderServerPrep), std::to_string(prep_us));
-  if (compressed) {
+  if (wire == WireFormat::kCompressedXml) {
     Stopwatch sw;
     resp.body = lz::compress_string(response_xml);
     bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
@@ -407,7 +401,6 @@ http::Response ServiceRuntime::handle_xml(const http::Request& request,
     resp.set_body(response_xml);
     resp.headers.set("Content-Type", std::string(kContentTypeXml));
   }
-  bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body_size(); });
   return resp;
 }
 

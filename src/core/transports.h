@@ -60,8 +60,6 @@ class HttpTransport final : public Transport {
     client_ = std::make_unique<http::Client>(*stream_);
   }
 
-  [[nodiscard]] const http::Client& http_client() const { return *client_; }
-
  private:
   StreamFactory factory_;
   std::unique_ptr<net::Stream> owned_;  // owning mode only
@@ -93,7 +91,6 @@ struct SimTiming {
   [[nodiscard]] std::uint64_t total_us() const {
     return request_transfer_us + response_transfer_us + server_cpu_us;
   }
-  void reset() { *this = SimTiming{}; }
 };
 
 /// In-process dispatch behind a simulated link. The shared SimClock must
@@ -108,7 +105,6 @@ class SimLinkTransport final : public Transport {
   http::Response round_trip(const http::Request& request) override;
 
   [[nodiscard]] const SimTiming& timing() const { return timing_; }
-  void reset_timing() { timing_.reset(); }
 
   [[nodiscard]] net::LinkModel& link() { return link_; }
   // sbqlint:allow(clock-discipline): accessor for the virtual SimClock, not libc clock()
@@ -135,9 +131,6 @@ class SimLinkTransport final : public Transport {
   /// virtual clock, corrupt flips a byte of the response body.
   void set_fault_injector(std::shared_ptr<net::FaultInjector> faults) {
     faults_ = std::move(faults);
-  }
-  [[nodiscard]] const std::shared_ptr<net::FaultInjector>& fault_injector() const {
-    return faults_;
   }
 
   /// Per-attempt deadline on the virtual clock: a round trip whose simulated

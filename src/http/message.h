@@ -88,11 +88,6 @@ struct MessageBody {
     body_chain = std::move(chain);
   }
 
-  /// Copies a multi-segment chain made by body_view(), if any (for stats).
-  [[nodiscard]] std::uint64_t body_bytes_copied() const {
-    return body_chain.bytes_copied();
-  }
-
  protected:
   mutable Bytes coalesced_;  // body_view() cache for multi-segment chains
 };

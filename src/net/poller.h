@@ -72,9 +72,6 @@ class Poller {
   /// Descriptors currently registered (excludes the internal wake channel).
   [[nodiscard]] std::size_t watched() const { return watched_; }
 
-  /// True when this instance runs on epoll.
-  [[nodiscard]] bool using_epoll() const { return epoll_fd_ >= 0; }
-
  private:
   void drain_wake_channel();
 

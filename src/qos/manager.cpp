@@ -108,7 +108,7 @@ SelectionPolicy QualityManager::policy() const {
   return policy_;
 }
 
-const MessageType& QualityManager::select() {
+MessageType QualityManager::select() {
   std::string name;
   {
     std::lock_guard lock(mu_);
@@ -130,13 +130,15 @@ const MessageType* QualityManager::find_type(std::string_view name) const {
   return it == types_.end() ? nullptr : &it->second;
 }
 
-const MessageType& QualityManager::required_type(std::string_view name) const {
-  const MessageType* t = find_type(name);
-  if (t == nullptr) {
+MessageType QualityManager::required_type(std::string_view name) const {
+  // Copied under the lock: install_handler swaps handlers in place.
+  std::lock_guard lock(mu_);
+  const auto it = types_.find(name);
+  if (it == types_.end()) {
     throw QosError("message type '" + std::string(name) +
                    "' named in quality policy is not registered");
   }
-  return *t;
+  return it->second;
 }
 
 pbio::Value QualityManager::apply(const pbio::Value& full,

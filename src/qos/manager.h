@@ -108,12 +108,14 @@ class QualityManager {
   [[nodiscard]] EwmaEstimator rtt() const;
 
   /// Selects the message type for the next outgoing message (with
-  /// hysteresis) based on the current attribute value.
-  const MessageType& select();
+  /// hysteresis) based on the current attribute value. Returns a copy taken
+  /// under the lock, so install_handler may run concurrently with apply().
+  MessageType select();
 
-  /// Looks up a registered type by name (for the receive path).
+  /// Looks up a registered type by name (for the receive path); the lookup
+  /// by value is a copy taken under the lock, as select()'s is.
   [[nodiscard]] const MessageType* find_type(std::string_view name) const;
-  [[nodiscard]] const MessageType& required_type(std::string_view name) const;
+  [[nodiscard]] MessageType required_type(std::string_view name) const;
 
   /// Applies `type`'s handler (or the default projection) to `full`.
   [[nodiscard]] pbio::Value apply(const pbio::Value& full,

@@ -454,40 +454,79 @@ TEST(SoapBinQ, RttEstimateTracksSimulatedLink) {
 }
 
 TEST(SoapBinQ, ClientSideRequestReduction) {
-  // The client's own quality manager reduces the request parameters.
-  auto format_server = std::make_shared<pbio::FormatServer>();
-  auto clock = std::make_shared<net::SimClock>();
-  ServiceRuntime runtime(format_server, clock);
+  // The client's own quality manager reduces the request parameters, on
+  // every wire: the binary server resolves the reduced format by id, the
+  // XML servers by the X-SOAP-Quality-Type name through their own manager.
+  for (const WireFormat wire :
+       {WireFormat::kBinary, WireFormat::kXml, WireFormat::kCompressedXml}) {
+    SCOPED_TRACE(static_cast<int>(wire));
+    auto format_server = std::make_shared<pbio::FormatServer>();
+    auto clock = std::make_shared<net::SimClock>();
+    ServiceRuntime runtime(format_server, clock);
 
-  std::size_t seen_data_size = 999;
-  runtime.register_operation(
-      "push", payload_full_format(),
-      FormatBuilder("ack").add_scalar("ok", TypeKind::kInt32).build(),
-      [&](const Value& params) {
-        seen_data_size = params.field("data").as_string().size();
-        return Value::record({{"ok", 1}});
-      });
+    std::size_t seen_data_size = 999;
+    const FormatPtr ack = FormatBuilder("ack").add_scalar("ok", TypeKind::kInt32).build();
+    runtime.register_operation("push", payload_full_format(), ack,
+                               [&](const Value& params) {
+                                 seen_data_size = params.field("data").as_string().size();
+                                 return Value::record({{"ok", 1}});
+                               });
+    if (wire != WireFormat::kBinary) {
+      // XML carries no format ids: the server learns the request types from
+      // its own manager, whose policy always answers with the full `ack`.
+      auto server_qm = std::make_shared<qos::QualityManager>(
+          qos::QualityFile::parse("0 inf - ack\n"), 1);
+      server_qm->register_message_type("ack", ack);
+      server_qm->register_message_type("payload_full", payload_full_format());
+      server_qm->register_message_type("payload_small", payload_small_format());
+      runtime.set_quality_manager(server_qm);
+    }
 
-  LoopbackTransport transport(runtime);
-  wsdl::ServiceDesc svc;
-  svc.name = "Push";
-  svc.operations.push_back(wsdl::OperationDesc{
-      "push", payload_full_format(),
-      FormatBuilder("ack").add_scalar("ok", TypeKind::kInt32).build()});
-  ClientStub client(transport, WireFormat::kBinary, svc, format_server, clock);
+    LoopbackTransport transport(runtime);
+    wsdl::ServiceDesc svc;
+    svc.name = "Push";
+    svc.operations.push_back(wsdl::OperationDesc{"push", payload_full_format(), ack});
+    ClientStub client(transport, wire, svc, format_server, clock);
 
+    auto qm = std::make_shared<qos::QualityManager>(
+        qos::QualityFile::parse(kPayloadPolicy), 1);
+    qm->register_message_type("payload_full", payload_full_format());
+    qm->register_message_type("payload_small", payload_small_format(), shrink_handler);
+    client.set_quality_manager(qm);
+    client.set_request_quality_enabled(true);
+
+    qm->update_attribute("rtt_us", 500000.0);  // pretend the link is terrible
+    const Value result = client.call(
+        "push", Value::record({{"id", 1}, {"data", Value{std::string(64000, 'U')}}}));
+    // Server saw the reduced request, zero-padded onto the full type.
+    EXPECT_EQ(seen_data_size, 8000u);
+    EXPECT_EQ(result.field("ok").as_i64(), 1);
+  }
+}
+
+TEST(SoapBinQ, QualityTypeFormatsAreAnnouncedOnce) {
+  // A reduced type's format is registered with the format server the first
+  // time either side sends it, not again on every call.
+  QEndpoints env;
+  env.server_quality->update_attribute("rtt_us", 500000.0);  // reduced responses
+  LoopbackTransport transport(env.runtime);
+  ClientStub client(transport, WireFormat::kBinary, env.service(),
+                    env.format_server, env.clock);
   auto qm = std::make_shared<qos::QualityManager>(
-      qos::QualityFile::parse(kPayloadPolicy), 1);
-  qm->register_message_type("payload_full", payload_full_format());
-  qm->register_message_type("payload_small", payload_small_format(), shrink_handler);
+      qos::QualityFile::parse("0 inf - req_small\n"), 1);
+  qm->register_message_type(
+      "req_small", FormatBuilder("req_small").add_scalar("n", TypeKind::kInt32).build());
   client.set_quality_manager(qm);
   client.set_request_quality_enabled(true);
 
-  qm->update_attribute("rtt_us", 500000.0);  // pretend the link is terrible
-  client.call("push",
-              Value::record({{"id", 1}, {"data", Value{std::string(64000, 'U')}}}));
-  // Server saw the reduced request, zero-padded onto the full type.
-  EXPECT_EQ(seen_data_size, 8000u);
+  client.call("fetch", Value::record({{"n", 0}}));
+  EXPECT_EQ(client.last_response_type(), "payload_small");
+  const pbio::FormatServerStats after_first = env.format_server->stats();
+  for (int i = 1; i < 10; ++i) client.call("fetch", Value::record({{"n", i}}));
+  const pbio::FormatServerStats after_ten = env.format_server->stats();
+  EXPECT_EQ(after_ten.registrations, after_first.registrations);
+  EXPECT_EQ(after_ten.bytes_received, after_first.bytes_received);
+  EXPECT_EQ(client.last_response_type(), "payload_small");
 }
 
 TEST(SimTransportTest, TimingAccounting) {

@@ -246,13 +246,13 @@ struct XmlQualityFixture {
     runtime.set_quality_manager(server_quality);
   }
 
-  std::unique_ptr<ClientStub> make_client() {
+  std::unique_ptr<ClientStub> make_client(WireFormat wire = WireFormat::kXml) {
     wsdl::ServiceDesc svc;
     svc.name = "XmlQ";
     svc.operations.push_back(wsdl::OperationDesc{
         "fetch", FormatBuilder("req").add_scalar("n", TypeKind::kInt32).build(),
         xf_full()});
-    auto client = std::make_unique<ClientStub>(transport, WireFormat::kXml, svc,
+    auto client = std::make_unique<ClientStub>(transport, wire, svc,
                                                format_server, clock);
     client->set_quality_manager(xml_quality());
     return client;
@@ -277,6 +277,17 @@ TEST(XmlWireQuality, ServerReducesOnReportedRtt) {
   // Reduced payload, zero-padded semantics preserved by projection.
   EXPECT_EQ(result.field("data").as_string().size(), 4u);
   EXPECT_EQ(result.field("id").as_i64(), 9);
+}
+
+TEST(XmlWireQuality, ServerReducesOnReportedRttCompressed) {
+  XmlQualityFixture fx;
+  ClientStub& client = *fx.clients.emplace_back(fx.make_client(WireFormat::kCompressedXml));
+  client.quality_manager()->observe_rtt(500000.0);
+  const Value result = client.call("fetch", Value::record({{"n", 1}}));
+  EXPECT_EQ(client.last_response_type(), "xsmall");
+  EXPECT_EQ(result.field("data").as_string().size(), 4u);
+  EXPECT_EQ(result.field("id").as_i64(), 9);
+  EXPECT_GT(client.stats().compress_us, 0.0);  // the compressed wire ran
 }
 
 TEST(XmlWireQuality, ReducedResponseWithoutClientManagerIsAnError) {

@@ -2,7 +2,9 @@
 // hysteresis policy, and the quality manager.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <thread>
 
 #include "pbio/format.h"
 #include "qos/manager.h"
@@ -263,6 +265,43 @@ TEST(Manager, CustomHandlerReceivesAttributes) {
   const Value reduced = qm.apply(full, qm.required_type("half_image"));
   EXPECT_EQ(reduced.field("width").as_i64(), 320);
   EXPECT_DOUBLE_EQ(seen_rtt, 7777.0);
+}
+
+TEST(Manager, InstallHandlerRacesSelectAndApply) {
+  // One thread swaps the selected type's handler while another selects and
+  // applies: every result must come whole from one of the two handlers.
+  auto qm = make_manager();
+  const auto scale = [](std::int64_t divisor) {
+    return [divisor](const Value& full, const pbio::FormatDesc& target,
+                     const AttributeMap&) {
+      Value v = pbio::project_value(full, target);
+      v.set_field("width", full.field("width").as_i64() / divisor);
+      return v;
+    };
+  };
+  qm->install_handler("half_image", scale(2));
+  qm->update_attribute("rtt_us", 5000.0);  // half_image
+  ASSERT_EQ(qm->select().name, "half_image");
+
+  constexpr int kInstalls = 2000;
+  std::atomic<bool> done{false};
+  std::thread installer([&] {
+    for (int i = 0; i < kInstalls; ++i) {
+      qm->install_handler("half_image", scale(i % 2 == 0 ? 4 : 2));
+    }
+    done.store(true);
+  });
+  const Value full = Value::record({{"width", 640}, {"height", 480}, {"caption", "x"}});
+  int applied = 0;
+  int bad = 0;
+  while (!done.load() || applied < 100) {
+    const std::int64_t width = qm->apply(full, qm->select()).field("width").as_i64();
+    if (width != 320 && width != 160) ++bad;
+    ++applied;
+  }
+  installer.join();
+  EXPECT_EQ(bad, 0);
+  EXPECT_EQ(qm->apply(full, qm->select()).field("width").as_i64(), 320);
 }
 
 TEST(Manager, RegisterRejectsNullFormat) {
