@@ -15,7 +15,6 @@
 
 #include "bench_util.h"
 #include "soap/codec.h"
-#include "xml/dom.h"
 
 namespace sbq::bench {
 namespace {

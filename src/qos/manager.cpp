@@ -6,6 +6,15 @@
 
 namespace sbq::qos {
 
+namespace {
+
+std::shared_ptr<const QualityHandler> share(QualityHandler handler) {
+  if (!handler) return nullptr;
+  return std::make_shared<const QualityHandler>(std::move(handler));
+}
+
+}  // namespace
+
 QualityManager::QualityManager(QualityFile file, int switch_threshold)
     : policy_(std::move(file), switch_threshold) {
   attributes_[policy_.file().attribute()] = 0.0;
@@ -17,7 +26,7 @@ void QualityManager::register_message_type(std::string name, pbio::FormatPtr for
   // Every registered name should be reachable from the quality file, or be
   // the application's full type; unreachable names are tolerated (they may
   // be selected via required_type on the receive path).
-  MessageType type{name, std::move(format), std::move(handler)};
+  MessageType type{name, std::move(format), share(std::move(handler))};
   std::lock_guard lock(mu_);
   types_[name] = std::move(type);
 }
@@ -43,7 +52,7 @@ void QualityManager::install_handler(std::string_view type_name,
     throw QosError("install_handler: unknown message type '" +
                    std::string(type_name) + "'");
   }
-  it->second.handler = std::move(handler);
+  it->second.handler = share(std::move(handler));
 }
 
 std::string QualityManager::attribute_name() const {
@@ -131,7 +140,7 @@ const MessageType* QualityManager::find_type(std::string_view name) const {
 }
 
 MessageType QualityManager::required_type(std::string_view name) const {
-  // Copied under the lock: install_handler swaps handlers in place.
+  // Copied under the lock: install_handler swaps the handler pointer.
   std::lock_guard lock(mu_);
   const auto it = types_.find(name);
   if (it == types_.end()) {
@@ -145,7 +154,7 @@ pbio::Value QualityManager::apply(const pbio::Value& full,
                                   const MessageType& type) const {
   if (type.handler) {
     // Hand the handler a stable snapshot of the attributes.
-    return type.handler(full, *type.format, attributes());
+    return (*type.handler)(full, *type.format, attributes());
   }
   // Default conversion handler: copy common fields, drop the rest.
   return pbio::project_value(full, *type.format);

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -40,7 +41,10 @@ using QualityHandler = std::function<pbio::Value(
 struct MessageType {
   std::string name;
   pbio::FormatPtr format;
-  QualityHandler handler;  // empty → default projection handler
+  /// Null → default projection handler. Shared, so that a copy of the type
+  /// costs a reference count: install_handler swaps the pointer and never
+  /// changes a handler in place.
+  std::shared_ptr<const QualityHandler> handler;
 };
 
 class QualityManager {
@@ -109,7 +113,8 @@ class QualityManager {
 
   /// Selects the message type for the next outgoing message (with
   /// hysteresis) based on the current attribute value. Returns a copy taken
-  /// under the lock, so install_handler may run concurrently with apply().
+  /// under the lock, so install_handler may run concurrently with apply();
+  /// the copy shares the handler rather than copying it.
   MessageType select();
 
   /// Looks up a registered type by name (for the receive path); the lookup

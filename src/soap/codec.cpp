@@ -1,15 +1,19 @@
 #include "soap/codec.h"
 
 #include <charconv>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <type_traits>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/base64.h"
 #include "common/error.h"
 #include "common/strings.h"
+#include "xml/escape.h"
 
 namespace sbq::soap {
 
@@ -46,22 +50,139 @@ bool is_float_kind(TypeKind kind) {
   return kind == TypeKind::kFloat32 || kind == TypeKind::kFloat64;
 }
 
+// ---------------------------------------------------------------- tags
+
+// The tags of one format field, exactly as this codec writes them in one
+// style.
+struct FieldTags {
+  std::string_view start;   // a typed array's container tag runs up to its count
+  std::string_view end;
+  std::string_view bulk;    // char arrays: the start tag of the base64 form
+  std::string_view item;    // arrays: an item's start tag
+  std::string_view expect;  // the start tag the decoder tries, if any
+  FieldTags* sub = nullptr;  // struct fields and arrays: struct_format's tags, once reached
+};
+
+constexpr std::string_view kItemEnd = "</item>";
+
+// The element tags, in one style, of every format one call reaches,
+// rendered the first time the call reaches the format. A field remembers
+// its struct format's tags once resolved, so the walk looks a format up
+// once per field, not once per record. The table lives for one call,
+// during which the caller holds the format tree, so no address it is keyed
+// by can be reused. Tags and their text live in an arena, so they stay put
+// as more formats are rendered.
+class TagTable {
+ public:
+  explicit TagTable(bool typed) : typed_(typed), arena_(1024) {}
+
+  // The tags of `format`'s fields, in field order.
+  FieldTags* format(const FormatDesc& format) {
+    FieldTags*& tags = index_[&format];
+    if (tags == nullptr) tags = render(format);
+    return tags;
+  }
+
+  // The tags of `field`'s struct format.
+  FieldTags* sub(FieldTags& field, const FormatDesc& struct_format) {
+    if (field.sub == nullptr) field.sub = format(struct_format);
+    return field.sub;
+  }
+
+ private:
+  FieldTags* render(const FormatDesc& format) {
+    FieldTags* const tags = arena_.allocate_array<FieldTags>(format.fields.size());
+    // The same puts twice: the first pass sizes the text, the second
+    // writes it and takes views into it.
+    std::size_t size = 0;
+    char* text = nullptr;
+    for (const bool write : {false, true}) {
+      if (write) text = arena_.allocate_array<char>(size);
+      std::size_t at = 0;
+      const auto put = [&](std::initializer_list<std::string_view> parts) {
+        const std::size_t start = at;
+        for (const std::string_view part : parts) {
+          if (write) part.copy(text + at, part.size());
+          at += part.size();
+        }
+        return write ? std::string_view(text + start, at - start) : std::string_view{};
+      };
+      for (std::size_t i = 0; i < format.fields.size(); ++i) {
+        const FieldDesc& field = format.fields[i];
+        const std::string_view name = field.name;
+        const bool scalar = field.arity == Arity::kScalar;
+        FieldTags& out = tags[i];
+        out = FieldTags{};
+        out.end = put({"</", name, ">"});
+        if (!typed_) {
+          out.start = out.bulk = out.expect = put({"<", name, ">"});
+          if (!scalar) out.item = put({"<item>"});
+        } else {
+          // Records and struct items name their struct; attribute values
+          // are escaped, as XmlWriter::attribute escapes them.
+          const bool is_struct = field.kind == TypeKind::kStruct;
+          const std::string escaped = is_struct ? xml::escape(field.struct_format->name) : "";
+          const std::string_view ns = is_struct ? "tns:" : "";
+          const std::string_view type = is_struct ? escaped : xsi_type_name(field.kind);
+          if (scalar) {
+            out.start = out.expect = put({"<", name, " xsi:type=\"", ns, type, "\">"});
+          } else {
+            // The container tag holds the count, so the decoder lexes it.
+            out.start = put({"<", name, " soapenc:arrayType=\"", xsi_type_name(field.kind), "["});
+            out.item = put({"<item xsi:type=\"", ns, type, "\">"});
+            if (field.kind == TypeKind::kChar) {
+              out.bulk = out.expect = put({"<", name, " xsi:type=\"xsd:base64Binary\">"});
+            }
+          }
+        }
+        // A name the lexer reads otherwise gets no literal: one it rejects,
+        // and a prefixed one, which it reads as its local part.
+        if (!xml::is_name(name) || name.find(':') != std::string_view::npos) out.expect = {};
+      }
+      size = at;
+    }
+    return tags;
+  }
+
+  bool typed_;
+  Arena arena_;
+  std::unordered_map<const FormatDesc*, FieldTags*> index_;
+};
+
 // ---------------------------------------------------------------- write
 
+// Writes one record. The root element goes through the writer, which
+// tracks it; every element inside is written from the tag table, one
+// append per tag, into the open root. Output is compact markup.
 class Encoder {
  public:
-  Encoder(xml::XmlWriter& writer, XmlStyle style) : writer_(writer), style_(style) {}
+  Encoder(xml::XmlWriter& writer, XmlStyle style)
+      : writer_(writer), typed_(style.typed), table_(style.typed) {}
 
-  void record(const Value& value, const FormatDesc& format, std::string_view name) {
+  void root(const Value& value, const FormatDesc& format, std::string_view name) {
+    check_record(value, format);
+    writer_.start_element(name);
+    if (typed_) writer_.attribute("xsi:type", "tns:" + format.name);
+    fields(value, format, table_.format(format));
+    writer_.end_element();
+  }
+
+ private:
+  static void check_record(const Value& value, const FormatDesc& format) {
     if (!value.is_record()) {
       throw CodecError("XML encoding of format '" + format.name + "' needs a record");
     }
-    writer_.start_element(name);
-    if (style_.typed) {
-      scratch_.assign("tns:");
-      scratch_ += format.name;
-      writer_.attribute("xsi:type", scratch_);
-    }
+  }
+
+  // A start tag; an element without content closes in it, `<name …/>`.
+  void open(std::string_view tag, bool empty) {
+    if (!empty) return writer_.raw(tag);
+    tag.remove_suffix(1);
+    writer_.raw(tag);
+    writer_.raw("/>");
+  }
+
+  void fields(const Value& value, const FormatDesc& format, FieldTags* tags) {
     for (std::size_t i = 0; i < format.fields.size(); ++i) {
       const FieldDesc& field = format.fields[i];
       // Records built for a format hold its fields in order; look up by
@@ -72,19 +193,20 @@ class Encoder {
       if (v == nullptr) {
         throw CodecError("record missing field '" + field.name + "'");
       }
-      write_field(*v, field);
+      write_field(*v, field, tags[i]);
     }
-    writer_.end_element();
   }
 
- private:
-  void start_scalar(TypeKind kind, std::string_view name) {
-    writer_.start_element(name);
-    if (style_.typed) writer_.attribute("xsi:type", xsi_type_name(kind));
+  void record(const Value& value, const FormatDesc& format, FieldTags* tags,
+              std::string_view start, std::string_view end) {
+    check_record(value, format);
+    open(start, format.fields.empty());
+    if (format.fields.empty()) return;
+    fields(value, format, tags);
+    writer_.raw(end);
   }
 
-  void scalar(const Value& v, TypeKind kind, std::string_view name) {
-    start_scalar(kind, name);
+  void scalar(const Value& v, TypeKind kind) {
     switch (kind) {
       case TypeKind::kInt32:
       case TypeKind::kInt64:
@@ -110,15 +232,14 @@ class Encoder {
       default:
         throw CodecError("write_scalar: unexpected kind");
     }
-    writer_.end_element();
   }
 
   // One <item> per element of a contiguous numeric array, converted as
   // the Value accessors convert, without a Value per element.
   template <class T>
-  void numeric_items(std::span<const T> elems, TypeKind kind) {
+  void numeric_items(std::span<const T> elems, TypeKind kind, std::string_view start) {
     for (const T x : elems) {
-      start_scalar(kind, "item");
+      writer_.raw(start);
       if (is_signed_kind(kind)) {
         writer_.number(static_cast<std::int64_t>(x));
       } else if (is_unsigned_kind(kind)) {
@@ -126,65 +247,65 @@ class Encoder {
       } else {
         writer_.number(static_cast<double>(x));
       }
-      writer_.end_element();
+      writer_.raw(kItemEnd);
     }
   }
 
-  void write_field(const Value& v, const FieldDesc& field) {
+  void write_field(const Value& v, const FieldDesc& field, FieldTags& tags) {
     if (field.arity == Arity::kScalar) {
       if (field.kind == TypeKind::kStruct) {
-        record(v, *field.struct_format, field.name);
-      } else {
-        scalar(v, field.kind, field.name);
+        return record(v, *field.struct_format, table_.sub(tags, *field.struct_format),
+                      tags.start, tags.end);
       }
-      return;
+      writer_.raw(tags.start);
+      scalar(v, field.kind);
+      return writer_.raw(tags.end);
     }
     // Bulk char arrays (string-backed) travel as xsd:base64Binary text.
     if (field.kind == TypeKind::kChar && v.is_string()) {
-      writer_.start_element(field.name);
-      if (style_.typed) writer_.attribute("xsi:type", "xsd:base64Binary");
+      writer_.raw(tags.bulk);
       writer_.text(base64_encode(std::string_view{v.as_string()}));
-      writer_.end_element();
-      return;
+      return writer_.raw(tags.end);
     }
     // SOAP array encoding: a container element with one <item> per value —
     // the per-element tagging that makes XML arrays several times the size
     // of the equivalent PBIO message.
-    writer_.start_element(field.name);
-    if (style_.typed) {
-      char count[24];
-      const auto end = std::to_chars(count, count + sizeof count, v.array_size()).ptr;
-      scratch_.assign(xsi_type_name(field.kind));
-      scratch_ += '[';
-      scratch_.append(count, end);
-      scratch_ += ']';
-      writer_.attribute("soapenc:arrayType", scratch_);
+    const std::size_t count = v.array_size();
+    if (typed_) {
+      writer_.raw(tags.start);
+      writer_.number(std::uint64_t{count});
+      writer_.raw(count == 0 ? "]\"/>" : "]\">");
+    } else {
+      open(tags.start, count == 0);
     }
+    if (count == 0) return;
     v.visit_array([&](auto elems) {
       using T = std::remove_cv_t<typename decltype(elems)::element_type>;
       if constexpr (std::is_same_v<T, Value>) {
-        for (const Value& elem : elems) item(elem, field);
+        for (const Value& elem : elems) write_item(elem, field, tags);
       } else if (is_signed_kind(field.kind) || is_unsigned_kind(field.kind) ||
                  is_float_kind(field.kind)) {
-        numeric_items(elems, field.kind);
+        numeric_items(elems, field.kind, tags.item);
       } else {
-        for (const T elem : elems) item(Value{elem}, field);
+        for (const T elem : elems) write_item(Value{elem}, field, tags);
       }
     });
-    writer_.end_element();
+    writer_.raw(tags.end);
   }
 
-  void item(const Value& elem, const FieldDesc& field) {
+  void write_item(const Value& elem, const FieldDesc& field, FieldTags& tags) {
     if (field.kind == TypeKind::kStruct) {
-      record(elem, *field.struct_format, "item");
-    } else {
-      scalar(elem, field.kind, "item");
+      return record(elem, *field.struct_format, table_.sub(tags, *field.struct_format),
+                    tags.item, kItemEnd);
     }
+    writer_.raw(tags.item);
+    scalar(elem, field.kind);
+    writer_.raw(kItemEnd);
   }
 
   xml::XmlWriter& writer_;
-  XmlStyle style_;
-  std::string scratch_;  // attribute values built per element
+  bool typed_;
+  TagTable table_;
 };
 
 // ---------------------------------------------------------------- read
@@ -224,14 +345,19 @@ Value scalar_from_text(TypeKind kind, std::string_view text) {
 // recursion: an explicit stack holds one frame per open record or array.
 // A record frame holds the record's fields, one slot per format field,
 // filled as the elements arrive; a field's element is expected in format
-// order and looked up by name otherwise.
+// order and looked up by name otherwise. Before each token the decoder
+// offers the reader the start tag the top frame expects next, as this
+// codec writes it; when the document holds those bytes the reader takes
+// the tag in one compare, and the decoder enters that child as it would
+// have after next() returned the same tag.
 class Decoder {
  public:
-  explicit Decoder(xml::Reader& reader) : reader_(reader) {}
+  explicit Decoder(xml::Reader& reader) : reader_(reader), table_(typed_root(reader)) {}
 
   Value read(const FormatDesc& format) {
-    push_record(format, kItem);
+    push_record(format, kItem, table_.format(format));
     for (;;) {
+      if (accept_expected()) continue;
       switch (reader_.next()) {
         case xml::Reader::Token::kStartElement:
           start_child();
@@ -266,6 +392,14 @@ class Decoder {
  private:
   static constexpr std::size_t kItem = std::numeric_limits<std::size_t>::max();
 
+  // A root typed as this codec types it heads a typed document.
+  static bool typed_root(const xml::Reader& reader) {
+    for (const xml::Reader::Attribute& attribute : reader.attributes()) {
+      if (attribute.name == "xsi:type") return true;
+    }
+    return false;
+  }
+
   // An array's elements: Values, or a typed vector for numbers.
   using Items =
       std::variant<std::vector<Value>, Value::I64Array, Value::U64Array, Value::F64Array>;
@@ -275,6 +409,7 @@ class Decoder {
     const FieldDesc* array = nullptr;    // an array's field
     std::string_view element;            // element name, for errors
     std::size_t slot = kItem;            // field index in the parent record, or kItem
+    FieldTags* tags = nullptr;           // record: its fields' tags; array: its field's
     std::size_t filled_base = 0;         // record: its first flag in filled_
     std::size_t next_field = 0;          // record: the field expected next
     bool saw_item = false;               // array
@@ -282,21 +417,23 @@ class Decoder {
     Items items;                            // array: its elements
   };
 
-  void push_record(const FormatDesc& format, std::size_t slot) {
+  void push_record(const FormatDesc& format, std::size_t slot, FieldTags* tags) {
     Frame& frame = frames_.emplace_back();
     frame.format = &format;
     frame.element = reader_.name();
     frame.slot = slot;
+    frame.tags = tags;
     frame.filled_base = filled_.size();
     frame.fields.resize(format.fields.size());
     filled_.resize(filled_.size() + format.fields.size(), 0);
   }
 
-  void push_array(const FieldDesc& field, std::size_t slot) {
+  void push_array(const FieldDesc& field, std::size_t slot, FieldTags& tags) {
     Frame& frame = frames_.emplace_back();
     frame.array = &field;
     frame.element = reader_.name();
     frame.slot = slot;
+    frame.tags = &tags;
     if (is_signed_kind(field.kind)) {
       frame.items.emplace<Value::I64Array>();
     } else if (is_unsigned_kind(field.kind)) {
@@ -314,17 +451,31 @@ class Decoder {
     filled_[record.filled_base + slot] = 1;
   }
 
+  // Takes the start tag the top frame expects next when the document holds
+  // it as this codec writes it in the document's style, and enters that
+  // child.
+  bool accept_expected() {
+    Frame& top = frames_.back();
+    if (top.array != nullptr) {
+      if (!reader_.accept_start_tag(top.tags->item)) return false;
+      enter_item(top);
+      return true;
+    }
+    const std::size_t i = top.next_field;
+    if (i >= top.format->fields.size() || !reader_.accept_start_tag(top.tags[i].expect)) {
+      return false;
+    }
+    enter_field(top, i);
+    return true;
+  }
+
+  // A start tag the lexer read: an item, or the field it names.
   void start_child() {
     Frame& top = frames_.back();
     const std::string_view local = xml::local_part(reader_.name());
     if (top.array != nullptr) {
       if (local != "item") return reader_.skip_element();
-      top.saw_item = true;
-      const FieldDesc& field = *top.array;
-      if (field.kind == TypeKind::kStruct) return push_record(*field.struct_format, kItem);
-      text_.clear();
-      reader_.read_text(text_);
-      return std::visit([&](auto& items) { append_item(items, field.kind); }, top.items);
+      return enter_item(top);
     }
     const std::vector<FieldDesc>& fields = top.format->fields;
     std::size_t i = top.next_field;
@@ -333,12 +484,29 @@ class Decoder {
       while (i < fields.size() && fields[i].name != local) ++i;
       if (i == fields.size()) return reader_.skip_element();
     }
+    enter_field(top, i);
+  }
+
+  void enter_item(Frame& top) {
+    top.saw_item = true;
+    const FieldDesc& field = *top.array;
+    if (field.kind == TypeKind::kStruct) {
+      return push_record(*field.struct_format, kItem, table_.sub(*top.tags, *field.struct_format));
+    }
+    text_.clear();
+    reader_.read_text(text_);
+    std::visit([&](auto& items) { append_item(items, field.kind); }, top.items);
+  }
+
+  void enter_field(Frame& top, std::size_t i) {
     // The first occurrence of a field wins.
     if (filled_[top.filled_base + i] != 0) return reader_.skip_element();
     top.next_field = i + 1;
-    const FieldDesc& field = fields[i];
-    if (field.arity != Arity::kScalar) return push_array(field, i);
-    if (field.kind == TypeKind::kStruct) return push_record(*field.struct_format, i);
+    const FieldDesc& field = top.format->fields[i];
+    if (field.arity != Arity::kScalar) return push_array(field, i, top.tags[i]);
+    if (field.kind == TypeKind::kStruct) {
+      return push_record(*field.struct_format, i, table_.sub(top.tags[i], *field.struct_format));
+    }
     text_.clear();
     reader_.read_text(text_);
     fill(i, scalar_from_text(field.kind, text_));
@@ -394,6 +562,7 @@ class Decoder {
   }
 
   xml::Reader& reader_;
+  TagTable table_;
   std::vector<Frame> frames_;
   std::vector<std::uint8_t> filled_;  // per open record, a flag per field
   std::string text_;     // the current scalar's text
@@ -405,7 +574,7 @@ class Decoder {
 void write_value_xml(xml::XmlWriter& writer, const Value& value,
                      const FormatDesc& format, std::string_view name,
                      XmlStyle style) {
-  Encoder(writer, style).record(value, format, name);
+  Encoder(writer, style).root(value, format, name);
 }
 
 std::string value_to_xml(const Value& value, const FormatDesc& format,

@@ -7,7 +7,10 @@
 //
 // Both directions stream: the writer appends straight into one output
 // string, and the reader pulls tokens from xml::Reader and fills one slot
-// per format field, with no DOM in between.
+// per format field, with no DOM in between. Each call renders the element
+// tags of every format it reaches once, into a table that lives for the
+// call: the writer appends each tag whole, and the reader takes the start
+// tag it expects next in one compare and lexes anything else.
 #pragma once
 
 #include <string>
@@ -28,7 +31,9 @@ struct XmlStyle {
   bool typed = false;
 };
 
-/// Writes `value` (a record of `format`) as `<name>...</name>`.
+/// Writes `value` (a record of `format`) as `<name>...</name>`, in compact
+/// markup: everything inside the root is appended as is, so `writer` must
+/// not be a pretty one.
 void write_value_xml(xml::XmlWriter& writer, const pbio::Value& value,
                      const pbio::FormatDesc& format, std::string_view name,
                      XmlStyle style = {});

@@ -36,6 +36,14 @@ bool is_ws(char c) {
 
 }  // namespace
 
+bool is_name(std::string_view s) {
+  if (s.empty() || !is_name_start(s[0])) return false;
+  for (const char c : s) {
+    if (!is_name_char(c)) return false;
+  }
+  return true;
+}
+
 std::string Reader::Attribute::value() const {
   // The reader checked the entities when it read the tag.
   return unescape(raw_value);
@@ -209,9 +217,52 @@ Reader::Token Reader::lex_start_tag() {
   return Token::kStartElement;
 }
 
+bool Reader::accept_start_tag(std::string_view tag) {
+  if (tag.empty() || empty_element_ || phase_ != Phase::kContent ||
+      doc_.size() - pos_ < tag.size() ||
+      std::memcmp(doc_.data() + pos_, tag.data(), tag.size()) != 0) {
+    return false;
+  }
+  // The document holds `tag`, a start tag in the documented form: take the
+  // name and the attributes from the document's copy of it.
+  token_start_ = pos_;
+  if (open_.size() >= max_depth_) {
+    ++pos_;  // where the lexer reports it: after the '<'
+    fail("element nesting exceeds " + std::to_string(max_depth_) + " levels");
+  }
+  const char* const t = doc_.data() + pos_;
+  const std::size_t close = tag.size() - 1;  // the '>'
+  std::size_t i = 1;
+  while (i < close && t[i] != ' ') ++i;
+  name_ = std::string_view(t + 1, i - 1);
+  // The attributes are read when asked for: the SOAP codec never asks.
+  attributes_.clear();
+  unread_attributes_ = std::string_view(t + i, close - i);
+  pos_ += tag.size();
+  open_.push_back(name_);
+  return true;
+}
+
+void Reader::read_attributes() const {
+  // ` a="v"` pairs, in the form accept_start_tag() documents.
+  const std::string_view t = unread_attributes_;
+  unread_attributes_ = {};
+  std::size_t i = 0;
+  while (i < t.size()) {  // at the space before an attribute
+    const std::size_t name = ++i;
+    while (i < t.size() && t[i] != '=') ++i;
+    const std::size_t value = i + 2;  // past `="`
+    i = value;
+    while (i < t.size() && t[i] != '"') ++i;
+    attributes_.push_back(Attribute{t.substr(name, value - 2 - name), t.substr(value, i - value)});
+    ++i;
+  }
+}
+
 // Leaves pos_ at the '>' or '/' that ends the tag.
 void Reader::lex_attributes() {
   attributes_.clear();
+  unread_attributes_ = {};
   for (;;) {
     const bool had_ws = pos_ < doc_.size() && is_ws(doc_[pos_]);
     skip_whitespace();

@@ -21,7 +21,10 @@
 // can be read in two legs without lexing any byte twice: one reader stops
 // partway (the SOAP envelope parse stops at the body's operation element),
 // and resume() picks the document up at that offset with the same open
-// elements and reads it to its end.
+// elements and reads it to its end. A caller that knows the start tag
+// coming next (the SOAP codec, from its tag table) offers it to
+// accept_start_tag(), which takes it in one compare when the document holds
+// exactly those bytes.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +61,9 @@ inline std::string_view local_part(std::string_view qname) {
   const std::size_t colon = qname.rfind(':');
   return colon == std::string_view::npos ? qname : qname.substr(colon + 1);
 }
+
+/// True when the lexer reads all of `s` as one name.
+bool is_name(std::string_view s);
 
 /// Element nesting limit: SOAP payloads here nest with their PBIO formats,
 /// which are shallow.
@@ -108,12 +114,30 @@ class Reader {
   /// the next call to next().
   [[nodiscard]] std::string_view text() const { return text_; }
   /// Attributes of the current start tag.
-  [[nodiscard]] std::span<const Attribute> attributes() const { return attributes_; }
+  [[nodiscard]] std::span<const Attribute> attributes() const {
+    if (!unread_attributes_.empty()) read_attributes();
+    return attributes_;
+  }
   /// Open elements, counting the current start tag and not the current end
   /// tag: 1 on the root's start and 0 after its end.
   [[nodiscard]] std::size_t depth() const { return open_.size(); }
   /// Byte offset of the current token's first character in the document.
   [[nodiscard]] std::size_t offset() const { return token_start_; }
+
+  /// Inside an element: when the document continues with exactly `tag`,
+  /// consumes it as next() would consume that start tag, so the reader is
+  /// where next() would leave it: on a kStartElement whose name() and
+  /// attributes() are views into the document, under the same depth limit
+  /// and error position. Otherwise, or when an empty element's end token
+  /// is owed, returns false and leaves the reader untouched. A caller that
+  /// knows the start tag coming next tries it here, so a match costs one
+  /// compare and a miss falls back to next().
+  ///
+  /// `tag` must be a start tag the lexer accepts whole, written in one
+  /// form: `<name>` or `<name a="v">`, with one space before each
+  /// attribute, is_name() names, and values escaped as append_escaped()
+  /// escapes them. The reader does not re-check it.
+  [[nodiscard]] bool accept_start_tag(std::string_view tag);
 
   /// After a start tag: consumes the element's content and its end tag,
   /// still checking it, without yielding it.
@@ -142,6 +166,8 @@ class Reader {
   Token lex_processing_instruction();
   Token end_element();
   void lex_attributes();
+  /// Reads the attributes of a tag accept_start_tag() took.
+  void read_attributes() const;
   std::string_view read_name();
   void skip_whitespace();
   bool at(std::string_view literal) const;
@@ -154,7 +180,8 @@ class Reader {
   Phase phase_ = Phase::kStart;
   bool empty_element_ = false;  // `<a/>`: its end tag is owed
   std::vector<std::string_view> open_;
-  std::vector<Attribute> attributes_;
+  mutable std::vector<Attribute> attributes_;
+  mutable std::string_view unread_attributes_;  // of an accepted tag, not yet read
   std::string_view name_;
   std::string_view text_;
   std::string text_scratch_;

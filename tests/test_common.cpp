@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: buffers, endian ops, strings, RNG,
-// arena, hexdump.
+// arena.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "common/arena.h"
 #include "common/bytes.h"
-#include "common/hexdump.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -226,20 +225,6 @@ TEST(Arena, ZeroSizeAllocationsAreValid) {
   EXPECT_NE(a, nullptr);
   EXPECT_NE(b, nullptr);
   EXPECT_NE(a, b);
-}
-
-TEST(Hexdump, FormatsAsciiGutter) {
-  Bytes data = to_bytes("ABC\x01xyz");
-  const std::string dump = hexdump(BytesView{data});
-  EXPECT_NE(dump.find("41 42 43"), std::string::npos);
-  EXPECT_NE(dump.find("|ABC.xyz|"), std::string::npos);
-}
-
-TEST(Hexdump, MultipleLines) {
-  Bytes data(40, 0x41);
-  const std::string dump = hexdump(BytesView{data});
-  EXPECT_NE(dump.find("000010"), std::string::npos);
-  EXPECT_NE(dump.find("000020"), std::string::npos);
 }
 
 }  // namespace

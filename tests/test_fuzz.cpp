@@ -24,6 +24,7 @@
 #include "pbio/plan.h"
 #include "pbio/value_codec.h"
 #include "qos/quality_file.h"
+#include "soap/codec.h"
 #include "soap/envelope.h"
 #include "support/wire.h"
 #include "wsdl/wsdl.h"
@@ -867,6 +868,143 @@ TEST(SoapReceiveOracle, PrefixesAndMutationsAgreeWithAWholeDocumentParse) {
     for (int i = 0; i < 200; ++i) {
       check_against_oracle(
           target, mutate(rng, target.envelope, 1 + static_cast<int>(rng.next_below(8))));
+    }
+  }
+}
+
+// Edits aimed at the start tags of a payload, where the decoder takes the
+// tag this codec writes in one compare and lexes anything else. An edit
+// either keeps the payload, and the document must still decode to it, or
+// the decode must agree with a whole-document parse.
+struct TagEdit {
+  std::string text;
+  bool keeps_payload;
+};
+
+/// Edits of the start tag whose '<' is at `at` in `doc`: its name, its
+/// attribute's value and quotes, its '>', an added attribute, `/>`, and
+/// prefixes.
+std::vector<TagEdit> start_tag_edits(const std::string& doc, std::size_t at) {
+  const std::size_t close = doc.find('>', at);
+  std::size_t name_end = at + 1;
+  while (name_end < close && doc[name_end] != ' ') ++name_end;
+  const std::string name = doc.substr(at + 1, name_end - at - 1);
+  const std::string tag = doc.substr(at, close + 1 - at);
+  const std::string open = tag.substr(0, tag.size() - 1);  // without the '>'
+  const auto with = [&](const std::string& edited) {
+    return TagEdit{doc.substr(0, at) + edited + doc.substr(close + 1), false};
+  };
+  const auto keeping = [&](const std::string& edited) {
+    TagEdit edit = with(edited);
+    edit.keeps_payload = true;
+    return edit;
+  };
+  std::vector<TagEdit> edits = {
+      keeping(open + " >"),
+      keeping(open + " extra=\"1\">"),
+      with(open + "/>"),
+      with(open),
+      with(open + " extra=1>"),
+      with(open + " extra=\"1>"),
+      with("<Z" + tag.substr(2)),    // another name: the end tag no longer matches
+      with("<p:" + tag.substr(1)),   // a prefix on the start tag alone
+      with(tag.substr(0, tag.size() - 1) + "\x01>"),
+  };
+  if (const std::size_t quote = tag.find('"'); quote != std::string::npos) {
+    const std::size_t second = tag.find('"', quote + 1);
+    std::string single = tag;
+    single[quote] = '\'';
+    single[second] = '\'';
+    edits.push_back(keeping(single));
+    std::string mixed = tag;
+    mixed[second] = '\'';
+    edits.push_back(with(mixed));
+    std::string unclosed = tag;
+    unclosed.erase(second, 1);
+    edits.push_back(with(unclosed));
+    std::string retyped = tag;  // xsi:type values are not checked
+    retyped.insert(second, "X");
+    edits.push_back(keeping(retyped));
+    std::string bad_entity = tag;
+    bad_entity.insert(second, "&bogus;");
+    edits.push_back(with(bad_entity));
+    std::string lt = tag;
+    lt.insert(second, "<");
+    edits.push_back(with(lt));
+    std::string spaced = tag;
+    spaced.insert(name_end - at, " ");
+    edits.push_back(keeping(spaced));
+    const std::string attribute = tag.substr(name_end - at, second + 1 - (name_end - at));
+    edits.push_back(with(open + attribute + ">"));  // the attribute twice
+  }
+  // A prefix on both tags of an element that holds only text.
+  const std::string end_tag = "</" + name + ">";
+  const std::size_t next = doc.find('<', close);
+  if (next != std::string::npos && doc.compare(next, end_tag.size(), end_tag) == 0) {
+    std::string prefixed = doc;
+    prefixed.replace(next, end_tag.size(), "</p:" + name + ">");
+    prefixed.insert(at + 1, "p:");
+    edits.push_back({prefixed, true});
+  }
+  return edits;
+}
+
+/// Where the start tags of `doc` begin, from `from` on.
+std::vector<std::size_t> start_tags(const std::string& doc, std::size_t from) {
+  std::vector<std::size_t> at;
+  for (std::size_t i = doc.find('<', from); i != std::string::npos; i = doc.find('<', i + 1)) {
+    const char c = i + 1 < doc.size() ? doc[i + 1] : '\0';
+    if (c != '/' && c != '!' && c != '?') at.push_back(i);
+  }
+  return at;
+}
+
+TEST(SoapReceiveOracle, StartTagEditsAgreeWithAWholeDocumentParse) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    const std::string& envelope = target.envelope;
+    const std::size_t body = envelope.find('>', envelope.find("<soap:Body")) + 1;
+    const std::size_t body_end = envelope.find("</soap:Body>");
+    for (const std::size_t at : start_tags(envelope, body)) {
+      if (at >= body_end) break;
+      for (const TagEdit& edit : start_tag_edits(envelope, at)) {
+        check_against_oracle(target, edit.text, edit.keeps_payload);
+      }
+    }
+  }
+}
+
+/// check_against_oracle for a compact document read by value_from_xml.
+void check_compact_against_oracle(const SoapFuzzTarget& target, const std::string& text,
+                                  bool intact) {
+  bool accepted = true;
+  try {
+    (void)xml::parse_document(text);
+  } catch (const ParseError&) {
+    accepted = false;
+  }
+  ASSERT_TRUE(accepted || !intact) << target.name << ": oracle rejects " << text;
+  try {
+    const pbio::Value value = soap::value_from_xml(text, *target.format);
+    if (intact) {
+      EXPECT_EQ(value, target.value) << target.name;
+    }
+  } catch (const ParseError&) {
+    EXPECT_FALSE(intact) << target.name << ": rejected " << text;
+    return;
+  }
+  EXPECT_TRUE(accepted) << target.name << ": decoded what a whole-document parse rejects: "
+                        << text;
+}
+
+TEST(XmlReceiveOracle, CompactStartTagEditsAgreeWithAWholeDocumentParse) {
+  for (const SoapFuzzTarget& target : soap_fuzz_targets()) {
+    if (target.name == "fault") continue;
+    const std::string doc = soap::value_to_xml(target.value, *target.format, "params");
+    check_compact_against_oracle(target, doc, true);
+    for (const std::size_t at : start_tags(doc, 0)) {
+      for (const TagEdit& edit : start_tag_edits(doc, at)) {
+        check_compact_against_oracle(target, edit.text, edit.keeps_payload);
+      }
     }
   }
 }

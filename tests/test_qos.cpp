@@ -304,6 +304,32 @@ TEST(Manager, InstallHandlerRacesSelectAndApply) {
   EXPECT_EQ(qm->apply(full, qm->select()).field("width").as_i64(), 320);
 }
 
+TEST(Manager, SelectSharesTheHandlerRatherThanCopyingIt) {
+  // A handler whose capture counts its own copies: selecting its type must
+  // not copy it, only share it.
+  struct Counted {
+    std::shared_ptr<int> copies = std::make_shared<int>(0);
+    Counted() = default;
+    Counted(const Counted& other) : copies(other.copies) { ++*copies; }
+    Counted(Counted&&) = default;
+    Value operator()(const Value& full, const pbio::FormatDesc& target,
+                     const AttributeMap&) const {
+      return pbio::project_value(full, target);
+    }
+  };
+  Counted handler;
+  const std::shared_ptr<int> copies = handler.copies;
+  auto qm = make_manager();
+  qm->install_handler("half_image", std::move(handler));
+  qm->update_attribute("rtt_us", 5000.0);  // half_image
+  const int installed = *copies;
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(qm->select().name, "half_image");
+  EXPECT_EQ(*copies, installed);
+  const Value full = Value::record({{"width", 640}, {"height", 480}, {"caption", "x"}});
+  EXPECT_EQ(qm->apply(full, qm->select()).field("width").as_i64(), 640);
+  EXPECT_EQ(*copies, installed);
+}
+
 TEST(Manager, RegisterRejectsNullFormat) {
   QualityManager qm(QualityFile::parse(kImagePolicy));
   EXPECT_THROW(qm.register_message_type("x", nullptr), QosError);

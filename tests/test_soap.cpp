@@ -8,6 +8,8 @@
 #include "soap/codec.h"
 #include "soap/envelope.h"
 #include "support/wire.h"
+#include "xml/escape.h"
+#include "xml/reader.h"
 
 namespace sbq::soap {
 namespace {
@@ -84,6 +86,127 @@ TEST(Codec, CharArraysTravelAsBase64) {
   EXPECT_NE(xml.find(base64_encode(std::string_view{raw})), std::string::npos);
   const Value back = value_from_xml(xml, *blob_format);
   EXPECT_EQ(back.field("data").as_string(), raw);
+}
+
+Value sample(TypeKind kind, int seed) {
+  switch (kind) {
+    case TypeKind::kInt32: return Value{std::int64_t{seed * 7 - 3}};
+    case TypeKind::kUInt64: return Value{static_cast<std::uint64_t>(seed) * 1000003u};
+    case TypeKind::kFloat64: return Value{0.25 * seed - 1.0};
+    case TypeKind::kChar: return Value{static_cast<char>('a' + seed % 26)};
+    default: return Value{"s<" + std::to_string(seed) + "&>"};
+  }
+}
+
+FormatBuilder& add_scalar(FormatBuilder& builder, std::string name, TypeKind kind) {
+  return kind == TypeKind::kString ? builder.add_string(std::move(name))
+                                   : builder.add_scalar(std::move(name), kind);
+}
+FormatBuilder& add_scalar(FormatBuilder&& builder, std::string name, TypeKind kind) {
+  return add_scalar(builder, std::move(name), kind);
+}
+
+std::string xsd_name(TypeKind kind) {
+  switch (kind) {
+    case TypeKind::kInt32: return "xsd:int";
+    case TypeKind::kUInt64: return "xsd:unsignedLong";
+    case TypeKind::kFloat64: return "xsd:double";
+    case TypeKind::kChar: return "xsd:byte";
+    default: return "xsd:string";
+  }
+}
+
+TEST(Codec, FormatsRebuiltAtReusedAddressesRoundTrip) {
+  // Each round builds and drops formats that share their field names but
+  // not their struct names or kinds, so the allocator hands the same
+  // addresses out again: every call must write and read the tags of the
+  // format it is given, not those of one that lived at its address.
+  const TypeKind kinds[] = {TypeKind::kInt32, TypeKind::kString, TypeKind::kFloat64,
+                            TypeKind::kUInt64, TypeKind::kChar};
+  for (int round = 0; round < 60; ++round) {
+    const TypeKind a = kinds[round % 5];
+    const TypeKind b = kinds[(round / 5 + round + 1) % 5];
+    const TypeKind element = b == TypeKind::kString ? TypeKind::kUInt64 : b;
+    std::string inner_name = round % 2 == 0 ? "odd&<'\">" : "inner";
+    inner_name += std::to_string(round);
+    const FormatPtr inner =
+        add_scalar(FormatBuilder(inner_name), "id", a).add_var_array("v", element).build();
+    const Value inner_value =
+        Value::record({{"id", sample(a, round)},
+                       {"v", Value::array({sample(element, round), sample(element, round + 1)})}});
+    FormatPtr outer;
+    Value value;
+    if (round % 3 == 0) {
+      outer = add_scalar(FormatBuilder("outer"), "v", b).add_struct("id", inner).build();
+      value = Value::record({{"v", sample(b, round + 2)}, {"id", inner_value}});
+    } else {
+      FormatBuilder builder("outer");
+      builder.add_struct("id", inner).add_struct_var_array("v", inner);
+      outer = add_scalar(builder, "x", a).build();
+      value = Value::record({{"id", inner_value},
+                             {"v", Value::array({inner_value, inner_value})},
+                             {"x", sample(a, round + 3)}});
+    }
+    const std::string envelope = build_request("op", value, *outer);
+    const std::string struct_type = "xsi:type=\"tns:" + xml::escape(inner_name) + "\"";
+    EXPECT_NE(envelope.find("<id " + struct_type + ">"), std::string::npos) << envelope;
+    EXPECT_NE(envelope.find("<id xsi:type=\"" + xsd_name(a) + "\">"), std::string::npos)
+        << envelope;
+    EXPECT_EQ(decode_body(parse_envelope(envelope), *outer), value) << envelope;
+    const std::string compact = value_to_xml(value, *outer, "p");
+    EXPECT_EQ(value_from_xml(compact, *outer), value) << compact;
+  }
+}
+
+TEST(Codec, FieldNamesTheLexerReadsOtherwiseAreStillRejected) {
+  // A prefixed name reads as its local part, which names no field, and a
+  // name that is not an XML name makes the document malformed: each
+  // document this codec writes for such a field is rejected.
+  for (const char* name : {"x:y", "a\"b", "a b", "1a"}) {
+    const FormatPtr format = FormatBuilder("f").add_scalar(name, TypeKind::kInt32).build();
+    const Value value = Value::record({{name, 1}});
+    EXPECT_THROW(decode_body(parse_envelope(build_request("op", value, *format)), *format),
+                 ParseError)
+        << name;
+    EXPECT_THROW(value_from_xml(value_to_xml(value, *format, "p"), *format), ParseError) << name;
+  }
+}
+
+TEST(Codec, NestingBeyondTheReaderLimitFailsAsTheLexerDoes) {
+  FormatPtr format = FormatBuilder("leaf").add_scalar("x", TypeKind::kInt32).build();
+  Value value = Value::record({{"x", 1}});
+  for (int level = 0; level < xml::kDefaultMaxDepth + 8; ++level) {
+    std::string name = "n";
+    name += std::to_string(level);
+    format = FormatBuilder(name).add_struct("c", format).build();
+    value = Value::record({{"c", std::move(value)}});
+  }
+  const auto lexer_error = [](const std::string& document) {
+    try {
+      xml::Reader reader(document);
+      while (reader.next() != xml::Reader::Token::kEndOfDocument) {
+      }
+    } catch (const xml::XmlError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string compact = value_to_xml(value, *format, "p");
+  ASSERT_NE(lexer_error(compact), "");
+  try {
+    (void)value_from_xml(compact, *format);
+    ADD_FAILURE() << "compact document decoded";
+  } catch (const xml::XmlError& e) {
+    EXPECT_EQ(std::string(e.what()), lexer_error(compact));
+  }
+  const std::string envelope = build_request("op", value, *format);
+  ASSERT_NE(lexer_error(envelope), "");
+  try {
+    (void)decode_body(parse_envelope(envelope), *format);
+    ADD_FAILURE() << "typed envelope decoded";
+  } catch (const xml::XmlError& e) {
+    EXPECT_EQ(std::string(e.what()), lexer_error(envelope));
+  }
 }
 
 TEST(Codec, XmlIsSeveralTimesLargerThanPbioForArrays) {

@@ -171,6 +171,107 @@ TEST(Reader, NestingBeyondLimitIsRejected) {
   read_all("<a><b><c><d><e/></d></c></b></a>", /*max_depth=*/5);
 }
 
+TEST(Reader, AcceptStartTagYieldsTheTokenNextWould) {
+  const std::string doc = "<r><a x=\"1\" y=\"&amp;\">t</a><b/><c>u</c></r>";
+  Reader lexed(doc);
+  Reader taken(doc);
+  ASSERT_EQ(lexed.next(), Token::kStartElement);
+  ASSERT_EQ(taken.next(), Token::kStartElement);
+  ASSERT_EQ(lexed.next(), Token::kStartElement);
+  ASSERT_TRUE(taken.accept_start_tag("<a x=\"1\" y=\"&amp;\">"));
+  EXPECT_EQ(taken.name(), "a");
+  EXPECT_EQ(taken.name().data(), doc.data() + 4);
+  EXPECT_EQ(taken.offset(), lexed.offset());
+  EXPECT_EQ(taken.depth(), lexed.depth());
+  ASSERT_EQ(taken.attributes().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Reader::Attribute& a = taken.attributes()[i];
+    EXPECT_EQ(a.name, lexed.attributes()[i].name);
+    EXPECT_EQ(a.raw_value.data(), lexed.attributes()[i].raw_value.data());
+    EXPECT_EQ(a.raw_value.size(), lexed.attributes()[i].raw_value.size());
+  }
+  EXPECT_EQ(taken.attributes()[1].value(), "&");
+  // The rest reads the same, a compact tag taken too.
+  ASSERT_EQ(taken.next(), Token::kText);
+  ASSERT_EQ(taken.next(), Token::kEndElement);
+  ASSERT_EQ(taken.next(), Token::kStartElement);
+  ASSERT_EQ(taken.next(), Token::kEndElement);
+  ASSERT_TRUE(taken.accept_start_tag("<c>"));
+  EXPECT_EQ(taken.name(), "c");
+  EXPECT_TRUE(taken.attributes().empty());
+  std::string text;
+  taken.read_text(text);
+  EXPECT_EQ(text, "u");
+  EXPECT_EQ(taken.next(), Token::kEndElement);
+  EXPECT_EQ(taken.depth(), 0u);
+  EXPECT_EQ(taken.next(), Token::kEndOfDocument);
+}
+
+TEST(Reader, AcceptStartTagLeavesTheReaderUntouchedOnAMiss) {
+  const std::string doc = "<r k=\"v\"><a x=\"1\">t</a><e/><e/></r>";
+  Reader r(doc);
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  for (const char* tag : {"<a x=\"2\">", "<a>", "<a x='1'>", "<a x=\"1\"/>", "<ab x=\"1\">",
+                          "<a x=\"1\" y=\"2\">", ""}) {
+    EXPECT_FALSE(r.accept_start_tag(tag)) << tag;
+  }
+  EXPECT_EQ(r.name(), "r");
+  EXPECT_EQ(r.offset(), 0u);
+  EXPECT_EQ(r.depth(), 1u);
+  ASSERT_EQ(r.attributes().size(), 1u);
+  EXPECT_EQ(r.attributes()[0].name, "k");
+  EXPECT_EQ(tokens(doc), "<r k=v><a x=1>[t]</a><e></e><e></e></r>");
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "a");
+  r.skip_element();
+  // `<e/>` owes its end token before anything else is read.
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  EXPECT_FALSE(r.accept_start_tag("<e/>"));
+  EXPECT_FALSE(r.accept_start_tag("<e>"));
+  EXPECT_EQ(r.next(), Token::kEndElement);
+  // Outside the root, and at the end of a truncated document, nothing is taken.
+  Reader fresh("<r></r>");
+  EXPECT_FALSE(fresh.accept_start_tag("<r>"));
+  EXPECT_EQ(fresh.next(), Token::kStartElement);
+  Reader cut("<r><a");
+  ASSERT_EQ(cut.next(), Token::kStartElement);
+  EXPECT_FALSE(cut.accept_start_tag("<a>"));
+  EXPECT_THROW(cut.next(), XmlError);
+}
+
+TEST(Reader, AcceptStartTagKeepsTheDepthLimitAndItsErrorPosition) {
+  const std::string doc = "<a>\n <b>\n  <c></c></b></a>";
+  std::string lexed;
+  try {
+    read_all(doc, /*max_depth=*/2);
+  } catch (const XmlError& e) {
+    lexed = e.what();
+  }
+  ASSERT_NE(lexed, "");
+  Reader r(doc, /*max_depth=*/2);
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  ASSERT_EQ(r.next(), Token::kText);
+  ASSERT_TRUE(r.accept_start_tag("<b>"));
+  ASSERT_EQ(r.next(), Token::kText);
+  try {
+    (void)r.accept_start_tag("<c>");
+    ADD_FAILURE() << "took a start tag past the depth limit";
+  } catch (const XmlError& e) {
+    EXPECT_EQ(std::string(e.what()), lexed);
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(e.column(), 4);
+  }
+}
+
+TEST(Reader, IsNameMatchesWhatTheLexerReadsAsOneName) {
+  for (const char* name : {"a", "_x", "ns:item", "a-b.c9", "\xC3\xA9t\xC3\xA9"}) {
+    EXPECT_TRUE(is_name(name)) << name;
+  }
+  for (const char* name : {"", "1a", "-a", "a b", "a\"b", "a>b", "a/b", "a=b"}) {
+    EXPECT_FALSE(is_name(name)) << name;
+  }
+}
+
 TEST(Reader, AttributeWhitespaceTolerance) {
   EXPECT_EQ(tokens("<r a = \"1\"  b=\"2\" />"), "<r a=1 b=2></r>");
 }
