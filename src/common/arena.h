@@ -17,7 +17,9 @@
 namespace sbq {
 
 /// Bump allocator with chunked backing storage. Not thread-safe by design:
-/// one arena belongs to one decode operation.
+/// one arena belongs to one decode operation. Allocations are
+/// uninitialised: chunks are not zero-filled, so every user writes what it
+/// takes before reading it.
 class Arena {
  public:
   explicit Arena(std::size_t chunk_size = 64 * 1024) : chunk_size_(chunk_size) {}
@@ -40,7 +42,7 @@ class Arena {
     return current_ + offset;
   }
 
-  /// Typed allocation of `count` default-constructible trivially destructible
+  /// Typed, uninitialised allocation of `count` trivially destructible
   /// objects. The arena never runs destructors.
   template <typename T>
   T* allocate_array(std::size_t count) {
@@ -73,7 +75,7 @@ class Arena {
     total_used_ += used_;
     std::size_t size = chunk_size_;
     if (size < at_least) size = at_least;
-    chunks_.push_back(std::make_unique<std::uint8_t[]>(size));
+    chunks_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(size));
     current_ = chunks_.back().get();
     current_size_ = size;
     used_ = 0;

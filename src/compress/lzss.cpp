@@ -153,4 +153,10 @@ std::string decompress_string(BytesView input) {
   return to_string(BytesView{b});
 }
 
+std::string decompress_string(const BufferChain& input) {
+  if (input.segment_count() == 1) return decompress_string(input.segment(0));
+  const Bytes flat = input.coalesce();
+  return decompress_string(BytesView{flat});
+}
+
 }  // namespace sbq::lz

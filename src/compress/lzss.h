@@ -14,6 +14,7 @@
 //              (distance ∈ [1, 4096], length ∈ [3, 18])
 #pragma once
 
+#include "common/buffer_chain.h"
 #include "common/bytes.h"
 
 namespace sbq::lz {
@@ -33,5 +34,8 @@ Bytes decompress(BytesView input);
 /// Convenience overloads for text payloads.
 Bytes compress_string(std::string_view s, const CompressOptions& options = {});
 std::string decompress_string(BytesView input);
+/// Decompresses a chain (a message body): a chain of one segment is read in
+/// place, any other is coalesced first (a counted copy).
+std::string decompress_string(const BufferChain& input);
 
 }  // namespace sbq::lz

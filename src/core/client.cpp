@@ -209,10 +209,10 @@ pbio::Value ClientStub::exchange(const wsdl::OperationDesc& op,
   const std::uint64_t sent_at_us = binary
                                        ? write_bin_request(request, op, *to_send, type)
                                        : write_xml_request(request, op, *to_send, type);
-  stats_.bytes_sent += request.body_size();
+  stats_.bytes_sent += request.body.size();
 
   const http::Response response = transport_.round_trip(request);
-  stats_.bytes_received += response.body_size();
+  stats_.bytes_received += response.body.size();
   throw_if_shed(response);
   Reply reply = binary ? read_bin_reply(response) : read_xml_reply(response, sent_at_us);
 
@@ -277,7 +277,7 @@ std::uint64_t ClientStub::write_bin_request(http::Request& request,
   stats_.envelope_us += env.elapsed_us();
   stats_.segments_written += body.segment_count();
   stats_.bytes_copied += body.bytes_copied();
-  request.set_body_chain(std::move(body));
+  request.body = std::move(body);
   return envelope.timestamp_us;
 }
 
@@ -286,7 +286,7 @@ std::uint64_t ClientStub::write_xml_request(http::Request& request,
                                             const pbio::Value& value,
                                             const qos::MessageType& type) {
   Stopwatch marshal;
-  const std::string request_xml = soap::build_request(op.name, value, *type.format);
+  std::string request_xml = soap::build_request(op.name, value, *type.format);
   stats_.marshal_us += marshal.elapsed_us();
 
   // The binary envelope's metadata travels in headers.
@@ -299,11 +299,11 @@ std::uint64_t ClientStub::write_xml_request(http::Request& request,
   }
   if (wire_format_ == WireFormat::kCompressedXml) {
     Stopwatch sw;
-    request.body = lz::compress_string(request_xml);
+    request.set_body(lz::compress_string(request_xml));
     stats_.compress_us += sw.elapsed_us();
     request.headers.set("Content-Type", std::string(kContentTypeCompressedXml));
   } else {
-    request.set_body(request_xml);
+    request.set_body(std::move(request_xml));
     request.headers.set("Content-Type", std::string(kContentTypeXml));
   }
   return clock_->now_us();
@@ -316,7 +316,7 @@ ClientStub::Reply ClientStub::read_bin_reply(const http::Response& response) {
   }
   // Every binary response echoes the request timestamp, including 0 from a
   // freshly started simulated clock.
-  DecodedBinChain incoming = decode_bin_message(response.body_as_chain());
+  DecodedBinChain incoming = decode_bin_message(response.body);
   stats_.bytes_copied += incoming.bytes_copied;
   return Reply{std::move(incoming.envelope), std::move(incoming.pbio_message), {}, {}};
 }
@@ -350,7 +350,7 @@ void ClientStub::decode_xml_reply(Reply& reply, const http::Response& response,
   if (wire_format_ == WireFormat::kCompressedXml &&
       response.headers.get("Content-Type").value_or("") == kContentTypeCompressedXml) {
     Stopwatch sw;
-    response_xml = lz::decompress_string(response.body_view());
+    response_xml = lz::decompress_string(response.body);
     stats_.compress_us += sw.elapsed_us();
   } else {
     response_xml = response.body_string();

@@ -61,7 +61,7 @@ BufferChain encode_bin_message(const BinEnvelope& envelope,
 
 /// Splits a wire body into envelope + PBIO message. The PBIO message comes
 /// back as a chain sharing the body's segments (suffix slice, no
-/// flattening); a flat body is read as BufferChain::borrowing(body).
+/// flattening).
 /// `bytes_copied` counts the scratch bytes the envelope decode itself
 /// needed (fields straddling a segment boundary).
 struct DecodedBinChain {

@@ -15,12 +15,12 @@ namespace sbq::core {
 
 namespace {
 
-http::Response error_response(int status, const std::string& message) {
+http::Response error_response(int status, std::string message) {
   http::Response resp;
   resp.status = status;
   resp.reason = std::string(http::reason_phrase(status));
   resp.headers.set("Content-Type", "text/plain");
-  resp.set_body(message);
+  resp.set_body(std::move(message));
   return resp;
 }
 
@@ -29,13 +29,13 @@ http::Response fault_response(const std::string& code, const std::string& messag
   http::Response resp;
   resp.status = 500;
   resp.reason = std::string(http::reason_phrase(500));
-  const std::string fault = soap::build_fault(code, message);
+  std::string fault = soap::build_fault(code, message);
   if (compressed) {
     resp.headers.set("Content-Type", std::string(kContentTypeCompressedXml));
-    resp.body = lz::compress_string(fault);
+    resp.set_body(lz::compress_string(fault));
   } else {
     resp.headers.set("Content-Type", std::string(kContentTypeXml));
-    resp.set_body(fault);
+    resp.set_body(std::move(fault));
   }
   return resp;
 }
@@ -171,7 +171,7 @@ http::Response ServiceRuntime::handle(const http::Request& request) {
 http::Response ServiceRuntime::dispatch(const http::Request& request) {
   bump_stats([&](EndpointStats& s) {
     ++s.calls;
-    s.bytes_received += request.body_size();
+    s.bytes_received += request.body.size();
   });
   // The overload ladder, rungs one and two: refresh the load signal, hand
   // it to quality management (degrade), and once the smoothed load reaches
@@ -199,8 +199,8 @@ http::Response ServiceRuntime::dispatch(const http::Request& request) {
         request.target.find("wsdl", query) != std::string::npos) {
       http::Response resp;
       resp.headers.set("Content-Type", std::string(kContentTypeXml));
-      resp.set_body(wsdl_document_);
-      bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body_size(); });
+      resp.set_body(std::string(wsdl_document_));
+      bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body.size(); });
       return resp;
     }
     return error_response(404, wsdl_document_.empty()
@@ -280,12 +280,12 @@ http::Response ServiceRuntime::exchange(const http::Request& request, WireFormat
   }
   http::Response resp = binary ? write_bin_response(in, std::move(result), type, prep_us)
                                : write_xml_response(in, result, type, prep_us, wire);
-  bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body_size(); });
+  bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body.size(); });
   return resp;
 }
 
 ServiceRuntime::Received ServiceRuntime::read_bin_request(const http::Request& request) {
-  DecodedBinChain incoming = decode_bin_message(request.body_as_chain());
+  DecodedBinChain incoming = decode_bin_message(request.body);
   Received in;
   in.envelope = std::move(incoming.envelope);
   in.op = &find_operation(in.envelope.operation);
@@ -299,7 +299,7 @@ ServiceRuntime::Received ServiceRuntime::read_xml_request(const http::Request& r
   Received in;
   if (wire == WireFormat::kCompressedXml) {
     Stopwatch sw;
-    in.xml = lz::decompress_string(request.body_view());
+    in.xml = lz::decompress_string(request.body);
     bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
   } else {
     in.xml = request.body_string();
@@ -374,7 +374,7 @@ http::Response ServiceRuntime::write_bin_response(Received& in, pbio::Value&& va
     s.segments_written += body.segment_count();
     s.bytes_copied += body.bytes_copied();
   });
-  resp.set_body_chain(std::move(body));
+  resp.body = std::move(body);
   return resp;
 }
 
@@ -394,11 +394,11 @@ http::Response ServiceRuntime::write_xml_response(const Received& in,
   resp.headers.set(std::string(kHeaderServerPrep), std::to_string(prep_us));
   if (wire == WireFormat::kCompressedXml) {
     Stopwatch sw;
-    resp.body = lz::compress_string(response_xml);
+    resp.set_body(lz::compress_string(response_xml));
     bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
     resp.headers.set("Content-Type", std::string(kContentTypeCompressedXml));
   } else {
-    resp.set_body(response_xml);
+    resp.set_body(std::move(response_xml));
     resp.headers.set("Content-Type", std::string(kContentTypeXml));
   }
   return resp;

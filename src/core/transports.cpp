@@ -10,6 +10,17 @@
 
 namespace sbq::core {
 
+namespace {
+/// Bytes `message` puts on the wire: the size of the chain serialize_to
+/// builds.
+template <typename Message>
+std::size_t wire_size(const Message& message) {
+  BufferChain wire;
+  message.serialize_to(wire);
+  return wire.size();
+}
+}  // namespace
+
 http::Response SimLinkTransport::round_trip(const http::Request& request) {
   // Deadline budget for this attempt on the virtual clock. Every advance
   // goes through spend(): when the budget runs out the clock lands exactly
@@ -63,11 +74,10 @@ http::Response SimLinkTransport::round_trip(const http::Request& request) {
   if (per_call_setup_us_ > 0) {
     spend(per_call_setup_us_, &timing_.request_transfer_us);
   }
-  // Link costs are charged from the exact wire size without materializing
-  // the wire image — the simulated link never needed the bytes, only their
-  // count, and serializing here was a full-message copy per direction.
+  // Link costs are charged from the exact wire size: the wire chain shares
+  // the body's segments, so no byte of the message is copied to count it.
   const std::uint64_t request_us =
-      link_.transfer_time_us(request.serialized_size(), clock_->now_us());
+      link_.transfer_time_us(wire_size(request), clock_->now_us());
   spend(request_us, &timing_.request_transfer_us);
 
   Stopwatch server_cpu;
@@ -79,13 +89,13 @@ http::Response SimLinkTransport::round_trip(const http::Request& request) {
   }
 
   const std::uint64_t response_us =
-      link_.transfer_time_us(response.serialized_size(), clock_->now_us());
+      link_.transfer_time_us(wire_size(response), clock_->now_us());
   spend(response_us, &timing_.response_transfer_us);
 
   if (fault && fault->kind == net::FaultKind::kCorrupt) {
     // Byte corruption in transit: flip one byte of the response body so the
     // decoder (not the HTTP layer) sees the damage.
-    Bytes flat(response.body_view().begin(), response.body_view().end());
+    Bytes flat = response.body.coalesce();
     if (!flat.empty()) {
       flat[fault->offset % flat.size()] ^= fault->xor_mask;
       response.set_body(std::move(flat));

@@ -33,69 +33,29 @@ bool Headers::has(std::string_view name) const {
 namespace {
 void serialize_headers(const Headers& headers, std::size_t body_size,
                        std::string& out) {
-  bool have_length = false;
   for (const auto& [k, v] : headers.items()) {
-    if (iequals(k, "Content-Length")) {
-      have_length = true;
-      continue;  // always recomputed below
-    }
+    if (iequals(k, "Content-Length")) continue;  // always recomputed below
     out += k;
     out += ": ";
     out += v;
     out += "\r\n";
   }
-  (void)have_length;
   out += "Content-Length: " + std::to_string(body_size) + "\r\n\r\n";
 }
 }  // namespace
 
-namespace {
-/// Head (request/status line + headers + blank line) + body into `out`.
-void serialize_message_to(std::string head, const MessageBody& message,
-                          BufferChain& out) {
-  out.append(std::move(head));
-  if (!message.body_chain.empty()) {
-    out.append_shared(message.body_chain);
-  } else if (!message.body.empty()) {
-    out.append_view(BytesView{message.body});
-  }
-}
-}  // namespace
-
-Bytes Request::serialize() const {
-  BufferChain chain;
-  serialize_to(chain);
-  return chain.coalesce();
-}
-
 void Request::serialize_to(BufferChain& out) const {
   std::string head = method + " " + target + " " + version + "\r\n";
-  serialize_headers(headers, body_size(), head);
-  serialize_message_to(std::move(head), *this, out);
-}
-
-std::size_t Request::serialized_size() const {
-  std::string head = method + " " + target + " " + version + "\r\n";
-  serialize_headers(headers, body_size(), head);
-  return head.size() + body_size();
-}
-
-Bytes Response::serialize() const {
-  BufferChain chain;
-  serialize_to(chain);
-  return chain.coalesce();
+  serialize_headers(headers, body.size(), head);
+  out.append(std::move(head));
+  out.append_shared(body);
 }
 
 void Response::serialize_to(BufferChain& out) const {
   std::string head = version + " " + std::to_string(status) + " " + reason + "\r\n";
-  serialize_headers(headers, body_size(), head);
-  serialize_message_to(std::move(head), *this, out);
-}
-
-std::size_t Response::serialized_size() const {
-  std::string head = version + " " + std::to_string(status) + " " + reason + "\r\n";
-  serialize_headers(headers, body_size(), head);
-  return head.size() + body_size();
+  serialize_headers(headers, body.size(), head);
+  out.append(std::move(head));
+  out.append_shared(body);
 }
 
 std::string_view reason_phrase(int status) {

@@ -33,63 +33,28 @@ class Headers {
   std::vector<std::pair<std::string, std::string>> items_;
 };
 
-/// Body storage shared by Request and Response: either a flat byte vector
-/// (`body`, the classic path and what the parser fills in) or a segmented
-/// `body_chain` produced by the zero-copy pipeline. A non-empty chain takes
-/// precedence; the accessors below hide which one is populated.
+/// Body storage shared by Request and Response: one BufferChain. set_body
+/// and the parser move their bytes in as one owned segment; a codec's chain
+/// is assigned to `body` whole, its segments owned or shared, never copied.
 struct MessageBody {
-  Bytes body;
-  BufferChain body_chain;
+  BufferChain body;
 
-  [[nodiscard]] std::size_t body_size() const {
-    return body_chain.empty() ? body.size() : body_chain.size();
+  void set_body(std::string&& s) {
+    body.clear();
+    body.append(std::move(s));
+  }
+  void set_body(Bytes&& bytes) {
+    body.clear();
+    body.append(std::move(bytes));
   }
 
-  /// Contiguous view of the body. A multi-segment chain is coalesced once
-  /// into an internal cache (a counted copy) — callers that can stay
-  /// segment-aware should prefer body_as_chain().
-  [[nodiscard]] BytesView body_view() const {
-    if (body_chain.empty()) return BytesView{body};
-    if (body_chain.segment_count() == 1) return body_chain.segment(0);
-    if (coalesced_.empty()) coalesced_ = body_chain.coalesce();
-    return BytesView{coalesced_};
-  }
-
-  /// The body as a chain without flattening: shares `body_chain`'s segments,
-  /// or borrows the flat `body` (the message must outlive the result).
-  [[nodiscard]] BufferChain body_as_chain() const {
-    BufferChain out;
-    if (!body_chain.empty()) {
-      out.append_shared(body_chain);
-    } else if (!body.empty()) {
-      out.append_view(BytesView{body});
-    }
+  /// A copy of the body as text (error messages, XML documents, tests).
+  [[nodiscard]] std::string body_string() const {
+    std::string out;
+    out.reserve(body.size());
+    for (const BytesView segment : body) out += as_chars(segment);
     return out;
   }
-
-  [[nodiscard]] std::string body_string() const {
-    const BytesView v = body_view();
-    return to_string(v);
-  }
-
-  void set_body(std::string_view s) {
-    body = to_bytes(s);
-    body_chain.clear();
-    coalesced_.clear();
-  }
-  void set_body(Bytes bytes) {
-    body = std::move(bytes);
-    body_chain.clear();
-    coalesced_.clear();
-  }
-  void set_body_chain(BufferChain&& chain) {
-    body.clear();
-    coalesced_.clear();
-    body_chain = std::move(chain);
-  }
-
- protected:
-  mutable Bytes coalesced_;  // body_view() cache for multi-segment chains
 };
 
 struct Request : MessageBody {
@@ -98,17 +63,10 @@ struct Request : MessageBody {
   std::string version = "HTTP/1.1";
   Headers headers;
 
-  /// Serializes with a correct Content-Length header.
-  [[nodiscard]] Bytes serialize() const;
-
   /// Appends head + body to `out` without flattening: the head becomes one
-  /// owned segment, body segments are shared (or borrowed from `body`, in
-  /// which case the request must outlive `out`). Coalescing `out` yields
-  /// exactly the serialize() bytes.
+  /// owned segment and the body's segments are shared, with a recomputed
+  /// Content-Length.
   void serialize_to(BufferChain& out) const;
-
-  /// Exact wire size serialize() would produce, without building the body.
-  [[nodiscard]] std::size_t serialized_size() const;
 };
 
 struct Response : MessageBody {
@@ -117,9 +75,7 @@ struct Response : MessageBody {
   std::string version = "HTTP/1.1";
   Headers headers;
 
-  [[nodiscard]] Bytes serialize() const;
   void serialize_to(BufferChain& out) const;  // see Request::serialize_to
-  [[nodiscard]] std::size_t serialized_size() const;
 };
 
 /// Standard reason phrase for a status code.

@@ -44,7 +44,7 @@ void MessageReader::feed(BytesView bytes) {
 }
 
 MessageReader::Phase MessageReader::phase() const {
-  if (pending_request_ || pending_response_) return Phase::kBody;
+  if (!std::holds_alternative<std::monostate>(pending_)) return Phase::kBody;
   return buffer_.empty() ? Phase::kIdle : Phase::kHead;
 }
 
@@ -83,34 +83,29 @@ std::size_t MessageReader::body_length(const Headers& headers) const {
   return length;
 }
 
-void MessageReader::parse_request_head(std::string head) {
+void MessageReader::parse_head(std::string_view head, Request& req) const {
   const std::size_t eol = head.find("\r\n");
-  const std::string_view line = std::string_view(head).substr(0, eol);
+  const std::string_view line = head.substr(0, eol);
   const auto parts = split_whitespace(line);
   if (parts.size() != 3) {
     throw ParseError("bad request line: '" + std::string(line) + "'");
   }
-  Request req;
   req.method = std::string(parts[0]);
   req.target = std::string(parts[1]);
   req.version = std::string(parts[2]);
   if (!req.version.starts_with("HTTP/1.")) {
     throw ParseError("unsupported HTTP version: " + req.version);
   }
-  req.headers = parse_header_lines(std::string_view(head).substr(eol + 2),
-                                   limits_.max_header_fields);
-  body_needed_ = body_length(req.headers);
-  pending_request_ = std::move(req);
+  req.headers = parse_header_lines(head.substr(eol + 2), limits_.max_header_fields);
 }
 
-void MessageReader::parse_response_head(std::string head) {
+void MessageReader::parse_head(std::string_view head, Response& resp) const {
   const std::size_t eol = head.find("\r\n");
-  const std::string_view line = std::string_view(head).substr(0, eol);
+  const std::string_view line = head.substr(0, eol);
   // Status line: HTTP/1.1 SP status SP reason (reason may contain spaces).
   const std::size_t sp1 = line.find(' ');
   if (sp1 == std::string_view::npos) throw ParseError("bad status line");
   const std::size_t sp2 = line.find(' ', sp1 + 1);
-  Response resp;
   resp.version = std::string(line.substr(0, sp1));
   if (!resp.version.starts_with("HTTP/1.")) {
     throw ParseError("unsupported HTTP version: " + resp.version);
@@ -121,68 +116,54 @@ void MessageReader::parse_response_head(std::string head) {
   resp.status = static_cast<int>(parse_u64(status_str));
   resp.reason =
       sp2 == std::string_view::npos ? "" : std::string(trim(line.substr(sp2 + 1)));
-  resp.headers = parse_header_lines(std::string_view(head).substr(eol + 2),
-                                    limits_.max_header_fields);
-  body_needed_ = body_length(resp.headers);
-  pending_response_ = std::move(resp);
+  resp.headers = parse_header_lines(head.substr(eol + 2), limits_.max_header_fields);
 }
 
-std::optional<Bytes> MessageReader::try_take_body() {
+template <typename Message>
+std::optional<Message> MessageReader::try_next() {
+  if (std::holds_alternative<std::monostate>(pending_)) {
+    const auto head = try_take_head();
+    if (!head) return std::nullopt;
+    Message message;
+    parse_head(*head, message);
+    body_needed_ = body_length(message.headers);
+    pending_ = std::move(message);
+  }
   if (buffer_.size() < body_needed_) return std::nullopt;
-  Bytes body(buffer_.begin(), buffer_.begin() + static_cast<long>(body_needed_));
+  Message message = std::get<Message>(std::move(pending_));
+  pending_ = std::monostate{};
+  // The body leaves the buffer as one owned segment.
+  message.body.append(buffer_.substr(0, body_needed_));
   buffer_.erase(0, body_needed_);
   consumed_ += body_needed_;
   body_needed_ = 0;
-  return body;
+  return message;
+}
+
+template <typename Message>
+std::optional<Message> MessageReader::read_next() {
+  for (;;) {
+    auto message = try_next<Message>();
+    if (message) return message;
+    if (!fill()) {
+      const Phase at = phase();
+      if (at == Phase::kIdle) return std::nullopt;  // clean EOF
+      throw TransportError(at == Phase::kBody ? "EOF inside HTTP body"
+                                              : "EOF inside HTTP header block");
+    }
+  }
 }
 
 std::optional<Request> MessageReader::try_next_request() {
-  if (!pending_request_) {
-    auto head = try_take_head();
-    if (!head) return std::nullopt;
-    parse_request_head(std::move(*head));
-  }
-  auto body = try_take_body();
-  if (!body) return std::nullopt;
-  Request req = std::move(*pending_request_);
-  pending_request_.reset();
-  req.body = std::move(*body);
-  return req;
+  return try_next<Request>();
 }
 
 std::optional<Request> MessageReader::read_request() {
-  for (;;) {
-    auto req = try_next_request();
-    if (req) return req;
-    if (!fill()) {
-      if (phase() == Phase::kIdle) return std::nullopt;  // clean EOF
-      throw TransportError(pending_request_ ? "EOF inside HTTP body"
-                                            : "EOF inside HTTP header block");
-    }
-  }
+  return read_next<Request>();
 }
 
 std::optional<Response> MessageReader::read_response() {
-  for (;;) {
-    if (!pending_response_) {
-      auto head = try_take_head();
-      if (head) parse_response_head(std::move(*head));
-    }
-    if (pending_response_) {
-      auto body = try_take_body();
-      if (body) {
-        Response resp = std::move(*pending_response_);
-        pending_response_.reset();
-        resp.body = std::move(*body);
-        return resp;
-      }
-    }
-    if (!fill()) {
-      if (phase() == Phase::kIdle) return std::nullopt;  // clean EOF
-      throw TransportError(pending_response_ ? "EOF inside HTTP body"
-                                             : "EOF inside HTTP header block");
-    }
-  }
+  return read_next<Response>();
 }
 
 }  // namespace sbq::http

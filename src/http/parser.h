@@ -17,8 +17,9 @@
 // at a time.
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <string_view>
+#include <variant>
 
 #include "http/message.h"
 #include "net/stream.h"
@@ -79,16 +80,24 @@ class MessageReader {
   [[nodiscard]] std::uint64_t bytes_consumed() const { return consumed_; }
 
  private:
-  /// Incremental step: extracts the raw header block (through the blank
-  /// line) from the buffer if complete. Enforces max_header_bytes.
+  /// The one resumable step behind all three readers: takes a head off the
+  /// buffer and parses it into a pending `Message`, then hands the message
+  /// over once its body is buffered. Empty optional = incomplete.
+  template <typename Message>
+  std::optional<Message> try_next();
+  /// Runs try_next, pulling more bytes from the stream until it completes.
+  template <typename Message>
+  std::optional<Message> read_next();
+
+  /// Extracts the raw header block (through the blank line) from the
+  /// buffer if complete. Enforces max_header_bytes.
   std::optional<std::string> try_take_head();
-  /// Incremental step: parses request/response head into `pending_*` state
-  /// and records the body length still owed. Enforces body/field limits.
-  void parse_request_head(std::string head);
-  void parse_response_head(std::string head);
-  /// Incremental step: moves the body out of the buffer once fully present.
-  std::optional<Bytes> try_take_body();
+  /// Parses a head's start line and header fields into the message.
+  /// Enforces max_header_fields.
+  void parse_head(std::string_view head, Request& request) const;
+  void parse_head(std::string_view head, Response& response) const;
   /// Body length implied by `headers` (Content-Length framing only).
+  /// Enforces max_body_bytes.
   std::size_t body_length(const Headers& headers) const;
 
   bool fill();  // pull more bytes from the stream; false on EOF
@@ -101,11 +110,9 @@ class MessageReader {
   // head, so the next search starts near there.
   std::size_t head_scanned_ = 0;
 
-  // In-flight incremental state: exactly one of pending_request_ /
-  // pending_response_ is engaged while a head has parsed but its body is
-  // still owed (`body_needed_` bytes).
-  std::optional<Request> pending_request_;
-  std::optional<Response> pending_response_;
+  // The message whose head has parsed while `body_needed_` body bytes are
+  // still owed; monostate between messages.
+  std::variant<std::monostate, Request, Response> pending_;
   std::size_t body_needed_ = 0;
 };
 

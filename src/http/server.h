@@ -20,7 +20,6 @@
 // nothing about SOAP.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,9 +31,9 @@ namespace sbq::http {
 
 using Handler = std::function<Response(const Request&)>;
 
-/// The serving front. There is only one; the enum and ServerOptions::front
-/// remain so configurations that name the front keep compiling, and nothing
-/// reads them.
+/// The serving front. There is only one, and nothing reads the enum or
+/// ServerOptions::front: they remain because livebench's stack setup still
+/// assigns `front`, the last place that does.
 enum class FrontMode { kEvent };
 
 /// Knobs bounding what one Server may consume. Defaults suit tests and
@@ -95,49 +94,9 @@ struct ServerStats {
                                        // the handler, converted to a 500
 };
 
-namespace detail {
-
-/// The atomic counterparts of ServerStats, bumped lock-free from the event
-/// runtimes and the workers alike.
-struct ServerCounters {
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> queue_high_water{0};
-  std::atomic<std::uint64_t> peak_in_flight{0};
-  std::atomic<std::uint64_t> peak_connections{0};
-  std::atomic<std::uint64_t> drains{0};
-  std::atomic<std::uint64_t> forced_closes{0};
-  std::atomic<std::uint64_t> worker_errors{0};
-
-  /// Monotonic max update (queue high-water, peak in-flight).
-  static void raise(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
-    std::uint64_t seen = slot.load(std::memory_order_relaxed);
-    while (seen < value &&
-           !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-    }
-  }
-
-  [[nodiscard]] ServerStats snapshot() const {
-    ServerStats s;
-    s.accepted = accepted.load();
-    s.shed = shed.load();
-    s.queue_high_water = queue_high_water.load();
-    s.peak_in_flight = peak_in_flight.load();
-    s.peak_connections = peak_connections.load();
-    s.drains = drains.load();
-    s.forced_closes = forced_closes.load();
-    s.worker_errors = worker_errors.load();
-    return s;
-  }
-};
-
-}  // namespace detail
-
 /// Builds the canned `503 Service Unavailable` + `Retry-After` shed
 /// response without touching any request (the peer may not have sent one).
 Response make_shed_response(std::uint64_t retry_after_s);
-
-class EventFront;  // defined in http/event_front.h
 
 /// TCP server bound to 127.0.0.1.
 class Server {
@@ -167,19 +126,17 @@ class Server {
   [[nodiscard]] ServerLoad load() const;
 
   /// Lock-free counter snapshot (never contends with accepts).
-  [[nodiscard]] ServerStats stats() const { return counters_.snapshot(); }
+  [[nodiscard]] ServerStats stats() const;
 
   /// Live connections across all shards. Exposed so tests can assert that
   /// closed connections stop being tracked.
   [[nodiscard]] std::size_t tracked_connections() const;
 
-  [[nodiscard]] bool draining() const { return draining_.load(); }
+  [[nodiscard]] bool draining() const;
 
  private:
-  Handler handler_;
-  detail::ServerCounters counters_;
-  std::atomic<bool> draining_{false};
-  std::unique_ptr<EventFront> event_front_;
+  struct Impl;  // the event runtimes and the worker pool (server.cpp)
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace sbq::http

@@ -5,7 +5,7 @@
 // Stream surface, TcpStream/TcpListener expose a non-blocking side —
 // set_nonblocking(), read_some_nonblocking(), write_chain_some(),
 // try_accept(), fd() — which is what the event-driven serving front
-// (http::EventFront + net::Poller) drives; blocking callers never see it.
+// (http::Server + net::Poller) drives; blocking callers never see it.
 #pragma once
 
 #include <atomic>

@@ -591,7 +591,7 @@ TEST(PerClientQuality, RotatingClientIdsKeepTheTableBounded) {
     request.target = capture.target;
     request.headers = capture.headers;
     request.headers.set(std::string(core::kHeaderClientId), client_id);
-    request.set_body(capture.body);
+    request.set_body(std::string(capture.body));
     return runtime.handle(request).status;
   };
   constexpr int kIds = 10000;

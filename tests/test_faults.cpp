@@ -23,6 +23,7 @@
 #include "qos/manager.h"
 #include "qos/quality_file.h"
 #include "wsdl/wsdl.h"
+#include "support/http_wire.h"
 #include "support/serve_connection.h"
 
 namespace sbq::core {
@@ -285,7 +286,7 @@ TEST(ServerLimitsTest, HandlerExceptionBecomes500NotConnectionLoss) {
   });
   http::Request req;
   req.set_body("x");
-  client_end->write_all(BytesView{req.serialize()});
+  test::write_message(*client_end, req);
   http::MessageReader reader(*client_end);
   const auto response = reader.read_response();
   client_end->close();

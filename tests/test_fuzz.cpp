@@ -26,6 +26,7 @@
 #include "qos/quality_file.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"
+#include "support/http_wire.h"
 #include "support/wire.h"
 #include "wsdl/wsdl.h"
 #include "xml/dom.h"
@@ -252,7 +253,7 @@ TEST_P(FuzzSeeds, HttpParserSurvivesMutatedRequests) {
   valid.target = "/svc";
   valid.headers.set("Content-Type", "text/xml");
   valid.set_body("<e/>");
-  const std::string wire = to_string(BytesView{valid.serialize()});
+  const std::string wire = to_string(BytesView{test::http_wire(valid)});
   for (int i = 0; i < 40; ++i) {
     auto [a, b] = net::make_pipe();
     a->write_all(mutate(rng_, wire, 1 + static_cast<int>(rng_.next_below(4))));
@@ -712,7 +713,7 @@ TEST(TruncationSweep, EveryHttpRequestPrefixFailsCleanly) {
   valid.target = "/svc";
   valid.headers.set("Content-Type", "text/xml");
   valid.set_body("<envelope/>");
-  const Bytes wire = valid.serialize();
+  const Bytes wire = test::http_wire(valid);
 
   for (std::size_t n = 0; n < wire.size(); ++n) {
     auto [a, b] = net::make_pipe();
@@ -744,7 +745,7 @@ TEST(TruncationSweep, EveryHttpResponsePrefixFailsCleanly) {
   valid.status = 200;
   valid.headers.set("Content-Type", "application/octet-stream");
   valid.set_body("binary-ish body");
-  const Bytes wire = valid.serialize();
+  const Bytes wire = test::http_wire(valid);
 
   for (std::size_t n = 0; n < wire.size(); ++n) {
     auto [a, b] = net::make_pipe();

@@ -22,6 +22,7 @@
 #include "net/fault.h"
 #include "net/pipe.h"
 #include "net/tcp.h"
+#include "support/http_wire.h"
 #include "support/serve_connection.h"
 
 namespace sbq::http {
@@ -51,7 +52,7 @@ TEST(MessageTest, RequestSerializationHasContentLength) {
   req.target = "/svc";
   req.headers.set("Content-Type", "text/xml");
   req.set_body("<x/>");
-  const std::string wire = to_string(BytesView{req.serialize()});
+  const std::string wire = to_string(BytesView{test::http_wire(req)});
   EXPECT_TRUE(wire.starts_with("POST /svc HTTP/1.1\r\n"));
   EXPECT_NE(wire.find("Content-Length: 4\r\n\r\n<x/>"), std::string::npos);
 }
@@ -60,7 +61,7 @@ TEST(MessageTest, StaleContentLengthIsRecomputed) {
   Response resp;
   resp.headers.set("Content-Length", "9999");
   resp.set_body("ok");
-  const std::string wire = to_string(BytesView{resp.serialize()});
+  const std::string wire = to_string(BytesView{test::http_wire(resp)});
   EXPECT_NE(wire.find("Content-Length: 2"), std::string::npos);
   EXPECT_EQ(wire.find("9999"), std::string::npos);
 }
@@ -94,7 +95,7 @@ TEST_F(PipeHttp, RequestRoundTrip) {
   req.target = "/a/b";
   req.headers.set("Content-Type", "text/plain");
   req.set_body("payload");
-  client_->write_all(BytesView{req.serialize()});
+  test::write_message(*client_, req);
   client_->close();
 
   MessageReader reader(*server_);
@@ -110,7 +111,7 @@ TEST_F(PipeHttp, MultipleKeepAliveRequests) {
   for (int i = 0; i < 3; ++i) {
     Request req;
     req.set_body("r" + std::to_string(i));
-    client_->write_all(BytesView{req.serialize()});
+    test::write_message(*client_, req);
   }
   client_->close();
   MessageReader reader(*server_);
@@ -127,7 +128,7 @@ TEST_F(PipeHttp, ResponseRoundTrip) {
   resp.status = 404;
   resp.reason = "Not Found";
   resp.set_body("missing");
-  server_->write_all(BytesView{resp.serialize()});
+  test::write_message(*server_, resp);
   server_->close();
 
   MessageReader reader(*client_);
@@ -328,9 +329,43 @@ TEST(TcpServerTest, ShutdownVsAcceptRaceIsSafe) {
 
 // ----------------------------------------------------- resumable parsing
 
-std::string wire_string(const Request& req) {
-  const Bytes bytes = req.serialize();
+template <typename Message>
+std::string wire_string(const Message& message) {
+  const Bytes bytes = test::http_wire(message);
   return to_string(BytesView{bytes});
+}
+
+/// A peer whose bytes trickle in: each read_some hands over (at most) the
+/// next of `chunks`, then EOF.
+class TrickleStream final : public net::Stream {
+ public:
+  explicit TrickleStream(std::vector<std::string> chunks) : chunks_(std::move(chunks)) {}
+
+  std::size_t read_some(void* buf, std::size_t n) override {
+    if (next_ == chunks_.size()) return 0;
+    std::string& chunk = chunks_[next_];
+    const std::size_t take = std::min(n, chunk.size());
+    std::copy_n(chunk.data(), take, static_cast<char*>(buf));
+    chunk.erase(0, take);
+    if (chunk.empty()) ++next_;
+    ++reads_;
+    return take;
+  }
+  void write_all(const void*, std::size_t) override {}
+  void close() override {}
+
+  [[nodiscard]] std::size_t reads() const { return reads_; }
+
+ private:
+  std::vector<std::string> chunks_;
+  std::size_t next_ = 0;
+  std::size_t reads_ = 0;
+};
+
+std::vector<std::string> one_chunk_per_byte(std::string_view wire) {
+  std::vector<std::string> chunks;
+  for (const char c : wire) chunks.emplace_back(1, c);
+  return chunks;
 }
 
 TEST(ResumableParserTest, ByteAtATimeFeedsParkAsStateNotThreads) {
@@ -359,6 +394,25 @@ TEST(ResumableParserTest, ByteAtATimeFeedsParkAsStateNotThreads) {
   EXPECT_EQ(got->body_string(), "hello");
   EXPECT_EQ(reader.phase(), MessageReader::Phase::kIdle);
   EXPECT_TRUE(reader.buffer_empty());
+
+  // A response takes the same step, read by read_response() off a stream
+  // that delivers one byte per read: one read per byte, none past it.
+  Response resp;
+  resp.status = 404;
+  resp.reason = "Not Found";
+  resp.set_body("missing");
+  const std::string resp_wire = wire_string(resp);
+  TrickleStream trickle(one_chunk_per_byte(resp_wire));
+  MessageReader from_trickle(trickle);
+  const auto got_resp = from_trickle.read_response();
+  ASSERT_TRUE(got_resp.has_value());
+  EXPECT_EQ(trickle.reads(), resp_wire.size());
+  EXPECT_EQ(got_resp->status, 404);
+  EXPECT_EQ(got_resp->reason, "Not Found");
+  EXPECT_EQ(got_resp->body_string(), "missing");
+  EXPECT_EQ(from_trickle.phase(), MessageReader::Phase::kIdle);
+  EXPECT_EQ(from_trickle.bytes_consumed(), resp_wire.size());
+  EXPECT_FALSE(from_trickle.read_response().has_value());  // clean EOF
 }
 
 // The head scan resumes where the last feed's scan stopped. A terminator
@@ -398,6 +452,46 @@ TEST(ResumableParserTest, TrickledHeadIsFoundWhereverItsTerminatorIsSplit) {
     ASSERT_TRUE(got.has_value()) << "split " << split;
     EXPECT_EQ(got->target, "/next");
     EXPECT_EQ(reader.bytes_consumed(), both.size());
+  }
+
+  // The same for a response, read by read_response() off a stream that
+  // delivers the first `split` bytes, then the rest of the head a byte per
+  // read, then the body and the whole next response.
+  Response first_resp;
+  first_resp.status = 404;
+  first_resp.reason = "Not Found";
+  first_resp.headers.set("X-Pad", "a\rb\nc\n\rd");
+  first_resp.set_body("hello");
+  Response second_resp;
+  second_resp.status = 202;
+  second_resp.reason = "Accepted";
+  const std::string resp_wire = wire_string(first_resp);
+  const std::string resp_both = resp_wire + wire_string(second_resp);
+  const std::size_t resp_head_size = resp_wire.find("\r\n\r\n") + 4;
+  for (std::size_t split = 0; split <= resp_head_size; ++split) {
+    std::vector<std::string> chunks;
+    if (split > 0) chunks.push_back(resp_both.substr(0, split));
+    for (std::size_t i = split; i < resp_head_size; ++i) {
+      chunks.push_back(resp_both.substr(i, 1));
+    }
+    chunks.push_back(resp_both.substr(resp_head_size));
+    const std::size_t chunk_count = chunks.size();
+    TrickleStream trickle(std::move(chunks));
+    MessageReader reader(trickle);
+    std::optional<Response> got = reader.read_response();
+    ASSERT_TRUE(got.has_value()) << "split " << split;
+    EXPECT_EQ(trickle.reads(), chunk_count) << "split " << split;
+    EXPECT_EQ(got->status, 404);
+    EXPECT_EQ(got->headers.get("X-Pad"), "a\rb\nc\n\rd");
+    EXPECT_EQ(got->body_string(), "hello");
+    EXPECT_EQ(reader.bytes_consumed(), resp_wire.size());
+    got = reader.read_response();
+    ASSERT_TRUE(got.has_value()) << "split " << split;
+    EXPECT_EQ(got->status, 202);
+    EXPECT_EQ(got->reason, "Accepted");
+    EXPECT_EQ(reader.bytes_consumed(), resp_both.size());
+    EXPECT_EQ(trickle.reads(), chunk_count) << "split " << split;
+    EXPECT_FALSE(reader.read_response().has_value()) << "split " << split;
   }
 
   // A head past max_header_bytes throws, whether trickled or fed whole.
@@ -578,7 +672,7 @@ TEST(EventFrontTest, ConnectionsBeyondWorkerCountAreAllServed) {
   for (int i = 0; i < kConnections; ++i) {
     Client http(*streams[static_cast<std::size_t>(i)]);
     Request req;
-    req.set_body("c" + std::to_string(i));
+    req.set_body(std::string("c") + std::to_string(i));
     const Response resp = http.round_trip(req);
     EXPECT_EQ(resp.status, 200);
     EXPECT_EQ(resp.body_string(), "echo:c" + std::to_string(i));
@@ -823,7 +917,7 @@ TEST(WorkerWriteTest, PeerResetWhileHandlerBlockedNeverLeaksItsResponse) {
   auto doomed = net::TcpStream::connect("127.0.0.1", server.port());
   Request blocked;
   blocked.set_body("block");
-  doomed->write_all(BytesView{blocked.serialize()});
+  test::write_message(*doomed, blocked);
   ASSERT_TRUE(gate.await_entered(1));
   const linger hard_reset{1, 0};  // close() sends RST, not FIN
   ::setsockopt(doomed->fd(), SOL_SOCKET, SO_LINGER, &hard_reset, sizeof hard_reset);
@@ -859,7 +953,7 @@ TEST(WorkerWriteTest, HardShutdownWhileHandlerBlockedFailsTheLateWriteCleanly) {
   auto stream = net::TcpStream::connect("127.0.0.1", server.port());
   Request blocked;
   blocked.set_body("block");
-  stream->write_all(BytesView{blocked.serialize()});
+  test::write_message(*stream, blocked);
   ASSERT_TRUE(gate.await_entered(1));
 
   std::thread stopper([&] { server.shutdown(); });
@@ -892,7 +986,7 @@ TEST(WorkerWriteTest, EightMegabyteResponseReachesASlowReaderByteForByte) {
                 [&big](const Request& req) {
                   Response resp;
                   if (req.body_string() == "big") {
-                    resp.set_body(big);
+                    resp.set_body(Bytes(big));
                   } else {
                     resp.set_body("small");
                   }
@@ -908,8 +1002,8 @@ TEST(WorkerWriteTest, EightMegabyteResponseReachesASlowReaderByteForByte) {
   req.set_body("big");
   const Response resp = http.round_trip(req);
   EXPECT_EQ(resp.status, 200);
-  ASSERT_EQ(resp.body_size(), big.size());
-  EXPECT_TRUE(resp.body == big);
+  ASSERT_EQ(resp.body.size(), big.size());
+  EXPECT_TRUE(resp.body.coalesce() == big);
 
   req.set_body("after");
   EXPECT_EQ(http.round_trip(req).body_string(), "small");
@@ -926,7 +1020,7 @@ TEST(WorkerWriteTest, PeerThatNeverReadsIsCutByTheWriteTimeout) {
   Server server(0,
                 [&](const Request&) {
                   Response resp;
-                  resp.set_body(big);
+                  resp.set_body(Bytes(big));
                   answered.store(true);
                   return resp;
                 },
@@ -935,7 +1029,7 @@ TEST(WorkerWriteTest, PeerThatNeverReadsIsCutByTheWriteTimeout) {
   auto stalled = connect_small_window(server.port());
   Request req;
   req.set_body("big");
-  stalled->write_all(BytesView{req.serialize()});
+  test::write_message(*stalled, req);
   ASSERT_TRUE(eventually([&] { return answered.load(); }));
   EXPECT_TRUE(eventually([&] { return server.tracked_connections() == 0; }));
   server.shutdown();

@@ -121,12 +121,12 @@ TEST(ForeignEndianIngress, ServerDecodesBigEndianClientMessage) {
   http::Request request;
   request.method = "POST";
   request.headers.set("Content-Type", std::string(kContentTypePbio));
-  request.set_body_chain(encode_bin_message(
-      envelope, pbio::encode_value_message_chain(params, *msg_format(), foreign)));
+  request.body = encode_bin_message(
+      envelope, pbio::encode_value_message_chain(params, *msg_format(), foreign));
 
   const http::Response response = env.runtime.handle(request);
   ASSERT_EQ(response.status, 200) << response.body_string();
-  const DecodedBinChain out = decode_bin_message(response.body_as_chain());
+  const DecodedBinChain out = decode_bin_message(response.body);
   EXPECT_EQ(out.envelope.echoed_timestamp_us, 42u);
   ChainReader reader(out.pbio_message);
   const pbio::WireHeader header = pbio::read_header(reader);

@@ -1034,7 +1034,7 @@ std::vector<Finding> lint_seeded(const SourceFile& seed,
 TEST(LintSeeded, BlockingCallInEventReachableFunctionIsCaught) {
   const auto findings = lint_seeded(
       {"src/http/seeded_evt.cpp",
-       "// sbqlint:edge(EventFront::Impl::advance_parse -> seeded_block)\n"
+       "// sbqlint:edge(Server::Impl::advance_parse -> seeded_block)\n"
        "namespace sbq::http {\n"
        "void seeded_block() { wait_on(source, 5); }\n"
        "}\n"},
@@ -1125,7 +1125,7 @@ TEST(LintSeeded, WorkerCallingShardAffineFunctionIsCaught) {
   // path witness must lead from the worker root to the affine callee.
   const auto findings = lint_seeded(
       {"src/http/seeded_affinity.cpp",
-       "// sbqlint:edge(EventFront::Impl::worker_loop -> seeded_touch_shard)\n"
+       "// sbqlint:edge(Server::Impl::worker_loop -> seeded_touch_shard)\n"
        "namespace sbq::http {\n"
        "// sbqlint:affine(event-shard)\n"
        "void seeded_touch_shard() {}\n"

@@ -34,6 +34,7 @@
 #include "qos/manager.h"
 #include "qos/quality_file.h"
 #include "wsdl/wsdl.h"
+#include "support/http_wire.h"
 
 namespace sbq::core {
 namespace {
@@ -626,7 +627,7 @@ TEST(DrainTest, EventFrontQueuedButUndispatchedRequestsGetTheCanned503) {
   http::Request waiting;
   waiting.method = "POST";
   waiting.set_body("queued");
-  queued->write_all(BytesView{waiting.serialize()});
+  test::write_message(*queued, waiting);
   // Wait until the runtime has parsed and queued the request.
   while (server.load().queue_depth == 0) std::this_thread::yield();
 

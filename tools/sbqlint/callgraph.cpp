@@ -386,7 +386,7 @@ class FileParser {
                           scope.name.end());
     }
     // Drop a written prefix that repeats the innermost scope
-    // (`void EventFront::shutdown()` defined at namespace scope).
+    // (`void Server::shutdown()` defined at namespace scope).
     fn.qualified.insert(fn.qualified.end(), written.begin(), written.end());
     fn.display = join(fn.qualified);
     parse_body(j + 1, fn);
@@ -809,7 +809,7 @@ class FileParser {
     // `::open(fd, ...)` — a bare global qualifier marks a libc/system
     // call. Every repo function lives in a namespace, so the call cannot
     // resolve here and must not match repo methods (`::shutdown(fd, ...)`
-    // is not an edge to EventFront::shutdown, and `::accept` on a
+    // is not an edge to Server::shutdown, and `::accept` on a
     // nonblocking fd is not the repo's blocking TcpListener::accept).
     if (k >= 1 && punct_at(k - 1, "::") &&
         (k < 2 || t_[k - 2].kind != Token::Kind::kIdent)) {

@@ -41,7 +41,7 @@ namespace sbq::lint {
 /// One lock acquisition inside a function body.
 struct LockAcquire {
   std::string name;  // display name, e.g. "completion_mu"
-  std::string key;   // scoped identity, e.g. "EventFront::Impl::completion_mu"
+  std::string key;   // scoped identity, e.g. "Server::Impl::completion_mu"
   int line = 0;
   std::vector<std::string> held_keys;   // lock keys already held here
   std::vector<std::string> held_names;  // parallel display names
@@ -147,7 +147,7 @@ class CallGraph {
   /// resolve() for a call site seen from `caller`: an unqualified call
   /// with no receiver (or `this->`) that matches a function in the
   /// caller's own scope resolves to that scope only — `dispatch(...)`
-  /// inside EventFront::Impl means Impl::dispatch, not every dispatch in
+  /// inside Server::Impl means Impl::dispatch, not every dispatch in
   /// the repo. Receiver-ful calls keep the full over-approximation (the
   /// receiver could be any type).
   std::vector<int> resolve_call(const Node& caller, const CallSite& call) const;

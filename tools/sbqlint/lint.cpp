@@ -337,7 +337,7 @@ std::vector<RuleInfo> rules() {
                            "outside the delay-primitive allowlist (pace "
                            "waits through core::wait_on)"},
       {"event-loop-blocking", "nothing reachable from the event-runtime "
-                              "roots (EventFront shard loops) may hit a "
+                              "roots (http::Server shard loops) may hit a "
                               "blocking primitive"},
       {"lock-discipline", "no blocking call while a lock is held, no "
                           "self-deadlock, no ABBA cycle in the lock-order "
@@ -410,16 +410,16 @@ Config default_config() {
   config.sleep_allowlist = {
       "src/core/client.cpp",      // core::wait_on, the blessed delay primitive
       "src/net/fault.cpp",        // kStall on a live stream really stalls
-      "src/http/event_front.cpp", // poll fallback when no poller fd is ready
+      "src/http/server.cpp",      // drain wait for in-flight exchanges
   };
   config.sleep_banned_calls = {"sleep_for", "sleep_until", "sleep", "usleep",
                                "nanosleep"};
 
   // --- graph rules -------------------------------------------------------
-  // The event runtime: each EventFront shard thread drives a Poller; its
+  // The event runtime: each http::Server shard thread drives a Poller; its
   // loop (and everything it reaches) must never block — handlers run on
   // the worker pool, which may.
-  config.event_roots = {"EventFront::Impl::shard_loop"};
+  config.event_roots = {"Server::Impl::shard_loop"};
   // The repo's blocking surface, by name. Bodies of these primitives are
   // implementation detail (read_some's poll() IS the primitive); the rule
   // fires on reaching a call to one.
@@ -451,8 +451,8 @@ Config default_config() {
   // annotations refer to these keys. The worker root is the pool that
   // runs handler code.
   config.affinity_roots = {
-      {"event-shard", {"EventFront::Impl::shard_loop"}},
-      {"worker", {"EventFront::Impl::worker_loop"}},
+      {"event-shard", {"Server::Impl::shard_loop"}},
+      {"worker", {"Server::Impl::worker_loop"}},
       {"client", {"ResilientStub::call"}},
   };
   return config;
