@@ -7,10 +7,10 @@
 //
 // ServiceRepository stores (WSDL document, optional quality file) pairs by
 // service name. It can be used directly in-process, or hosted as a SOAP
-// service itself via register_repository_service() — the registry's own
-// operations (publish / lookup / list) ride the same SOAP-bin stack, so a
-// client can bootstrap everything about a service, message types included,
-// from one lookup.
+// service itself via core::host_repository() (core/registry_host.h) — the
+// registry's own operations (publish / lookup / list) ride the same SOAP-bin
+// stack, so a client can bootstrap everything about a service, message
+// types included, from one lookup.
 #pragma once
 
 #include <map>
@@ -78,8 +78,8 @@ pbio::FormatPtr registry_ack_format();
 /// The registry service's own interface description (for ClientStub).
 ServiceDesc registry_service_desc();
 
-// Implemented in terms of the core runtime; declared here, defined in
-// repository_service.cpp to keep wsdl free of a core dependency at the
-// library-structure level (the function lives in sbq_core's link set).
+// The registry is hosted by core::host_repository() and reached through
+// core::discover_service() (core/registry_host.h), which keeps wsdl free of
+// a core dependency.
 
 }  // namespace sbq::wsdl

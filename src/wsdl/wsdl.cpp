@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
+#include <utility>
 
 #include "common/error.h"
 #include "common/strings.h"
-#include "xml/dom.h"
+#include "xml/reader.h"
 #include "xml/writer.h"
 
 namespace sbq::wsdl {
@@ -38,22 +40,26 @@ FormatPtr ServiceDesc::type(std::string_view type_name) const {
   return it == types.end() ? nullptr : it->second;
 }
 
-TypeKind xsd_scalar_kind(std::string_view type_name) {
+namespace {
+
+/// The PBIO kind of an XSD scalar type name, or nullopt for any other name.
+std::optional<TypeKind> scalar_kind(std::string_view type_name) {
+  static constexpr std::pair<std::string_view, TypeKind> kScalars[] = {
+      {"int", TypeKind::kInt32},          {"integer", TypeKind::kInt32},
+      {"long", TypeKind::kInt64},         {"unsignedInt", TypeKind::kUInt32},
+      {"unsignedLong", TypeKind::kUInt64}, {"float", TypeKind::kFloat32},
+      {"double", TypeKind::kFloat64},     {"byte", TypeKind::kChar},
+      {"char", TypeKind::kChar},          {"unsignedByte", TypeKind::kChar},
+      {"string", TypeKind::kString},
+  };
   const std::string_view local = xml::local_part(type_name);
-  if (local == "int" || local == "integer") return TypeKind::kInt32;
-  if (local == "long") return TypeKind::kInt64;
-  if (local == "unsignedInt") return TypeKind::kUInt32;
-  if (local == "unsignedLong") return TypeKind::kUInt64;
-  if (local == "float") return TypeKind::kFloat32;
-  if (local == "double") return TypeKind::kFloat64;
-  if (local == "byte" || local == "char" || local == "unsignedByte") {
-    return TypeKind::kChar;
+  for (const auto& [name, kind] : kScalars) {
+    if (name == local) return kind;
   }
-  if (local == "string") return TypeKind::kString;
-  throw ParseError("unsupported XSD type: '" + std::string(type_name) + "'");
+  return std::nullopt;
 }
 
-namespace {
+using Token = xml::Reader::Token;
 
 std::string_view xsd_name_for(TypeKind kind) {
   switch (kind) {
@@ -70,149 +76,268 @@ std::string_view xsd_name_for(TypeKind kind) {
   throw ParseError("no XSD name for struct kind");
 }
 
-bool is_scalar_xsd(std::string_view type_name) {
-  const std::string_view local = xml::local_part(type_name);
-  return local == "int" || local == "integer" || local == "long" ||
-         local == "unsignedInt" || local == "unsignedLong" || local == "float" ||
-         local == "double" || local == "byte" || local == "char" ||
-         local == "unsignedByte" || local == "string";
+// The walk below reads each element at its start tag. WSDL authors prefix
+// freely, so elements and attributes match by local name.
+
+/// The first attribute of the current start tag named `name`.
+std::optional<std::string> attribute(const xml::Reader& reader, std::string_view name) {
+  for (const xml::Reader::Attribute& a : reader.attributes()) {
+    if (xml::local_part(a.name) == name) return a.value();
+  }
+  return std::nullopt;
 }
 
-/// Compiles one <complexType> into a FormatDesc; `types` holds the types
-/// compiled so far (forward references are not supported, matching the
-/// single-pass WSDL compiler in the paper's prototype).
-FormatPtr compile_complex_type(const xml::Element& complex_type,
-                               const std::map<std::string, FormatPtr>& types) {
-  const std::string type_name(complex_type.required_attribute("name"));
-  const xml::Element& sequence = complex_type.required_child("sequence");
+std::string required_attribute(const xml::Reader& reader, std::string_view name) {
+  std::optional<std::string> value = attribute(reader, name);
+  if (!value) {
+    throw ParseError("element <" + std::string(reader.name()) +
+                     "> missing attribute '" + std::string(name) + "'");
+  }
+  return std::move(*value);
+}
 
-  FormatBuilder builder(type_name);
-  for (const xml::Element* element : sequence.children_named("element")) {
-    const std::string field_name(element->required_attribute("name"));
-    const std::string field_type(element->required_attribute("type"));
-    const std::string max_occurs(element->attribute("maxOccurs").value_or("1"));
-
-    std::uint32_t fixed = 1;
-    bool unbounded = false;
-    if (max_occurs == "unbounded") {
-      unbounded = true;
-    } else {
-      fixed = static_cast<std::uint32_t>(parse_u64(max_occurs));
-      if (fixed == 0) {
-        throw ParseError("element '" + field_name + "': maxOccurs must be >= 1");
-      }
-    }
-
-    if (is_scalar_xsd(field_type)) {
-      const TypeKind kind = xsd_scalar_kind(field_type);
-      if (unbounded) {
-        builder.add_var_array(field_name, kind);
-      } else if (fixed > 1) {
-        builder.add_fixed_array(field_name, kind, fixed);
-      } else if (kind == TypeKind::kString) {
-        builder.add_string(field_name);
-      } else {
-        builder.add_scalar(field_name, kind);
-      }
-    } else {
-      // Reference to another complexType (possibly "tns:"-prefixed).
-      const std::string referenced(xml::local_part(field_type));
-      auto it = types.find(referenced);
-      if (it == types.end()) {
-        throw ParseError("element '" + field_name + "' references unknown type '" +
-                         referenced + "' (forward references are not supported)");
-      }
-      if (unbounded) {
-        builder.add_struct_var_array(field_name, it->second);
-      } else if (fixed > 1) {
-        builder.add_struct_fixed_array(field_name, it->second, fixed);
-      } else {
-        builder.add_struct(field_name, it->second);
-      }
+/// After a start tag: offers the start tag of each child element, by local
+/// name, to `take`, which either reads the child through its end tag and
+/// returns true or returns false to have it skipped; then consumes the
+/// element's end tag.
+template <typename Take>
+void read_children(xml::Reader& reader, Take&& take) {
+  for (Token t = reader.next(); t != Token::kEndElement; t = reader.next()) {
+    if (t == Token::kStartElement && !take(xml::local_part(reader.name()))) {
+      reader.skip_element();
     }
   }
-  return builder.build();
+}
+
+/// read_children() that hands only the first child named `tag` to `read`,
+/// which reads it through its end tag. Returns whether there was one.
+template <typename Read>
+bool read_first_child(xml::Reader& reader, std::string_view tag, Read&& read) {
+  bool found = false;
+  read_children(reader, [&](std::string_view name) {
+    if (found || name != tag) return false;
+    found = true;
+    read();
+    return true;
+  });
+  return found;
+}
+
+/// Adds the field an <element> start tag declares; `types` holds the types
+/// compiled so far.
+void add_field(FormatBuilder& builder, const xml::Reader& element,
+               const std::map<std::string, FormatPtr>& types) {
+  const std::string field_name = required_attribute(element, "name");
+  const std::string field_type = required_attribute(element, "type");
+  const std::string max_occurs = attribute(element, "maxOccurs").value_or("1");
+
+  std::uint32_t fixed = 1;
+  bool unbounded = false;
+  if (max_occurs == "unbounded") {
+    unbounded = true;
+  } else {
+    fixed = static_cast<std::uint32_t>(parse_u64(max_occurs));
+    if (fixed == 0) {
+      throw ParseError("element '" + field_name + "': maxOccurs must be >= 1");
+    }
+  }
+
+  if (const std::optional<TypeKind> kind = scalar_kind(field_type)) {
+    if (unbounded) {
+      builder.add_var_array(field_name, *kind);
+    } else if (fixed > 1) {
+      builder.add_fixed_array(field_name, *kind, fixed);
+    } else if (*kind == TypeKind::kString) {
+      builder.add_string(field_name);
+    } else {
+      builder.add_scalar(field_name, *kind);
+    }
+    return;
+  }
+  // Reference to another complexType (possibly "tns:"-prefixed).
+  const std::string referenced(xml::local_part(field_type));
+  auto it = types.find(referenced);
+  if (it == types.end()) {
+    throw ParseError("element '" + field_name + "' references unknown type '" +
+                     referenced + "' (forward references are not supported)");
+  }
+  if (unbounded) {
+    builder.add_struct_var_array(field_name, it->second);
+  } else if (fixed > 1) {
+    builder.add_struct_fixed_array(field_name, it->second, fixed);
+  } else {
+    builder.add_struct(field_name, it->second);
+  }
+}
+
+/// Compiles the <complexType> the reader is at, through its end tag, into a
+/// FormatDesc; `types` holds the types compiled so far (forward references
+/// are not supported, matching the single-pass WSDL compiler in the
+/// paper's prototype).
+FormatPtr compile_complex_type(xml::Reader& reader,
+                               const std::map<std::string, FormatPtr>& types) {
+  const std::string type_name = required_attribute(reader, "name");
+  FormatBuilder builder(type_name);
+  try {
+    const bool has_sequence = read_first_child(reader, "sequence", [&] {
+      read_children(reader, [&](std::string_view tag) {
+        if (tag == "element") add_field(builder, reader, types);
+        return false;
+      });
+    });
+    if (!has_sequence) {
+      throw ParseError("complexType '" + type_name + "' has no <sequence>");
+    }
+    return builder.build();
+  } catch (const CodecError& e) {
+    // A shape PBIO cannot hold (a duplicate or string-array field, an
+    // empty sequence) is a WSDL outside the supported subset.
+    throw ParseError("complexType '" + type_name + "': " + e.what());
+  }
+}
+
+/// A <message> as declared: its part's type is resolved once every type is
+/// known.
+struct MessageDecl {
+  std::string name;
+  std::string part_type;
+};
+
+/// An <operation> as declared: its messages are resolved once every message
+/// is known.
+struct OperationDecl {
+  OperationDesc desc;
+  std::optional<std::string> input;
+  std::optional<std::string> output;
+};
+
+/// Reads the <message> the reader is at, through its end tag.
+MessageDecl read_message(xml::Reader& reader) {
+  MessageDecl message{required_attribute(reader, "name"), {}};
+  std::size_t parts = 0;
+  read_children(reader, [&](std::string_view tag) {
+    if (tag == "part" && parts++ == 0) {
+      message.part_type = xml::local_part(required_attribute(reader, "type"));
+    }
+    return false;
+  });
+  if (parts != 1) {
+    throw ParseError("message '" + message.name + "' must have exactly one part, has " +
+                     std::to_string(parts));
+  }
+  return message;
+}
+
+/// Reads the <operation> the reader is at, through its end tag.
+OperationDecl read_operation(xml::Reader& reader) {
+  OperationDecl op;
+  op.desc.name = required_attribute(reader, "name");
+  const std::string idem = attribute(reader, "idempotent").value_or("false");
+  op.desc.idempotent = (idem == "true" || idem == "yes" || idem == "1");
+  read_children(reader, [&](std::string_view tag) {
+    std::optional<std::string>* message = tag == "input"    ? &op.input
+                                          : tag == "output" ? &op.output
+                                                            : nullptr;
+    if (message != nullptr && !*message) {
+      *message = std::string(xml::local_part(required_attribute(reader, "message")));
+    }
+    return false;
+  });
+  if (!op.input || !op.output) {
+    throw ParseError("operation '" + op.desc.name +
+                     "' needs an <input> and an <output>");
+  }
+  return op;
 }
 
 }  // namespace
 
+TypeKind xsd_scalar_kind(std::string_view type_name) {
+  if (const std::optional<TypeKind> kind = scalar_kind(type_name)) return *kind;
+  throw ParseError("unsupported XSD type: '" + std::string(type_name) + "'");
+}
+
 ServiceDesc parse_wsdl(std::string_view wsdl_xml) {
-  const auto root = xml::parse_document(wsdl_xml);
-  if (root->local_name() != "definitions") {
-    throw ParseError("WSDL root must be <definitions>, got <" + root->name + ">");
+  // One forward walk: each child of <definitions> is read as it streams by
+  // and names are resolved at the end, so sections may come in any order.
+  // The first <types>, <schema>, <service>, <port> and <address> count.
+  xml::Reader reader(wsdl_xml);
+  while (reader.next() != Token::kStartElement) {
+  }
+  if (xml::local_part(reader.name()) != "definitions") {
+    throw ParseError("WSDL root must be <definitions>, got <" +
+                     std::string(reader.name()) + ">");
   }
 
   ServiceDesc service;
-  service.name = std::string(root->attribute("name").value_or(""));
-  service.target_namespace =
-      std::string(root->attribute("targetNamespace").value_or(""));
+  service.name = attribute(reader, "name").value_or("");
+  service.target_namespace = attribute(reader, "targetNamespace").value_or("");
 
-  // 1. types/schema/complexType* → formats
-  if (const xml::Element* types_el = root->child("types")) {
-    if (const xml::Element* schema = types_el->child("schema")) {
-      for (const xml::Element* ct : schema->children_named("complexType")) {
-        FormatPtr format = compile_complex_type(*ct, service.types);
-        service.types.emplace(format->name, format);
-      }
+  std::vector<MessageDecl> messages;
+  std::vector<OperationDecl> operations;
+  bool has_types = false;
+  bool has_service = false;
+  read_children(reader, [&](std::string_view tag) {
+    if (tag == "types" && !has_types) {
+      has_types = true;
+      read_first_child(reader, "schema", [&] {
+        read_children(reader, [&](std::string_view child) {
+          if (child != "complexType") return false;
+          const FormatPtr format = compile_complex_type(reader, service.types);
+          service.types.emplace(format->name, format);
+          return true;
+        });
+      });
+    } else if (tag == "message") {
+      messages.push_back(read_message(reader));
+    } else if (tag == "portType") {
+      read_children(reader, [&](std::string_view child) {
+        if (child != "operation") return false;
+        operations.push_back(read_operation(reader));
+        return true;
+      });
+    } else if (tag == "service" && !has_service) {
+      has_service = true;
+      if (service.name.empty()) service.name = attribute(reader, "name").value_or("");
+      read_first_child(reader, "port", [&] {
+        read_first_child(reader, "address", [&] {
+          service.location = attribute(reader, "location").value_or("");
+          reader.skip_element();
+        });
+      });
+    } else {
+      return false;
     }
+    return true;
+  });
+  while (reader.next() != Token::kEndOfDocument) {
   }
 
-  // 2. message name → part type (single-part messages, like Soup's schema)
-  std::map<std::string, FormatPtr> messages;
-  for (const xml::Element* message : root->children_named("message")) {
-    const std::string message_name(message->required_attribute("name"));
-    const auto parts = message->children_named("part");
-    if (parts.size() != 1) {
-      throw ParseError("message '" + message_name +
-                       "' must have exactly one part, has " +
-                       std::to_string(parts.size()));
+  // Message name → part type (single-part messages, like Soup's schema).
+  std::map<std::string, FormatPtr> message_types;
+  for (const MessageDecl& message : messages) {
+    const FormatPtr type = service.type(message.part_type);
+    if (type == nullptr) {
+      throw ParseError("message '" + message.name + "' part references unknown type '" +
+                       message.part_type + "'");
     }
-    const std::string part_type(xml::local_part(parts[0]->required_attribute("type")));
-    auto it = service.types.find(part_type);
-    if (it == service.types.end()) {
-      throw ParseError("message '" + message_name + "' part references unknown type '" +
-                       part_type + "'");
-    }
-    messages.emplace(message_name, it->second);
+    message_types.emplace(message.name, type);
   }
-
-  // 3. portType/operation → OperationDesc
-  auto resolve_message = [&](const xml::Element& op, std::string_view tag) {
-    const xml::Element& ref = op.required_child(std::string(tag));
-    const std::string message_name(xml::local_part(ref.required_attribute("message")));
-    auto it = messages.find(message_name);
-    if (it == messages.end()) {
+  auto resolve_message = [&](const std::string& message_name) {
+    auto it = message_types.find(message_name);
+    if (it == message_types.end()) {
       throw ParseError("operation references unknown message '" + message_name + "'");
     }
     return it->second;
   };
-  for (const xml::Element* port_type : root->children_named("portType")) {
-    for (const xml::Element* op : port_type->children_named("operation")) {
-      OperationDesc desc;
-      desc.name = std::string(op->required_attribute("name"));
-      desc.input = resolve_message(*op, "input");
-      desc.output = resolve_message(*op, "output");
-      const std::string idem(op->attribute("idempotent").value_or("false"));
-      desc.idempotent = (idem == "true" || idem == "yes" || idem == "1");
-      service.operations.push_back(std::move(desc));
-    }
+  for (OperationDecl& op : operations) {
+    op.desc.input = resolve_message(*op.input);
+    op.desc.output = resolve_message(*op.output);
+    service.operations.push_back(std::move(op.desc));
   }
   if (service.operations.empty()) {
     throw ParseError("WSDL defines no operations");
   }
-
-  // 4. service/port/address → endpoint location
-  if (const xml::Element* service_el = root->child("service")) {
-    if (service.name.empty()) {
-      service.name = std::string(service_el->attribute("name").value_or(""));
-    }
-    if (const xml::Element* port = service_el->child("port")) {
-      if (const xml::Element* address = port->child("address")) {
-        service.location = std::string(address->attribute("location").value_or(""));
-      }
-    }
-  }
-
   return service;
 }
 

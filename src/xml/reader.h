@@ -16,15 +16,15 @@
 // nesting so hostile documents cannot exhaust anything. Errors are
 // XmlErrors with 1-based line/column positions.
 //
-// This is the one public parse interface: parse_document (the DOM, for WSDL)
-// is a loop over it, and the SOAP codec pulls from it directly. A document
-// can be read in two legs without lexing any byte twice: one reader stops
-// partway (the SOAP envelope parse stops at the body's operation element),
-// and resume() picks the document up at that offset with the same open
-// elements and reads it to its end. A caller that knows the start tag
-// coming next (the SOAP codec, from its tag table) offers it to
-// accept_start_tag(), which takes it in one compare when the document holds
-// exactly those bytes.
+// This is the one public parse interface: the SOAP codec and the WSDL
+// compiler (wsdl/wsdl.h) pull from it directly, and no tree is built. A
+// document can be read in two legs without lexing any byte twice: one
+// reader stops partway (the SOAP envelope parse stops at the body's
+// operation element), and resume() picks the document up at that offset
+// with the same open elements and reads it to its end. A caller that knows
+// the start tag coming next (the SOAP codec, from its tag table) offers it
+// to accept_start_tag(), which takes it in one compare when the document
+// holds exactly those bytes.
 #pragma once
 
 #include <cstddef>

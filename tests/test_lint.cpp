@@ -84,7 +84,7 @@ TEST(LintLayering, UnknownSubsystemIsFlagged) {
 
 TEST(LintThrow, RawStdThrowIsFlagged) {
   const auto findings = lint_rule(
-      "src/xml/dom.cpp", "void f() { throw std::runtime_error(\"x\"); }\n",
+      "src/xml/writer.cpp", "void f() { throw std::runtime_error(\"x\"); }\n",
       "no-raw-throw");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 1);
@@ -92,7 +92,7 @@ TEST(LintThrow, RawStdThrowIsFlagged) {
 }
 
 TEST(LintThrow, SbqErrorConstructionsAreClean) {
-  EXPECT_TRUE(lint_rule("src/xml/dom.cpp",
+  EXPECT_TRUE(lint_rule("src/xml/writer.cpp",
                         "void f() {\n"
                         "  throw ParseError(\"a\");\n"
                         "  throw sbq::CodecError(\"b\");\n"
@@ -104,14 +104,14 @@ TEST(LintThrow, SbqErrorConstructionsAreClean) {
 }
 
 TEST(LintThrow, BareRethrowIsClean) {
-  EXPECT_TRUE(lint_rule("src/xml/dom.cpp",
+  EXPECT_TRUE(lint_rule("src/xml/writer.cpp",
                         "void f() { try { g(); } catch (const Error&) { throw; } }\n",
                         "no-raw-throw")
                   .empty());
 }
 
 TEST(LintThrow, ThrowingAVariableIsFlagged) {
-  EXPECT_EQ(lint_rule("src/xml/dom.cpp", "void f(Error e) { throw e; }\n",
+  EXPECT_EQ(lint_rule("src/xml/writer.cpp", "void f(Error e) { throw e; }\n",
                       "no-raw-throw")
                 .size(),
             1u);
@@ -125,12 +125,12 @@ TEST(LintThrow, TestsMayThrowAnything) {
 }
 
 TEST(LintThrow, PragmaSuppresses) {
-  EXPECT_TRUE(lint_rule("src/xml/dom.cpp",
+  EXPECT_TRUE(lint_rule("src/xml/writer.cpp",
                         "// sbqlint:allow(no-raw-throw): interop shim\n"
                         "void f() { throw std::runtime_error(\"x\"); }\n",
                         "no-raw-throw")
                   .empty());
-  EXPECT_TRUE(lint_rule("src/xml/dom.cpp",
+  EXPECT_TRUE(lint_rule("src/xml/writer.cpp",
                         "void f() { throw std::runtime_error(\"x\"); }"
                         "  // sbqlint:allow(no-raw-throw): interop shim\n",
                         "no-raw-throw")

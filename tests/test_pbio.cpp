@@ -486,8 +486,9 @@ TEST(NativeCodec, NestedFixedArraysPastTwoToTheSixtyFourAreRejected) {
                CodecError);
   FormatPtr huge = l0;
   for (int level = 1; level < 4; ++level) {
-    huge = wire_shape("l" + std::to_string(level),
-                      {shape_field("a", TypeKind::kStruct, 65536, huge)});
+    std::string name = "l";
+    name += std::to_string(level);
+    huge = wire_shape(name, {shape_field("a", TypeKind::kStruct, 65536, huge)});
   }
   const auto f = FormatBuilder("top").add_struct_var_array("items", huge).build();
   ByteBuffer out;

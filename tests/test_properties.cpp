@@ -41,7 +41,8 @@ FormatPtr random_format(Rng& rng, int depth_budget, int id = 0) {
                         std::to_string(id));
   const int field_count = static_cast<int>(rng.uniform_int(1, 5));
   for (int f = 0; f < field_count; ++f) {
-    const std::string name = "f" + std::to_string(f);
+    std::string name = "f";
+    name += std::to_string(f);
     const double roll = rng.next_double();
     if (roll < 0.15) {
       builder.add_string(name);

@@ -142,6 +142,105 @@ TEST(WsdlParse, ErrorsAreDiagnosed) {
                ParseError);
 }
 
+// The document lookups WSDL compilation makes on the reader: attributes by
+// local name, and required attributes and children.
+
+TEST(Dom, AttributeLookupIgnoresPrefix) {
+  const ServiceDesc svc = parse_wsdl(R"(<definitions wsdl:name="S" xmlns:wsdl="u"
+      xmlns:xsd="x"><types><xsd:schema>
+    <xsd:complexType xsd:name="t"><xsd:sequence>
+      <xsd:element xsd:name="a" xsd:type="xsd:int"/></xsd:sequence></xsd:complexType>
+    </xsd:schema></types>
+    <message wsdl:name="io"><part wsdl:name="p" wsdl:type="tns:t"/></message>
+    <portType wsdl:name="P"><operation wsdl:name="op">
+      <input wsdl:message="tns:io"/><output wsdl:message="tns:io"/>
+    </operation></portType></definitions>)");
+  EXPECT_EQ(svc.name, "S");
+  EXPECT_EQ(svc.required_operation("op").input->canonical(), "t{a:i32}");
+}
+
+TEST(Dom, RequiredLookupsThrow) {
+  // Missing required parts, each in an otherwise valid document.
+  auto wsdl = [](const std::string& types, const std::string& operation) {
+    return R"(<definitions name="S"><types><schema>)" + types +
+           R"(</schema></types><message name="io"><part name="p" type="t"/></message>
+           <portType name="P">)" + operation + "</portType></definitions>";
+  };
+  const std::string type = R"(<complexType name="t"><sequence>
+    <element name="a" type="int"/></sequence></complexType>)";
+  const std::string operation =
+      R"(<operation name="op"><input message="io"/><output message="io"/></operation>)";
+  EXPECT_NO_THROW(parse_wsdl(wsdl(type, operation)));
+  // A complexType without a name or a sequence; an element without a type.
+  EXPECT_THROW(parse_wsdl(wsdl(R"(<complexType><sequence>
+    <element name="a" type="int"/></sequence></complexType>)", operation)),
+               ParseError);
+  EXPECT_THROW(parse_wsdl(wsdl(R"(<complexType name="t"/>)", operation)), ParseError);
+  EXPECT_THROW(parse_wsdl(wsdl(R"(<complexType name="t"><sequence>
+    <element name="a"/></sequence></complexType>)", operation)),
+               ParseError);
+  // An operation without a name, an output, or an input message.
+  EXPECT_THROW(parse_wsdl(wsdl(type, R"(<operation><input message="io"/>
+    <output message="io"/></operation>)")),
+               ParseError);
+  EXPECT_THROW(parse_wsdl(wsdl(type, R"(<operation name="op"><input message="io"/>
+    </operation>)")),
+               ParseError);
+  EXPECT_THROW(parse_wsdl(wsdl(type, R"(<operation name="op"><input/>
+    <output message="io"/></operation>)")),
+               ParseError);
+}
+
+TEST(WsdlParse, SectionsInAnyOrderWithPrefixes) {
+  // Operations before their messages, messages before their types, prefixed
+  // names throughout, sections the compiler does not read, and a second
+  // <service> that does not count.
+  const ServiceDesc svc = parse_wsdl(R"(<?xml version="1.0"?>
+<wsdl:definitions name="Ordered" targetNamespace="urn:ordered"
+    xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/" xmlns:tns="urn:ordered"
+    xmlns:soap="http://schemas.xmlsoap.org/wsdl/soap/"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <wsdl:documentation>Skipped, <b>markup</b> and all.</wsdl:documentation>
+  <wsdl:portType name="OrderedPort">
+    <wsdl:operation name="total" wsdl:idempotent="true">
+      <wsdl:input wsdl:message="tns:totalInput"/>
+      <wsdl:output wsdl:message="tns:totalOutput"/>
+    </wsdl:operation>
+  </wsdl:portType>
+  <wsdl:message name="totalInput"><wsdl:part name="p" type="tns:pair"/></wsdl:message>
+  <wsdl:message name="totalOutput"><wsdl:part name="r" type="tns:sum"/></wsdl:message>
+  <wsdl:binding name="OrderedBinding" type="tns:OrderedPort">
+    <soap:binding style="rpc"/>
+    <wsdl:operation name="total"><soap:operation soapAction=""/></wsdl:operation>
+  </wsdl:binding>
+  <wsdl:types>
+    <xsd:schema>
+      <xsd:complexType name="pair"><xsd:sequence>
+        <xsd:element name="a" type="xsd:int"/><xsd:element name="b" type="xsd:int"/>
+      </xsd:sequence></xsd:complexType>
+      <xsd:complexType name="sum"><xsd:sequence>
+        <xsd:element name="total" type="xsd:long"/>
+      </xsd:sequence></xsd:complexType>
+    </xsd:schema>
+  </wsdl:types>
+  <wsdl:service name="First">
+    <wsdl:port name="p"><soap:address location="http://first.example/"/></wsdl:port>
+  </wsdl:service>
+  <wsdl:service name="Second">
+    <wsdl:port name="p"><soap:address location="http://second.example/"/></wsdl:port>
+  </wsdl:service>
+</wsdl:definitions>)");
+  EXPECT_EQ(svc.name, "Ordered");
+  EXPECT_EQ(svc.target_namespace, "urn:ordered");
+  EXPECT_EQ(svc.location, "http://first.example/");
+  ASSERT_EQ(svc.operations.size(), 1u);
+  EXPECT_EQ(svc.operations[0].name, "total");
+  EXPECT_TRUE(svc.operations[0].idempotent);
+  EXPECT_EQ(svc.operations[0].input->canonical(), "pair{a:i32,b:i32}");
+  EXPECT_EQ(svc.operations[0].output->canonical(), "sum{total:i64}");
+  EXPECT_EQ(svc.types.size(), 2u);
+}
+
 TEST(WsdlGenerate, RoundTripsThroughParse) {
   const ServiceDesc original = parse_wsdl(kImageWsdl);
   const std::string regenerated = generate_wsdl(original);

@@ -1,5 +1,4 @@
-// Unit tests for the XML substrate: escaping, the pull reader, the DOM on
-// top of it, writer.
+// Unit tests for the XML substrate: escaping, the pull reader, writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,8 +6,9 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <string>
+#include <vector>
 
-#include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/reader.h"
 #include "xml/writer.h"
@@ -382,6 +382,27 @@ TEST(Reader, LocalPartStripsThePrefix) {
   EXPECT_EQ(local_part("a:b:c"), "c");
 }
 
+TEST(Reader, SkipElementWalksTheChildrenOfTheRoot) {
+  Reader r("<definitions name=\"svc\"><types><schema/></types>"
+           "<message name=\"m1\"/><message name=\"m2\"/></definitions>");
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "definitions");
+  ASSERT_EQ(r.attributes().size(), 1u);
+  EXPECT_EQ(r.attributes()[0].value(), "svc");
+  std::vector<std::string> children;  // name, then `=value` of each attribute
+  for (Token t = r.next(); t != Token::kEndElement; t = r.next()) {
+    ASSERT_EQ(t, Token::kStartElement);
+    std::string child(r.name());
+    for (const Reader::Attribute& a : r.attributes()) {
+      child.append("=").append(a.value());
+    }
+    children.push_back(child);
+    r.skip_element();
+  }
+  EXPECT_EQ(children, (std::vector<std::string>{"types", "message=m1", "message=m2"}));
+  EXPECT_EQ(r.next(), Token::kEndOfDocument);
+}
+
 // Messages and positions of every well-formedness error, pinned so that a
 // change to the lexer cannot move them.
 TEST(Reader, ErrorMessagesAndPositionsArePinned) {
@@ -434,48 +455,33 @@ TEST(Reader, ErrorMessagesAndPositionsArePinned) {
   }
 }
 
-// ---------------------------------------------------------------- DOM
-
-TEST(Dom, BuildsTree) {
-  auto root = parse_document(
-      "<definitions name=\"svc\"><types><schema/></types>"
-      "<message name=\"m1\"/><message name=\"m2\"/></definitions>");
-  ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->name, "definitions");
-  EXPECT_EQ(root->required_attribute("name"), "svc");
-  EXPECT_NE(root->child("types"), nullptr);
-  EXPECT_EQ(root->children_named("message").size(), 2u);
-  EXPECT_EQ(root->children_named("message")[1]->required_attribute("name"), "m2");
-}
+// ---------------------------------------------------------------- Dom
+// Whole-document reads on the reader: the element text and names that WSDL
+// compilation takes from a document (test_wsdl.cpp holds its attribute and
+// required-part lookups).
 
 TEST(Dom, TextAccumulation) {
-  auto root = parse_document("<v>12<!-- split -->34</v>");
-  EXPECT_EQ(root->trimmed_text(), "1234");
+  Reader r("<v>12<!-- split -->34</v>");
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  std::string text;
+  r.read_text(text);
+  EXPECT_EQ(text, "1234");
+  EXPECT_EQ(r.next(), Token::kEndOfDocument);
 }
 
 TEST(Dom, LocalNameStripsPrefix) {
-  auto root = parse_document("<xsd:schema xmlns:xsd=\"u\"><xsd:element/></xsd:schema>");
-  EXPECT_EQ(root->local_name(), "schema");
-  EXPECT_NE(root->child("element"), nullptr);
-}
-
-TEST(Dom, AttributeLookupIgnoresPrefix) {
-  auto root = parse_document("<e xsi:type=\"int\" xmlns:xsi=\"u\"/>");
-  ASSERT_TRUE(root->attribute("type").has_value());
-  EXPECT_EQ(*root->attribute("type"), "int");
-}
-
-TEST(Dom, RequiredLookupsThrow) {
-  auto root = parse_document("<e/>");
-  EXPECT_THROW((void)root->required_attribute("missing"), ParseError);
-  EXPECT_THROW((void)root->required_child("missing"), ParseError);
-}
-
-TEST(Dom, RoundTripThroughToString) {
-  auto root = parse_document("<a x=\"1\"><b>t&amp;t</b></a>");
-  auto again = parse_document(root->to_string());
-  EXPECT_EQ(again->name, "a");
-  EXPECT_EQ(again->required_child("b").trimmed_text(), "t&t");
+  Reader r("<xsd:schema xmlns:xsd=\"u\"><xsd:element/></xsd:schema>");
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(local_part(r.name()), "schema");
+  ASSERT_EQ(r.next(), Token::kStartElement);
+  EXPECT_EQ(local_part(r.name()), "element");
+  // Attribute names keep their prefix too.
+  Reader e("<e xsi:type=\"int\" xmlns:xsi=\"u\"/>");
+  ASSERT_EQ(e.next(), Token::kStartElement);
+  ASSERT_EQ(e.attributes().size(), 2u);
+  EXPECT_EQ(e.attributes()[0].name, "xsi:type");
+  EXPECT_EQ(local_part(e.attributes()[0].name), "type");
+  EXPECT_EQ(e.attributes()[0].value(), "int");
 }
 
 // ---------------------------------------------------------------- writer
@@ -539,8 +545,27 @@ TEST(Writer, OutputParsesBack) {
   w.text_element("value", std::int64_t{42});
   w.end_element();
   w.end_element();
-  auto root = parse_document(w.take());
-  EXPECT_EQ(root->required_child("body").required_child("value").trimmed_text(), "42");
+  const std::string doc = w.take();
+  Reader r(doc);
+  auto next_tag = [&r] {  // past the indentation
+    Token t = r.next();
+    while (t == Token::kText) t = r.next();
+    return t;
+  };
+  ASSERT_EQ(next_tag(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "envelope");
+  ASSERT_EQ(next_tag(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "body");
+  ASSERT_EQ(r.attributes().size(), 1u);
+  EXPECT_EQ(r.attributes()[0].value(), "test");
+  ASSERT_EQ(next_tag(), Token::kStartElement);
+  EXPECT_EQ(r.name(), "value");
+  std::string text;
+  r.read_text(text);
+  EXPECT_EQ(text, "42");
+  EXPECT_EQ(next_tag(), Token::kEndElement);
+  EXPECT_EQ(next_tag(), Token::kEndElement);
+  EXPECT_EQ(next_tag(), Token::kEndOfDocument);
 }
 
 TEST(Writer, FormatDoubleRoundTrips) {
