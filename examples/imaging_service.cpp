@@ -93,6 +93,6 @@ int main() {
   std::printf(
       "\nThe server switched to 320x240 during the congestion episode and\n"
       "recovered to 640x480 afterwards — %llu quality switches total.\n",
-      static_cast<unsigned long long>(quality->policy().switch_count()));
+      static_cast<unsigned long long>(quality->switch_count()));
   return 0;
 }

@@ -160,8 +160,7 @@ void ClientStub::note_fault(const CallOptions& options, bool is_timeout) {
   if (quality_) {
     quality_->observe_fault(deadline);
   } else {
-    const double penalty = 2.0 * std::max(deadline, fallback_rtt_.value_us());
-    if (penalty > 0.0) fallback_rtt_.update(penalty);
+    fallback_rtt_.penalize(deadline);
   }
 }
 

@@ -186,7 +186,6 @@ class ClientStub {
   [[nodiscard]] const EndpointStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  [[nodiscard]] WireFormat wire_format() const { return wire_format_; }
   [[nodiscard]] const wsdl::ServiceDesc& service() const { return service_; }
 
   /// The stub's view of the format server — callers shipping nested PBIO

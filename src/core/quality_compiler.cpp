@@ -1,7 +1,5 @@
 #include "core/quality_compiler.h"
 
-#include <set>
-
 #include "common/error.h"
 
 namespace sbq::core {
@@ -16,10 +14,7 @@ std::shared_ptr<qos::QualityManager> compile_quality(
   auto manager = std::make_shared<qos::QualityManager>(file,
                                                        options.switch_threshold);
 
-  std::set<std::string> registered;
   for (const qos::QualityRule& rule : file.rules()) {
-    if (!registered.insert(rule.message_type).second) continue;
-
     const pbio::FormatPtr format = service.type(rule.message_type);
     if (!format) {
       throw QosError("quality file names message type '" + rule.message_type +
@@ -35,8 +30,9 @@ std::shared_ptr<qos::QualityManager> compile_quality(
   }
 
   // Specs for types the quality file never selects are configuration bugs.
+  const auto registry = manager->registry();
   for (const auto& [type_name, spec] : options.handler_specs) {
-    if (!registered.contains(type_name)) {
+    if (!registry->contains(type_name)) {
       throw QosError("handler spec for '" + type_name +
                      "' but the quality file never selects that type");
     }

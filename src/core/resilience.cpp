@@ -212,12 +212,6 @@ void ResilientStub::set_quality_manager(
   }
 }
 
-void ResilientStub::set_request_quality_enabled(bool enabled) {
-  for (std::size_t i = 0; i < set_.size(); ++i) {
-    set_.endpoint(i).stub->set_request_quality_enabled(enabled);
-  }
-}
-
 std::size_t ResilientStub::pick_allowed(const std::vector<char>& failed,
                                         std::uint64_t now,
                                         std::size_t exclude) const {

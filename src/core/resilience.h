@@ -244,11 +244,6 @@ class ResilientStub {
   /// successful probes of recovering replicas feed observe_probe so quality
   /// re-projects upward as the set heals.
   void set_quality_manager(std::shared_ptr<qos::QualityManager> quality);
-  [[nodiscard]] std::shared_ptr<qos::QualityManager> quality_manager() const {
-    return quality_;
-  }
-
-  void set_request_quality_enabled(bool enabled);
 
   /// Probes endpoints that are due: every half-open endpoint (the recovery
   /// path — a cheap idempotent GET walks the format-announce path and

@@ -82,7 +82,7 @@ void ServiceRuntime::set_wsdl_document(std::string wsdl_xml) {
 }
 
 void ServiceRuntime::set_quality_factory(QualityFactory factory) {
-  quality_factory_ = std::move(factory);
+  client_quality_config_ = factory ? factory() : nullptr;
 }
 
 void ServiceRuntime::set_load_monitor(std::shared_ptr<qos::LoadMonitor> monitor) {
@@ -106,14 +106,14 @@ std::size_t ServiceRuntime::client_quality_count() const {
 
 std::shared_ptr<qos::QualityManager> ServiceRuntime::quality_for(
     const http::Request& request) {
-  if (quality_factory_) {
+  if (client_quality_config_) {
     if (const auto client_id = request.headers.get(kHeaderClientId)) {
       std::lock_guard lock(clients_mu_);
       std::string id(*client_id);
       if (const auto it = client_quality_.find(id); it != client_quality_.end()) {
         return it->second;
       }
-      auto manager = quality_factory_();
+      auto manager = client_quality_config_->fork();
       if (client_order_.size() == kMaxClientQualityManagers) {
         client_quality_.erase(client_order_.front());
         client_order_.pop_front();

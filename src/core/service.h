@@ -78,14 +78,14 @@ class ServiceRuntime {
   void set_quality_manager(std::shared_ptr<qos::QualityManager> quality);
 
   /// Per-client quality management (the client-specific behaviors of the
-  /// paper's grid middleware, ref. [18]): the factory builds one fresh
-  /// QualityManager per distinct X-SOAP-Client-Id, so two clients on very
-  /// different links each get their own RTT state and message-type
-  /// selection. Requests without a client id fall back to the shared
-  /// manager set by set_quality_manager(). The client id is untrusted, so
-  /// the table holds at most kMaxClientQualityManagers managers: a new id
+  /// paper's grid middleware, ref. [18]): the factory runs once, and each
+  /// distinct X-SOAP-Client-Id gets a fork() of the manager it built, so
+  /// clients on very different links each get their own RTT state and
+  /// selection over one shared registry. Requests without a client id fall
+  /// back to the set_quality_manager() manager. The client id is untrusted,
+  /// so the table holds at most kMaxClientQualityManagers entries: a new id
   /// at the cap evicts the oldest-inserted one, and an evicted client that
-  /// comes back starts over with a fresh manager.
+  /// comes back starts over with fresh state.
   static constexpr std::size_t kMaxClientQualityManagers = 1024;
   using QualityFactory = std::function<std::shared_ptr<qos::QualityManager>()>;
   void set_quality_factory(QualityFactory factory);
@@ -112,10 +112,6 @@ class ServiceRuntime {
   /// — `http://host/service?wsdl` — used by the paper's service portal to
   /// advertise itself).
   void set_wsdl_document(std::string wsdl_xml);
-
-  [[nodiscard]] std::shared_ptr<qos::QualityManager> quality_manager() const {
-    return quality_;
-  }
 
   /// Dispatches one HTTP request. Never throws: errors become SOAP faults
   /// (XML modes) or HTTP error statuses (binary mode). Safe to call from
@@ -181,7 +177,7 @@ class ServiceRuntime {
   std::shared_ptr<qos::QualityManager> quality_;
   std::shared_ptr<qos::LoadMonitor> load_monitor_;
   std::atomic<bool> draining_{false};
-  QualityFactory quality_factory_;
+  std::shared_ptr<qos::QualityManager> client_quality_config_;  // forked per client
   mutable std::mutex clients_mu_;
   using ClientQualityMap = std::map<std::string, std::shared_ptr<qos::QualityManager>>;
   ClientQualityMap client_quality_;  // sbqlint:guarded_by(clients_mu_)

@@ -87,10 +87,6 @@ struct SimTiming {
   std::uint64_t response_transfer_us = 0;
   std::uint64_t server_cpu_us = 0;
   std::uint64_t round_trips = 0;
-
-  [[nodiscard]] std::uint64_t total_us() const {
-    return request_transfer_us + response_transfer_us + server_cpu_us;
-  }
 };
 
 /// In-process dispatch behind a simulated link. The shared SimClock must

@@ -71,7 +71,6 @@ class LoadMonitor {
   /// True once the smoothed load has reached the shed threshold.
   [[nodiscard]] bool should_shed() const;
 
-  [[nodiscard]] double shed_threshold() const { return shed_threshold_; }
   [[nodiscard]] std::uint64_t retry_after_s() const { return retry_after_s_; }
 
   /// Deepest queue seen across all observations.

@@ -1,7 +1,5 @@
 #include "qos/manager.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace sbq::qos {
@@ -13,11 +11,31 @@ std::shared_ptr<const QualityHandler> share(QualityHandler handler) {
   return std::make_shared<const QualityHandler>(std::move(handler));
 }
 
+const MessageType& required(const TypeRegistry& types, std::string_view name) {
+  const auto it = types.find(name);
+  if (it == types.end()) {
+    throw QosError("message type '" + std::string(name) +
+                   "' named in quality policy is not registered");
+  }
+  return it->second;
+}
+
 }  // namespace
 
 QualityManager::QualityManager(QualityFile file, int switch_threshold)
-    : policy_(std::move(file), switch_threshold) {
+    : QualityManager(SelectionPolicy(std::move(file), switch_threshold),
+                     std::make_shared<const TypeRegistry>()) {}
+
+QualityManager::QualityManager(SelectionPolicy policy,
+                               std::shared_ptr<const TypeRegistry> types)
+    : types_(std::move(types)), policy_(std::move(policy)) {
   attributes_[policy_.file().attribute()] = 0.0;
+}
+
+std::shared_ptr<QualityManager> QualityManager::fork() const {
+  std::lock_guard lock(mu_);
+  return std::shared_ptr<QualityManager>(
+      new QualityManager(policy_.restarted(), types_));
 }
 
 void QualityManager::register_message_type(std::string name, pbio::FormatPtr format,
@@ -28,7 +46,9 @@ void QualityManager::register_message_type(std::string name, pbio::FormatPtr for
   // be selected via required_type on the receive path).
   MessageType type{name, std::move(format), share(std::move(handler))};
   std::lock_guard lock(mu_);
-  types_[name] = std::move(type);
+  auto next = std::make_shared<TypeRegistry>(*types_);
+  (*next)[name] = std::move(type);
+  types_ = std::move(next);
 }
 
 void QualityManager::update_attribute(std::string_view name, double value) {
@@ -47,12 +67,14 @@ void QualityManager::replace_policy(QualityFile file, int switch_threshold) {
 void QualityManager::install_handler(std::string_view type_name,
                                      QualityHandler handler) {
   std::lock_guard lock(mu_);
-  const auto it = types_.find(type_name);
-  if (it == types_.end()) {
+  auto next = std::make_shared<TypeRegistry>(*types_);
+  const auto it = next->find(type_name);
+  if (it == next->end()) {
     throw QosError("install_handler: unknown message type '" +
                    std::string(type_name) + "'");
   }
   it->second.handler = share(std::move(handler));
+  types_ = std::move(next);
 }
 
 std::string QualityManager::attribute_name() const {
@@ -83,10 +105,9 @@ void QualityManager::observe_rtt(double sample_us) {
 void QualityManager::observe_fault(double deadline_us) {
   std::lock_guard lock(mu_);
   ++faults_;
-  const double penalty = 2.0 * std::max(deadline_us, rtt_.value_us());
-  if (penalty <= 0.0) return;
-  rtt_.update(penalty);
-  attributes_[policy_.file().attribute()] = rtt_.value_us();
+  if (rtt_.penalize(deadline_us)) {
+    attributes_[policy_.file().attribute()] = rtt_.value_us();
+  }
 }
 
 std::uint64_t QualityManager::fault_count() const {
@@ -112,42 +133,28 @@ EwmaEstimator QualityManager::rtt() const {
   return rtt_;
 }
 
-SelectionPolicy QualityManager::policy() const {
+std::uint64_t QualityManager::switch_count() const {
   std::lock_guard lock(mu_);
-  return policy_;
+  return policy_.switch_count();
 }
 
 MessageType QualityManager::select() {
-  std::string name;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = attributes_.find(policy_.file().attribute());
-    if (it == attributes_.end()) {
-      throw QosError("quality attribute '" + policy_.file().attribute() +
-                     "' has no value");
-    }
-    name = policy_.select(it->second);
+  std::lock_guard lock(mu_);
+  const auto it = attributes_.find(policy_.file().attribute());
+  if (it == attributes_.end()) {
+    throw QosError("quality attribute '" + policy_.file().attribute() +
+                   "' has no value");
   }
-  return required_type(name);
+  return required(*types_, policy_.select(it->second));
 }
 
-const MessageType* QualityManager::find_type(std::string_view name) const {
-  // The lock covers the lookup against concurrent registration; the
-  // returned pointer stays valid because types_ never erases.
+std::shared_ptr<const TypeRegistry> QualityManager::registry() const {
   std::lock_guard lock(mu_);
-  const auto it = types_.find(name);
-  return it == types_.end() ? nullptr : &it->second;
+  return types_;
 }
 
 MessageType QualityManager::required_type(std::string_view name) const {
-  // Copied under the lock: install_handler swaps the handler pointer.
-  std::lock_guard lock(mu_);
-  const auto it = types_.find(name);
-  if (it == types_.end()) {
-    throw QosError("message type '" + std::string(name) +
-                   "' named in quality policy is not registered");
-  }
-  return it->second;
+  return required(*registry(), name);
 }
 
 pbio::Value QualityManager::apply(const pbio::Value& full,

@@ -2,11 +2,11 @@
 //
 // One QualityManager lives inside each SOAP-binQ endpoint (client and server
 // share the quality file, per the paper: "the quality file is used both by
-// the server side and client side stubs"). It owns
-//   * the monitored attribute values — applications update them with
-//     update_attribute(), the paper's API for dynamic quality changes,
-//   * the registered message types (format + optional quality handler),
-//   * a SelectionPolicy deciding which type an outgoing message uses.
+// the server side and client side stubs"). It holds
+//   * a configuration fork() shares: the message types (format + optional
+//     quality handler) in an immutable TypeRegistry, and the quality file,
+//   * its own state: the monitored attribute values (the paper's
+//     update_attribute() API), the RTT estimator and the selection history.
 //
 // A quality handler transforms the full application message into the chosen
 // reduced type; when none is registered the default handler performs the
@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -47,9 +46,16 @@ struct MessageType {
   std::shared_ptr<const QualityHandler> handler;
 };
 
+/// Message types by name. Never changed once published; changes publish anew.
+using TypeRegistry = std::map<std::string, MessageType, std::less<>>;
+
 class QualityManager {
  public:
   QualityManager(QualityFile file, int switch_threshold = 3);
+
+  /// A manager with fresh state over this one's registry and quality file;
+  /// later changes to either one's configuration publish for it alone.
+  [[nodiscard]] std::shared_ptr<QualityManager> fork() const;
 
   /// Registers a message type named in the quality file. The largest /
   /// default type must be registered too.
@@ -61,8 +67,8 @@ class QualityManager {
 
   /// Replaces the quality policy at runtime (paper §V future work:
   /// "dynamically define and re-define quality management"). Selection
-  /// history restarts; registered message types and attribute values are
-  /// kept. The new file may monitor a different attribute.
+  /// history restarts; the registry and attribute values are kept. The new
+  /// file may monitor a different attribute.
   void replace_policy(QualityFile file, int switch_threshold = 3);
 
   /// Swaps the quality handler of an already-registered message type at
@@ -84,14 +90,8 @@ class QualityManager {
   /// file's attribute name.
   void observe_rtt(double sample_us);
 
-  /// Loss-like penalty for a failed round trip (timeout, reset, retry). A
-  /// fault carries no genuine RTT, but pretending it never happened would
-  /// keep the policy at full quality while the link burns; instead a
-  /// synthetic sample of 2 × max(deadline, current estimate) is fed to the
-  /// estimator, stepping the selected message type down under sustained
-  /// faults and letting the EWMA recover with hysteresis when the link
-  /// heals. No-op when both the deadline and the estimate are zero (there
-  /// is no scale to penalize against).
+  /// Counts a failed round trip and feeds its EwmaEstimator::penalize sample
+  /// into the estimator and the monitored attribute.
   void observe_fault(double deadline_us);
 
   /// Number of fault penalties observed so far.
@@ -111,36 +111,36 @@ class QualityManager {
   /// Copy of the RTT estimator state (safe across threads).
   [[nodiscard]] EwmaEstimator rtt() const;
 
+  /// Number of message-type switches the selection history has made.
+  [[nodiscard]] std::uint64_t switch_count() const;
+
   /// Selects the message type for the next outgoing message (with
-  /// hysteresis) based on the current attribute value. Returns a copy taken
-  /// under the lock, so install_handler may run concurrently with apply();
-  /// the copy shares the handler rather than copying it.
+  /// hysteresis) based on the current attribute value. Returns a copy that
+  /// shares the format and handler, so install_handler may run concurrently
+  /// with apply().
   MessageType select();
 
-  /// Looks up a registered type by name (for the receive path); the lookup
-  /// by value is a copy taken under the lock, as select()'s is.
-  [[nodiscard]] const MessageType* find_type(std::string_view name) const;
+  /// The current registry snapshot, and a type looked up in it by name (how
+  /// the XML receive paths resolve a reduced type).
+  [[nodiscard]] std::shared_ptr<const TypeRegistry> registry() const;
   [[nodiscard]] MessageType required_type(std::string_view name) const;
 
   /// Applies `type`'s handler (or the default projection) to `full`.
   [[nodiscard]] pbio::Value apply(const pbio::Value& full,
                                   const MessageType& type) const;
 
-  /// Copy of the current policy (it is replaceable at runtime, so a
-  /// reference could be invalidated mid-read by replace_policy).
-  [[nodiscard]] SelectionPolicy policy() const;
-
  private:
-  // Guards every field below: the policy is replaceable at runtime, the
-  // attribute/estimator state is fed from transport threads, and
-  // install_handler swaps handlers inside types_ after registration.
+  QualityManager(SelectionPolicy policy, std::shared_ptr<const TypeRegistry> types);
+
+  // Guards every field below: the registry and policy are republished at
+  // runtime, and the attribute/estimator state is fed from transport threads.
   mutable std::mutex mu_;
+  std::shared_ptr<const TypeRegistry> types_;  // sbqlint:guarded_by(mu_)
   SelectionPolicy policy_;     // sbqlint:guarded_by(mu_)
   AttributeMap attributes_;    // sbqlint:guarded_by(mu_)
   EwmaEstimator rtt_;          // sbqlint:guarded_by(mu_)
   std::uint64_t faults_ = 0;   // sbqlint:guarded_by(mu_)
   std::uint64_t probes_ = 0;   // sbqlint:guarded_by(mu_)
-  std::map<std::string, MessageType, std::less<>> types_;  // sbqlint:guarded_by(mu_)
 };
 
 }  // namespace sbq::qos

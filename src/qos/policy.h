@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "qos/quality_file.h"
@@ -21,6 +22,9 @@ class SelectionPolicy {
   /// required to switch; 1 disables hysteresis (pure interval lookup).
   explicit SelectionPolicy(QualityFile file, int switch_threshold = 3);
 
+  /// Fresh history over the same (shared, not copied) file and threshold.
+  [[nodiscard]] SelectionPolicy restarted() const { return {file_, threshold_}; }
+
   /// Feeds the current attribute value, returns the active message type.
   const std::string& select(double attribute_value);
 
@@ -31,11 +35,12 @@ class SelectionPolicy {
   /// Number of type switches performed so far (ablation metric).
   [[nodiscard]] std::uint64_t switch_count() const { return switches_; }
 
-  [[nodiscard]] const QualityFile& file() const { return file_; }
-  [[nodiscard]] int switch_threshold() const { return threshold_; }
+  [[nodiscard]] const QualityFile& file() const { return *file_; }
 
  private:
-  QualityFile file_;
+  SelectionPolicy(std::shared_ptr<const QualityFile> file, int switch_threshold);
+
+  std::shared_ptr<const QualityFile> file_;
   int threshold_;
   std::string active_;
   std::string candidate_;

@@ -7,6 +7,7 @@
 // RFC 793 / Jacobson-Karels estimator the paper cites.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace sbq::qos {
@@ -19,11 +20,18 @@ class EwmaEstimator {
   /// Feeds one measured RTT; the first sample initializes the estimate.
   void update(double sample_us);
 
+  /// Feeds the loss-like sample of a failed round trip, 2 × max(deadline,
+  /// estimate) (docs/robustness.md); false, feeding nothing, when both are 0.
+  bool penalize(double deadline_us) {
+    const double penalty = 2.0 * std::max(deadline_us, estimate_us_);
+    if (penalty > 0.0) update(penalty);
+    return penalty > 0.0;
+  }
+
   /// Current smoothed estimate; 0 before any sample.
   [[nodiscard]] double value_us() const { return estimate_us_; }
 
   [[nodiscard]] bool has_sample() const { return samples_ > 0; }
-  [[nodiscard]] std::uint64_t sample_count() const { return samples_; }
 
   void reset();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -136,10 +137,12 @@ void add_field(FormatBuilder& builder, const xml::Reader& element,
   if (max_occurs == "unbounded") {
     unbounded = true;
   } else {
-    fixed = static_cast<std::uint32_t>(parse_u64(max_occurs));
-    if (fixed == 0) {
-      throw ParseError("element '" + field_name + "': maxOccurs must be >= 1");
+    const std::uint64_t occurs = parse_u64(max_occurs);
+    if (occurs == 0 || occurs > std::numeric_limits<std::uint32_t>::max()) {
+      throw ParseError("element '" + field_name +
+                       "': maxOccurs must be in [1, 4294967295]");
     }
+    fixed = static_cast<std::uint32_t>(occurs);
   }
 
   if (const std::optional<TypeKind> kind = scalar_kind(field_type)) {

@@ -468,9 +468,8 @@ TEST(QualityCompiler, WiresTypesFromWsdl) {
   options.switch_threshold = 1;
 
   auto qm = core::compile_quality(file, service, options);
-  ASSERT_NE(qm->find_type("grid_full"), nullptr);
-  ASSERT_NE(qm->find_type("grid_small"), nullptr);
-  EXPECT_EQ(qm->find_type("grid_full")->format->format_id(),
+  EXPECT_NO_THROW((void)qm->required_type("grid_small"));
+  EXPECT_EQ(qm->required_type("grid_full").format->format_id(),
             service.type("grid_full")->format_id());
 
   // The spec'd handler is live.
@@ -559,11 +558,10 @@ TEST(PerClientQuality, RotatingClientIdsKeepTheTableBounded) {
   runtime.register_operation("fetch", req_format, xf_full(), [](const Value&) {
     return Value::record({{"id", 1}, {"data", std::string(64, 'P')}});
   });
-  int managers_built = 0;
-  runtime.set_quality_factory([&managers_built] {
-    ++managers_built;
-    return xml_quality(1);
-  });
+  // Threshold 3: a held entry keeps its active type through the first two
+  // selections that disagree, while a fresh one takes its first selection
+  // at once.
+  runtime.set_quality_factory([] { return xml_quality(3); });
 
   // Records one real binary request so it can be replayed under other ids.
   struct CaptureTransport final : core::Transport {
@@ -584,6 +582,7 @@ TEST(PerClientQuality, RotatingClientIdsKeepTheTableBounded) {
   svc.name = "PQ";
   svc.operations.push_back(wsdl::OperationDesc{"fetch", req_format, xf_full()});
   ClientStub client(capture, WireFormat::kBinary, svc, format_server, clock);
+  client.set_quality_manager(xml_quality(1));
   (void)client.call("fetch", Value::record({{"n", 1}}));
 
   const auto send_as = [&](const std::string& client_id) {
@@ -602,14 +601,81 @@ TEST(PerClientQuality, RotatingClientIdsKeepTheTableBounded) {
   EXPECT_EQ(answered, kIds);
   EXPECT_LE(runtime.client_quality_count(), ServiceRuntime::kMaxClientQualityManagers);
   EXPECT_EQ(ServiceRuntime::kMaxClientQualityManagers, 1024u);
-  const int built = managers_built;
 
-  // The newest id is still held; the oldest was evicted and starts over.
+  // Every sprayed id selected xfull (the replay reports no RTT). Now report
+  // congestion: the newest id is still held, so its hysteresis holds xfull;
+  // the oldest was evicted and starts over, so it switches at once.
   EXPECT_EQ(send_as("spray-" + std::to_string(kIds - 1)), 200);
-  EXPECT_EQ(managers_built, built);
+  client.quality_manager()->observe_rtt(9'000'000.0);
+  client.set_client_id("spray-" + std::to_string(kIds - 1));
+  (void)client.call("fetch", Value::record({{"n", 2}}));
+  EXPECT_EQ(client.last_response_type(), "xfull");
+  client.set_client_id("spray-0");
+  (void)client.call("fetch", Value::record({{"n", 3}}));
+  EXPECT_EQ(client.last_response_type(), "xsmall");
   EXPECT_EQ(send_as("spray-0"), 200);
-  EXPECT_EQ(managers_built, built + 1);
   EXPECT_LE(runtime.client_quality_count(), ServiceRuntime::kMaxClientQualityManagers);
+}
+
+TEST(PerClientQuality, ConcurrentClientsOverTcpShareOneRegistry) {
+  auto format_server = std::make_shared<pbio::FormatServer>();
+  auto clock = std::make_shared<net::SteadyTimeSource>();
+  ServiceRuntime runtime(format_server, clock);
+  const FormatPtr req_format = FormatBuilder("req").add_scalar("n", TypeKind::kInt32).build();
+  runtime.register_operation("fetch", req_format, xf_full(), [](const Value&) {
+    return Value::record({{"id", 1}, {"data", std::string(64, 'P')}});
+  });
+  int factory_calls = 0;
+  std::shared_ptr<qos::QualityManager> config;
+  runtime.set_quality_factory([&] {
+    ++factory_calls;
+    config = xml_quality(1);
+    return config;
+  });
+
+  http::Server server(0, [&](const http::Request& r) { return runtime.handle(r); });
+  wsdl::ServiceDesc svc;
+  svc.name = "PQ";
+  svc.operations.push_back(wsdl::OperationDesc{"fetch", req_format, xf_full()});
+
+  // Each thread reports its own RTT: below the 100 ms boundary → xfull,
+  // above → xsmall.
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 20;
+  const double reported_rtt_us[kThreads] = {50.0, 1'000'000.0, 200.0, 5'000'000.0};
+  std::vector<std::thread> clients;
+  std::atomic<int> wrong_type{0};
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      try {
+        auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+        core::HttpTransport transport(*stream);
+        ClientStub client(transport, WireFormat::kBinary, svc, format_server, clock);
+        client.set_client_id("tcp-" + std::to_string(t));
+        client.set_quality_manager(xml_quality(1));
+        const std::string expected = reported_rtt_us[t] < 100000.0 ? "xfull" : "xsmall";
+        for (int i = 0; i < kCallsPerThread; ++i) {
+          // Re-anchor the estimate, which each call's real RTT pulls down.
+          client.quality_manager()->observe_rtt(reported_rtt_us[t]);
+          (void)client.call("fetch", Value::record({{"n", i}}));
+          if (client.last_response_type() != expected) ++wrong_type;
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  server.shutdown();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wrong_type.load(), 0);
+  EXPECT_EQ(factory_calls, 1);
+  EXPECT_EQ(runtime.client_quality_count(), static_cast<std::size_t>(kThreads));
+  // Every entry holds the configuration's registry itself, not a copy: its
+  // owners are the configuration, one per entry, and this expression's copy.
+  EXPECT_EQ(config->registry().use_count(), 1 + kThreads + 1);
 }
 
 TEST(PerClientQuality, SharedManagerWithoutFactory) {

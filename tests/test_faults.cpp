@@ -735,5 +735,33 @@ TEST(QosFaultCouplingTest, ObserveFaultInflatesTheRttEstimate) {
   EXPECT_EQ(qm.select().name, "image_full");
 }
 
+TEST(QosFaultCouplingTest, TimeoutPenalizesTheEstimateOfAStubWithoutManager) {
+  ImagingFixture env;
+  SimLinkTransport transport(env.runtime, net::LinkModel(net::adsl_1mbps()),
+                             env.clock);
+  transport.set_charge_server_cpu(false);
+  auto faults = std::make_shared<net::FaultInjector>(1);
+  transport.set_fault_injector(faults);
+  ClientStub client(transport, WireFormat::kBinary, env.service(),
+                    env.format_server, env.clock);
+  ASSERT_EQ(client.quality_manager(), nullptr);
+
+  (void)client.call("fetch_image", Value::record({{"n", 1}}));
+  const double before = client.rtt_estimate_us();
+  ASSERT_GT(before, 0.0);
+  ASSERT_LT(before, 2'000'000.0);
+
+  net::FaultSpec stall;
+  stall.kind = net::FaultKind::kStall;
+  stall.stall_us = 60'000'000;
+  faults->schedule(stall);
+  CallOptions opts;
+  opts.deadline_us = 2'000'000;
+  EXPECT_THROW(client.call("fetch_image", Value::record({{"n", 2}}), opts),
+               TimeoutError);
+  // One penalty sample of 2 × max(deadline, estimate) = 4 s.
+  EXPECT_DOUBLE_EQ(client.rtt_estimate_us(), 0.875 * before + 0.125 * 4'000'000.0);
+}
+
 }  // namespace
 }  // namespace sbq::core

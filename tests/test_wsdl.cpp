@@ -140,6 +140,22 @@ TEST(WsdlParse, ErrorsAreDiagnosed) {
       <input message="io"/><output message="io"/>
     </operation></portType></definitions>)"),
                ParseError);
+  // maxOccurs past UINT32_MAX: 2^32 + 1 and 2^32 + 2 must not wrap to a
+  // scalar and a two-element array.
+  for (const char* max_occurs : {"4294967297", "4294967298"}) {
+    EXPECT_THROW(parse_wsdl(std::string(R"(<definitions name="S">
+      <types><schema>
+        <complexType name="a"><sequence>
+          <element name="x" type="int" maxOccurs=")") + max_occurs + R"("/>
+        </sequence></complexType>
+      </schema></types>
+      <message name="io"><part name="p" type="a"/></message>
+      <portType name="P"><operation name="op">
+        <input message="io"/><output message="io"/>
+      </operation></portType></definitions>)"),
+                 ParseError)
+        << max_occurs;
+  }
 }
 
 // The document lookups WSDL compilation makes on the reader: attributes by
