@@ -226,7 +226,7 @@ pbio::Value ClientStub::exchange(const wsdl::OperationDesc& op,
   }
 
   if (binary) {
-    decode_bin_reply(reply);
+    decode_bin_reply(reply, op);
   } else {
     decode_xml_reply(reply, response, op);
   }
@@ -236,13 +236,6 @@ pbio::Value ClientStub::exchange(const wsdl::OperationDesc& op,
   if (response_was_full_ && !full) ++stats_.degradations;
   if (!response_was_full_ && full) ++stats_.recoveries;
   response_was_full_ = full;
-
-  if (reply.format->format_id() != op.output->format_id()) {
-    // Reduced-quality response: pad back up to the full application type.
-    Stopwatch unmarshal;
-    reply.value = pbio::project_value(reply.value, *op.output);
-    stats_.unmarshal_us += unmarshal.elapsed_us();
-  }
   return std::move(reply.value);
 }
 
@@ -317,7 +310,7 @@ ClientStub::Reply ClientStub::read_bin_reply(const http::Response& response) {
   // freshly started simulated clock.
   DecodedBinChain incoming = decode_bin_message(response.body);
   stats_.bytes_copied += incoming.bytes_copied;
-  return Reply{std::move(incoming.envelope), std::move(incoming.pbio_message), {}, {}};
+  return Reply{std::move(incoming.envelope), std::move(incoming.pbio_message), {}};
 }
 
 ClientStub::Reply ClientStub::read_xml_reply(const http::Response& response,
@@ -332,13 +325,15 @@ ClientStub::Reply ClientStub::read_xml_reply(const http::Response& response,
   return reply;
 }
 
-void ClientStub::decode_bin_reply(Reply& reply) {
+void ClientStub::decode_bin_reply(Reply& reply, const wsdl::OperationDesc& op) {
+  // A reduced-quality response is padded back up to the full application
+  // type as it decodes.
   Stopwatch unmarshal;
   ChainReader reader(reply.pbio_message);
   const pbio::WireHeader header = pbio::read_header(reader);
-  reply.format = format_cache_.resolve(header.format_id);
-  reply.value = pbio::decode_value_payload(reader, header.payload_length,
-                                           header.sender_order, *reply.format);
+  const pbio::FormatPtr sender = format_cache_.resolve(header.format_id);
+  reply.value = plans_.get(sender, op.output, header.sender_order)
+                    ->execute_value(reader, header.payload_length);
   stats_.unmarshal_us += unmarshal.elapsed_us();
   stats_.bytes_copied += reader.bytes_copied();
 }
@@ -369,8 +364,9 @@ void ClientStub::decode_xml_reply(Reply& reply, const http::Response& response,
   }
 
   // XML carries no format ids: a reduced response type is named in a header
-  // and resolved through the client's own quality manager.
-  reply.format = op.output;
+  // and resolved through the client's own quality manager, and padded back
+  // up to the full application type once decoded.
+  pbio::FormatPtr format = op.output;
   reply.envelope.message_type = op.output->name;
   if (auto type_name = response.headers.get(kHeaderQualityType)) {
     reply.envelope.message_type = std::string(*type_name);
@@ -379,10 +375,13 @@ void ClientStub::decode_xml_reply(Reply& reply, const http::Response& response,
         throw RpcError("server sent quality type '" + reply.envelope.message_type +
                        "' but no quality manager is attached");
       }
-      reply.format = quality_->required_type(*type_name).format;
+      format = quality_->required_type(*type_name).format;
     }
   }
-  reply.value = soap::decode_body(envelope, *reply.format);
+  reply.value = soap::decode_body(envelope, *format);
+  if (format->format_id() != op.output->format_id()) {
+    reply.value = pbio::project_value(reply.value, *op.output);
+  }
   stats_.unmarshal_us += unmarshal.elapsed_us();
 }
 

@@ -32,6 +32,7 @@
 #include "core/message.h"
 #include "http/message.h"
 #include "net/sim_clock.h"
+#include "pbio/plan.h"
 #include "pbio/registry.h"
 #include "pbio/value.h"
 #include "qos/manager.h"
@@ -207,12 +208,11 @@ class ClientStub {
  private:
   /// Filled in by two per-wire steps: reading the framing gives the
   /// envelope metadata (from X-SOAP-* headers on the XML wires), decoding
-  /// gives the value as the server sent it.
+  /// gives the value in the operation's full output type.
   struct Reply {
     BinEnvelope envelope;
     BufferChain pbio_message;  // binary wire
     pbio::Value value;
-    pbio::FormatPtr format;
   };
 
   /// One attempt of a call, on every wire.
@@ -228,7 +228,7 @@ class ClientStub {
                                   const qos::MessageType& type);
   Reply read_bin_reply(const http::Response& response);
   Reply read_xml_reply(const http::Response& response, std::uint64_t sent_at_us);
-  void decode_bin_reply(Reply& reply);
+  void decode_bin_reply(Reply& reply, const wsdl::OperationDesc& op);
   void decode_xml_reply(Reply& reply, const http::Response& response,
                         const wsdl::OperationDesc& op);
 
@@ -241,6 +241,7 @@ class ClientStub {
   std::string client_id_;
   wsdl::ServiceDesc service_;
   pbio::FormatCache format_cache_;
+  pbio::PlanCache plans_;  // binary replies: sender format → operation output
   std::shared_ptr<net::TimeSource> clock_;
   std::shared_ptr<qos::QualityManager> quality_;
   bool request_quality_enabled_ = false;

@@ -1,6 +1,7 @@
 #include "core/service.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/clock.h"
 #include "common/strings.h"
@@ -249,18 +250,18 @@ http::Response ServiceRuntime::exchange(const http::Request& request, WireFormat
       const auto reported = request.headers.get(kHeaderReportedRtt);
       rtt = reported ? parse_f64(*reported) : 0.0;
     }
-    if (rtt > 0.0) quality->update_attribute(quality->attribute_name(), rtt);
+    // Both reports are untrusted: an infinite one matches no quality rule.
+    if (std::isfinite(rtt) && rtt > 0.0) {
+      quality->update_attribute(quality->attribute_name(), rtt);
+    }
   }
 
-  // Decode with the sender's format, and lift onto the full input type if
-  // the client sent a reduced message.
+  // Decode with the sender's format onto the full input type: a reduced
+  // request is lifted as it decodes.
   Stopwatch unmarshal;
-  pbio::Value params =
+  const pbio::Value params =
       binary ? decode_bin_request(in) : decode_xml_request(in, request, quality.get());
   const Operation& op = *in.op;
-  if (in.format->format_id() != op.input->format_id()) {
-    params = pbio::project_value(params, *op.input);
-  }
   bump_stats([&](EndpointStats& s) {
     s.unmarshal_us += unmarshal.elapsed_us();
     s.bytes_copied += in.bytes_copied;
@@ -312,9 +313,9 @@ pbio::Value ServiceRuntime::decode_bin_request(Received& in) {
   // first message).
   ChainReader reader(in.pbio_message);
   const pbio::WireHeader header = pbio::read_header(reader);
-  in.format = format_cache_.resolve(header.format_id);
-  pbio::Value params = pbio::decode_value_payload(reader, header.payload_length,
-                                                  header.sender_order, *in.format);
+  const pbio::FormatPtr sender = format_cache_.resolve(header.format_id);
+  pbio::Value params = plans_.get(sender, in.op->input, header.sender_order)
+                           ->execute_value(reader, header.payload_length);
   in.bytes_copied += reader.bytes_copied();
   return params;
 }
@@ -329,15 +330,19 @@ pbio::Value ServiceRuntime::decode_xml_request(Received& in, const http::Request
 
   // XML carries no format ids: a reduced request type is named in a header
   // and resolved through the quality manager (ignored without one).
-  in.format = in.op->input;
+  pbio::FormatPtr format = in.op->input;
   if (quality) {
     if (auto type_name = request.headers.get(kHeaderQualityType)) {
       if (*type_name != in.op->input->name) {
-        in.format = quality->required_type(*type_name).format;
+        format = quality->required_type(*type_name).format;
       }
     }
   }
-  return soap::decode_body(envelope, *in.format);
+  pbio::Value params = soap::decode_body(envelope, *format);
+  if (format->format_id() != in.op->input->format_id()) {
+    params = pbio::project_value(params, *in.op->input);
+  }
+  return params;
 }
 
 http::Response ServiceRuntime::write_bin_response(Received& in, pbio::Value&& value,

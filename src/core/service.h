@@ -37,6 +37,7 @@
 #include "http/message.h"
 #include "http/server.h"
 #include "net/sim_clock.h"
+#include "pbio/plan.h"
 #include "pbio/registry.h"
 #include "pbio/value.h"
 #include "qos/load.h"
@@ -141,7 +142,6 @@ class ServiceRuntime {
     const Operation* op = nullptr;  // binary: from the envelope; XML: the body
     BufferChain pbio_message;       // binary wire
     std::string xml;                // XML wires, decompressed
-    pbio::FormatPtr format;         // the sender's format, once decoded
     std::uint64_t bytes_copied = 0;
   };
 
@@ -170,6 +170,7 @@ class ServiceRuntime {
 
   std::shared_ptr<net::TimeSource> clock_;
   pbio::FormatCache format_cache_;
+  pbio::PlanCache plans_;  // binary requests: sender format → operation input
   /// Resolves the quality manager for a request (per-client or shared).
   std::shared_ptr<qos::QualityManager> quality_for(const http::Request& request);
 

@@ -1,5 +1,6 @@
 // Bulk conversion between contiguous Value arrays and PBIO wire words.
-// Internal to the Value codec (value_codec.cpp); not part of the public API.
+// Internal to the Value encoder (value_codec.cpp) and the decode plan's Value
+// sink (plan.cpp); not part of the public API.
 //
 // A contiguous array (Value::I64Array, U64Array, F64Array) crosses the wire
 // in one loop per array: decode widens a block of 4- or 8-byte words into

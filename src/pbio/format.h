@@ -80,7 +80,9 @@ struct FieldDesc {
 using FormatId = std::uint64_t;
 
 /// A complete format: named, ordered fields plus the native struct size.
-struct FormatDesc {
+/// Formats are shared (FormatPtr); shared_from_this() recovers the owner of
+/// one held by reference.
+struct FormatDesc : std::enable_shared_from_this<FormatDesc> {
   std::string name;
   std::vector<FieldDesc> fields;
   std::uint32_t native_size = 0;

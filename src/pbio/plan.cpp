@@ -4,7 +4,9 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "pbio/array_words.h"
 #include "pbio/encode.h"
+#include "pbio/value_codec.h"
 
 namespace sbq::pbio {
 
@@ -24,111 +26,73 @@ struct Scalar {
 };
 
 /// Reads one wire scalar of `kind` in `order`.
-Scalar read_scalar(ByteReader& reader, TypeKind kind, ByteOrder order) {
-  Scalar s{};
+Scalar read_scalar(ChainReader& reader, TypeKind kind, ByteOrder order) {
+  using C = Scalar::Class;
   switch (kind) {
-    case TypeKind::kInt32:
-      s.cls = Scalar::Class::kSigned;
-      s.i = static_cast<std::int32_t>(reader.read_u32(order));
-      break;
-    case TypeKind::kInt64:
-      s.cls = Scalar::Class::kSigned;
-      s.i = static_cast<std::int64_t>(reader.read_u64(order));
-      break;
-    case TypeKind::kUInt32:
-      s.cls = Scalar::Class::kUnsigned;
-      s.u = reader.read_u32(order);
-      break;
-    case TypeKind::kUInt64:
-      s.cls = Scalar::Class::kUnsigned;
-      s.u = reader.read_u64(order);
-      break;
-    case TypeKind::kFloat32:
-      s.cls = Scalar::Class::kFloat;
-      s.f = reader.read_f32(order);
-      break;
-    case TypeKind::kFloat64:
-      s.cls = Scalar::Class::kFloat;
-      s.f = reader.read_f64(order);
-      break;
-    case TypeKind::kChar:
-      s.cls = Scalar::Class::kUnsigned;
-      s.u = reader.read_u8();
-      break;
-    default:
-      throw CodecError("read_scalar: not a scalar kind");
+    case TypeKind::kInt32: return {C::kSigned, static_cast<std::int32_t>(reader.read_u32(order))};
+    case TypeKind::kInt64: return {C::kSigned, static_cast<std::int64_t>(reader.read_u64(order))};
+    case TypeKind::kUInt32: return {C::kUnsigned, 0, reader.read_u32(order)};
+    case TypeKind::kUInt64: return {C::kUnsigned, 0, reader.read_u64(order)};
+    case TypeKind::kFloat32: return {C::kFloat, 0, 0, reader.read_f32(order)};
+    case TypeKind::kFloat64: return {C::kFloat, 0, 0, reader.read_f64(order)};
+    case TypeKind::kChar: return {C::kUnsigned, 0, reader.read_u8()};
+    default: throw CodecError("read_scalar: not a scalar kind");
   }
-  return s;
+}
+
+/// `s` converted to the widened class `T` (std::int64_t, std::uint64_t or
+/// double).
+template <class T>
+T widen(const Scalar& s) {
+  switch (s.cls) {
+    case Scalar::Class::kSigned: return static_cast<T>(s.i);
+    case Scalar::Class::kUnsigned: return static_cast<T>(s.u);
+    case Scalar::Class::kFloat: return static_cast<T>(s.f);
+  }
+  return T{};
+}
+
+template <class T>
+void put(std::uint8_t* dst, T v) {
+  std::memcpy(dst, &v, sizeof v);
 }
 
 /// Stores a canonical scalar as `kind` at `dst` (host representation).
 void store_scalar(std::uint8_t* dst, TypeKind kind, const Scalar& s) {
-  auto as_i64 = [&]() -> std::int64_t {
-    switch (s.cls) {
-      case Scalar::Class::kSigned: return s.i;
-      case Scalar::Class::kUnsigned: return static_cast<std::int64_t>(s.u);
-      case Scalar::Class::kFloat: return static_cast<std::int64_t>(s.f);
-    }
-    return 0;
-  };
-  auto as_u64 = [&]() -> std::uint64_t {
-    switch (s.cls) {
-      case Scalar::Class::kSigned: return static_cast<std::uint64_t>(s.i);
-      case Scalar::Class::kUnsigned: return s.u;
-      case Scalar::Class::kFloat: return static_cast<std::uint64_t>(s.f);
-    }
-    return 0;
-  };
-  auto as_f64 = [&]() -> double {
-    switch (s.cls) {
-      case Scalar::Class::kSigned: return static_cast<double>(s.i);
-      case Scalar::Class::kUnsigned: return static_cast<double>(s.u);
-      case Scalar::Class::kFloat: return s.f;
-    }
-    return 0.0;
-  };
-
   switch (kind) {
-    case TypeKind::kInt32: {
-      const auto v = static_cast<std::int32_t>(as_i64());
-      std::memcpy(dst, &v, sizeof v);
-      break;
-    }
-    case TypeKind::kInt64: {
-      const auto v = as_i64();
-      std::memcpy(dst, &v, sizeof v);
-      break;
-    }
-    case TypeKind::kUInt32: {
-      const auto v = static_cast<std::uint32_t>(as_u64());
-      std::memcpy(dst, &v, sizeof v);
-      break;
-    }
-    case TypeKind::kUInt64: {
-      const auto v = as_u64();
-      std::memcpy(dst, &v, sizeof v);
-      break;
-    }
-    case TypeKind::kFloat32: {
-      const auto v = static_cast<float>(as_f64());
-      std::memcpy(dst, &v, sizeof v);
-      break;
-    }
-    case TypeKind::kFloat64: {
-      const auto v = as_f64();
-      std::memcpy(dst, &v, sizeof v);
-      break;
-    }
-    case TypeKind::kChar:
-      *dst = static_cast<std::uint8_t>(as_u64());
-      break;
-    default:
-      throw CodecError("store_scalar: not a scalar kind");
+    case TypeKind::kInt32: return put(dst, static_cast<std::int32_t>(widen<std::int64_t>(s)));
+    case TypeKind::kInt64: return put(dst, widen<std::int64_t>(s));
+    case TypeKind::kUInt32: return put(dst, static_cast<std::uint32_t>(widen<std::uint64_t>(s)));
+    case TypeKind::kUInt64: return put(dst, widen<std::uint64_t>(s));
+    case TypeKind::kFloat32: return put(dst, static_cast<float>(widen<double>(s)));
+    case TypeKind::kFloat64: return put(dst, widen<double>(s));
+    case TypeKind::kChar: return put(dst, static_cast<std::uint8_t>(widen<std::uint64_t>(s)));
+    default: throw CodecError("store_scalar: not a scalar kind");
+  }
+}
+
+/// The Value a scalar of wire `kind` decodes to: its class, widened.
+Value scalar_value(const Scalar& s, TypeKind kind) {
+  if (kind == TypeKind::kChar) return Value{static_cast<char>(s.u)};
+  switch (s.cls) {
+    case Scalar::Class::kSigned: return Value{s.i};
+    case Scalar::Class::kUnsigned: return Value{s.u};
+    case Scalar::Class::kFloat: return Value{s.f};
+  }
+  return {};
+}
+
+/// A plan consumes exactly its payload; anything else is a malformed message.
+void expect_consumed(const ChainReader& reader, std::size_t start,
+                     std::size_t payload_length) {
+  if (reader.position() - start != payload_length) {
+    throw CodecError("PBIO payload of " + std::to_string(payload_length) +
+                     " bytes decoded as " + std::to_string(reader.position() - start));
   }
 }
 
 /// Consumes one record of `format` from the wire without materializing it.
-void skip_record(ByteReader& reader, const FormatDesc& format, ByteOrder order) {
+void skip_record(ChainReader& reader, const FormatDesc& format, ByteOrder order) {
   for (const FieldDesc& field : format.fields) {
     switch (field.arity) {
       case Arity::kScalar:
@@ -188,13 +152,18 @@ std::size_t min_wire_bytes(const FormatDesc& format) {
 
 PlanPtr DecodePlan::compile(FormatPtr sender, FormatPtr receiver, ByteOrder order,
                             PlanCache& cache) {
-  std::vector<Op> ops;
+  std::shared_ptr<DecodePlan> plan(new DecodePlan(sender, receiver, order));
+  std::vector<Op>& ops = plan->ops_;
   const bool host_order = order == host_byte_order();
 
-  for (const FieldDesc& wf : sender->fields) {
+  for (std::size_t i = 0; i < sender->fields.size(); ++i) {
+    const FieldDesc& wf = sender->fields[i];
     const FieldDesc* nf = receiver->field(wf.name);
+    plan->value_slots_.push_back(
+        nf == nullptr ? -1 : static_cast<std::int32_t>(nf - receiver->fields.data()));
     Op op;
     op.wire_kind = wf.kind;
+    op.wire_field = static_cast<std::uint32_t>(i);
 
     if (is_plain_scalar(wf)) {
       if (nf == nullptr) {
@@ -215,6 +184,7 @@ PlanPtr DecodePlan::compile(FormatPtr sender, FormatPtr receiver, ByteOrder orde
                     static_cast<std::int64_t>(ops.back().wire_bytes) ==
                 static_cast<std::int64_t>(nf->offset)) {
           ops.back().wire_bytes += bytes;
+          ++ops.back().wire_fields;
           continue;
         }
         op.kind = Op::Kind::kBlockCopy;
@@ -287,8 +257,10 @@ PlanPtr DecodePlan::compile(FormatPtr sender, FormatPtr receiver, ByteOrder orde
     }
     ops.push_back(op);
   }
-  return PlanPtr(
-      new DecodePlan(std::move(sender), std::move(receiver), order, std::move(ops)));
+  for (std::uint32_t i = 0; i < receiver->fields.size(); ++i) {
+    if (sender->field(receiver->fields[i].name) == nullptr) plan->zero_fields_.push_back(i);
+  }
+  return plan;
 }
 
 std::size_t DecodePlan::block_copy_bytes() const {
@@ -299,28 +271,31 @@ std::size_t DecodePlan::block_copy_bytes() const {
   return total;
 }
 
-void* DecodePlan::execute(BytesView payload, Arena& arena) const {
-  ByteReader reader(payload);
+void* DecodePlan::execute(ChainReader& reader, std::size_t payload_length,
+                          Arena& arena) const {
+  const std::size_t start = reader.position();
   auto* record = static_cast<std::uint8_t*>(
       arena.allocate(receiver_->native_size, 16));
   std::memset(record, 0, receiver_->native_size);
   execute_into(reader, record, arena);
-  if (!reader.exhausted()) {
-    throw CodecError("PBIO payload has " + std::to_string(reader.remaining()) +
-                     " trailing bytes");
-  }
+  expect_consumed(reader, start, payload_length);
   return record;
 }
 
-void DecodePlan::execute_into(ByteReader& reader, std::uint8_t* record,
+Value DecodePlan::execute_value(ChainReader& reader, std::size_t payload_length) const {
+  const std::size_t start = reader.position();
+  Value record = value_record(reader);
+  expect_consumed(reader, start, payload_length);
+  return record;
+}
+
+void DecodePlan::execute_into(ChainReader& reader, std::uint8_t* record,
                               Arena& arena) const {
   for (const Op& op : ops_) {
     switch (op.kind) {
-      case Op::Kind::kBlockCopy: {
-        const BytesView block = reader.read_view(op.wire_bytes);
-        std::memcpy(record + op.native_offset, block.data(), op.wire_bytes);
+      case Op::Kind::kBlockCopy:
+        reader.read_raw(record + op.native_offset, op.wire_bytes);
         break;
-      }
       case Op::Kind::kScalar: {
         const Scalar s = read_scalar(reader, op.wire_kind, order_);
         store_scalar(record + op.native_offset, op.native_kind, s);
@@ -334,7 +309,7 @@ void DecodePlan::execute_into(ByteReader& reader, std::uint8_t* record,
         const BytesView chars = reader.read_view(len);
         if (op.native_offset >= 0) {
           char* copy = arena.allocate_array<char>(len + 1);
-          std::memcpy(copy, chars.data(), len);
+          std::copy_n(chars.data(), len, copy);  // an empty view's data() is null
           copy[len] = '\0';
           const char* ptr = copy;
           std::memcpy(record + op.native_offset, &ptr, sizeof ptr);
@@ -357,9 +332,9 @@ void DecodePlan::execute_into(ByteReader& reader, std::uint8_t* record,
         }
         const Slots dst = array_slots(op, count, record, arena);
         if (op.bulk_copy_elements) {
-          const BytesView block = reader.read_view(std::size_t{count} * wire_elem);
-          std::memcpy(dst.data, block.data(),
-                      std::size_t{std::min(count, dst.count)} * wire_elem);
+          const std::uint32_t kept = std::min(count, dst.count);
+          reader.read_raw(dst.data, std::size_t{kept} * wire_elem);
+          reader.skip(std::size_t{count - kept} * wire_elem);
           break;
         }
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -388,7 +363,71 @@ void DecodePlan::execute_into(ByteReader& reader, std::uint8_t* record,
   }
 }
 
-std::uint32_t DecodePlan::read_count(const Op& op, ByteReader& reader) const {
+Value DecodePlan::value_record(ChainReader& reader) const {
+  std::vector<Value::NamedValue> fields(receiver_->fields.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) fields[i].name = receiver_->fields[i].name;
+  for (const Op& op : ops_) {
+    const std::int32_t slot = value_slots_[op.wire_field];
+    switch (op.kind) {
+      case Op::Kind::kBlockCopy:
+      case Op::Kind::kScalar:
+        for (std::uint32_t f = op.wire_field; f < op.wire_field + op.wire_fields; ++f) {
+          const TypeKind kind = sender_->fields[f].kind;
+          fields[value_slots_[f]].value = scalar_value(read_scalar(reader, kind, order_), kind);
+        }
+        break;
+      case Op::Kind::kSkipScalar:
+        reader.skip(scalar_size(op.wire_kind));
+        break;
+      case Op::Kind::kString: {
+        const std::uint32_t len = reader.read_u32(order_);
+        if (slot < 0) {
+          reader.skip(len);
+        } else {
+          fields[slot].value = Value{reader.read_string(len)};
+        }
+        break;
+      }
+      case Op::Kind::kStruct:
+        if (op.sub_plan) {
+          fields[slot].value = op.sub_plan->value_record(reader);
+        } else {
+          skip_record(reader, *op.wire_format, order_);
+        }
+        break;
+      case Op::Kind::kScalarArray: {
+        const std::uint32_t count = read_count(op, reader);
+        const std::size_t bytes = std::size_t{count} * op.min_elem_wire;
+        if (slot < 0) {
+          reader.skip(bytes);
+        } else if (op.wire_kind == TypeKind::kChar) {
+          // Char arrays decode as one bulk string (see the encoder).
+          fields[slot].value = Value{reader.read_string(bytes)};
+        } else {
+          fields[slot].value = detail::widen_words(reader.read_view(bytes), op.wire_kind, order_);
+        }
+        break;
+      }
+      case Op::Kind::kStructArray: {
+        const std::uint32_t count = read_count(op, reader);
+        if (!op.sub_plan) {
+          for (std::uint32_t i = 0; i < count; ++i) skip_record(reader, *op.wire_format, order_);
+          break;
+        }
+        std::vector<Value> elements;
+        for (std::uint32_t i = 0; i < count; ++i) {
+          elements.push_back(op.sub_plan->value_record(reader));
+        }
+        fields[slot].value = Value{std::move(elements)};
+        break;
+      }
+    }
+  }
+  for (const std::uint32_t i : zero_fields_) fields[i].value = zero_field(receiver_->fields[i]);
+  return Value{std::move(fields)};
+}
+
+std::uint32_t DecodePlan::read_count(const Op& op, ChainReader& reader) const {
   const std::uint32_t count =
       op.fixed_count != 0 ? op.fixed_count : reader.read_u32(order_);
   // The count is untrusted: bound it by the bytes left before anything is
@@ -458,7 +497,24 @@ void* decode_message(BytesView message, const FormatPtr& sender_format,
     throw CodecError("message format id does not match sender format");
   }
   const PlanPtr plan = cache.get(sender_format, receiver_format, header.sender_order);
-  return plan->execute(reader.read_view(header.payload_length), arena);
+  return plan->execute(reader, header.payload_length, arena);
+}
+
+Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
+                           ByteOrder sender_order, const FormatDesc& format) {
+  static PlanCache plans;
+  const FormatPtr owned = format.shared_from_this();
+  return plans.get(owned, owned, sender_order)->execute_value(reader, payload_length);
+}
+
+Value decode_value_message(BytesView message, const FormatDesc& format) {
+  const BufferChain chain = BufferChain::borrowing(message);
+  ChainReader reader(chain);
+  const WireHeader header = read_header(reader);
+  if (header.format_id != format.format_id()) {
+    throw CodecError("value message format id mismatch");
+  }
+  return decode_value_payload(reader, header.payload_length, header.sender_order, format);
 }
 
 }  // namespace sbq::pbio

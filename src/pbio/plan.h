@@ -1,36 +1,46 @@
 // PBIO "receiver makes right" decoding through compiled plans — the
-// dynamic-code-generation analogue, and the only native-record decoder.
+// dynamic-code-generation analogue, and the only PBIO decoder.
 //
-// The receiver decodes a payload described by the SENDER's format into a
-// record laid out per the RECEIVER's format. When the two formats are
-// structurally identical and the byte orders match, this is a straight
-// sequential copy; otherwise the decoder
-//   * swaps byte order per scalar (foreign-endian sender),
-//   * matches fields by NAME, so senders and receivers may disagree about
-//     field order or about which fields exist at all,
-//   * converts between numeric kinds (i32 → i64, f32 → f64, ...),
-//   * zero-fills receiver fields the sender did not supply — the exact
-//     mechanism SOAP-binQ's quality layer reuses to pad reduced-quality
-//     messages back to the application's full message type.
+// The receiver decodes a payload described by the SENDER's format into the
+// shape of the RECEIVER's format. When the two formats are structurally
+// identical and the byte orders match, this is a straight sequential copy;
+// otherwise the decoder swaps byte order per scalar, matches fields by NAME
+// (senders and receivers may disagree about field order or about which
+// fields exist), and zero-fills receiver fields the sender did not supply —
+// the mechanism SOAP-binQ's quality layer reuses to lift a reduced request
+// and pad a reduced reply back to the operation's full type in one decode.
 //
 // The original PBIO used DILL dynamic binary code generation to emit a
-// specialized conversion routine per (sender format, receiver format) pair,
-// so steady-state decoding never touches format metadata. Portable C++
-// cannot JIT, but it can do the next best thing: compile the conversion
-// *decisions* (field matching by name, kind conversions, byte-order
-// handling, contiguous-run detection) once into a flat operation list, and
-// execute that list with a tight interpreter. Same architecture, same
-// asymptotics: metadata work happens once per format pair, not per message.
+// specialized conversion routine per (sender format, receiver format) pair.
+// Portable C++ cannot JIT, but it can compile the conversion *decisions*
+// (field matching by name, kind conversions, byte-order handling,
+// contiguous-run detection) once into a flat operation list, and execute
+// that list with a tight interpreter: metadata work happens once per format
+// pair, not per message.
+//
+// One plan feeds two sinks, both reading through a ChainReader so a message
+// that arrived in segments is never flattened:
+//   * execute() builds a native record in the receiver's layout, converting
+//     numeric kinds (i32 → i64, ...) and capping fixed arrays to the
+//     receiver's count;
+//   * execute_value() builds a Value record of the receiver's fields in its
+//     order. A matched field keeps what the sender sent (kind class and
+//     element count); receiver-only fields are filled as zero_value() fills
+//     them.
+// Shapes no conversion bridges (scalar vs array, struct vs non-struct, fixed
+// vs var array, string vs non-string) fail to compile with CodecError.
 //
 // A plan is specific to sender format + receiver format + sender byte
-// order; PlanCache memoizes all three dimensions and compiles each shared
-// sub-format once. Callers own the cache and keep it across messages:
-// compiling costs more than executing.
+// order; PlanCache memoizes all three and compiles each shared sub-format
+// once. Callers own the cache and keep it across messages. A server's cache
+// holds at most one plan (plus sub-plans) per registered sender format ×
+// operation type × byte order: sender formats resolve only through the
+// format server, so a peer cannot make it compile plans for unknown formats.
 //
-// All storage for the decoded record (struct bytes, array elements, string
-// characters) comes from the caller's Arena and lives until the arena is
-// reset. Array counts read off the wire are checked against the bytes left
-// in the payload before any element storage is allocated.
+// A native record's storage (struct bytes, array elements, string
+// characters) comes from the caller's Arena. Array counts read off the wire
+// are checked against the bytes left before any element storage is
+// allocated.
 #pragma once
 
 #include <memory>
@@ -39,7 +49,9 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/buffer_chain.h"
 #include "pbio/format.h"
+#include "pbio/value.h"
 
 namespace sbq::pbio {
 
@@ -50,9 +62,13 @@ using PlanPtr = std::shared_ptr<const DecodePlan>;
 /// A compiled conversion routine. Thread-safe to execute concurrently.
 class DecodePlan {
  public:
-  /// Decodes one payload (no wire header) into a receiver-layout record
-  /// allocated from `arena`.
-  void* execute(BytesView payload, Arena& arena) const;
+  /// Native sink: decodes the `payload_length`-byte payload at `reader` (no
+  /// wire header) into a receiver-layout record allocated from `arena`.
+  void* execute(ChainReader& reader, std::size_t payload_length, Arena& arena) const;
+
+  /// Value sink: decodes the same payload into a Value record of the
+  /// receiver's fields (see the file comment).
+  Value execute_value(ChainReader& reader, std::size_t payload_length) const;
 
   /// Introspection for tests/benches: number of flat operations, and how
   /// many bytes are moved by block-copy (the memcpy fast path).
@@ -75,6 +91,8 @@ class DecodePlan {
     Kind kind = Kind::kBlockCopy;
     TypeKind wire_kind = TypeKind::kInt32;
     TypeKind native_kind = TypeKind::kInt32;
+    std::uint32_t wire_field = 0;     // sender field index (a block copy's first)
+    std::uint32_t wire_fields = 1;    // kBlockCopy: sender fields merged into it
     std::uint32_t wire_bytes = 0;     // kBlockCopy: bytes to copy
     std::int64_t native_offset = -1;  // -1 = no destination (skip)
     std::uint32_t fixed_count = 0;    // fixed arrays; 0 = read u32 count
@@ -87,21 +105,19 @@ class DecodePlan {
     PlanPtr sub_plan;  // struct ops with a destination
   };
 
-  DecodePlan(FormatPtr sender, FormatPtr receiver, ByteOrder order,
-             std::vector<Op> ops)
-      : sender_(std::move(sender)),
-        receiver_(std::move(receiver)),
-        order_(order),
-        ops_(std::move(ops)) {}
+  DecodePlan(FormatPtr sender, FormatPtr receiver, ByteOrder order)
+      : sender_(std::move(sender)), receiver_(std::move(receiver)), order_(order) {}
 
   /// Compiles sender→receiver for payloads in `order`; sub-plans for
   /// embedded structs come from `cache`.
   static PlanPtr compile(FormatPtr sender, FormatPtr receiver, ByteOrder order,
                          PlanCache& cache);
 
-  void execute_into(ByteReader& reader, std::uint8_t* record, Arena& arena) const;
-  /// Reads an array op's element count, rejecting one the payload cannot hold.
-  std::uint32_t read_count(const Op& op, ByteReader& reader) const;
+  void execute_into(ChainReader& reader, std::uint8_t* record, Arena& arena) const;
+  /// The Value sink's walk over one record; sub-plans run it for nested ones.
+  [[nodiscard]] Value value_record(ChainReader& reader) const;
+  /// Reads an array op's element count, rejecting one the message cannot hold.
+  std::uint32_t read_count(const Op& op, ChainReader& reader) const;
   /// Destination elements of an array op: arena storage for a var array
   /// (linked into the record), the inline slots for a fixed one.
   struct Slots {
@@ -115,6 +131,8 @@ class DecodePlan {
   FormatPtr receiver_;
   ByteOrder order_;
   std::vector<Op> ops_;
+  std::vector<std::int32_t> value_slots_;  // receiver field per sender field; -1 = dropped
+  std::vector<std::uint32_t> zero_fields_;  // receiver fields the sender lacks
 };
 
 /// Memoizes plans by (sender id, receiver id, order), sub-plans included,
@@ -164,5 +182,15 @@ const T* decode_message_as(BytesView message, const FormatPtr& sender_format,
   return static_cast<const T*>(
       decode_message(message, sender_format, receiver_format, cache, arena));
 }
+
+/// Decodes a payload known to use `format` into a Value record, consuming
+/// exactly `payload_length` bytes from the reader, through the plan from
+/// `format` to itself. Those plans live in one process-wide cache, one per
+/// format and byte order; `format` must be owned by a FormatPtr.
+Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
+                           ByteOrder sender_order, const FormatDesc& format);
+
+/// Decodes a full message (header + payload) held in one buffer, as above.
+Value decode_value_message(BytesView message, const FormatDesc& format);
 
 }  // namespace sbq::pbio

@@ -132,81 +132,6 @@ void encode_record_value(const Value& value, const FormatDesc& format, ChainWrit
   }
 }
 
-Value decode_scalar_value(ChainReader& reader, TypeKind kind, ByteOrder order) {
-  switch (kind) {
-    case TypeKind::kInt32:
-      return Value{static_cast<std::int64_t>(
-          static_cast<std::int32_t>(reader.read_u32(order)))};
-    case TypeKind::kInt64:
-      return Value{static_cast<std::int64_t>(reader.read_u64(order))};
-    case TypeKind::kUInt32:
-      return Value{static_cast<std::uint64_t>(reader.read_u32(order))};
-    case TypeKind::kUInt64:
-      return Value{reader.read_u64(order)};
-    case TypeKind::kFloat32:
-      return Value{static_cast<double>(reader.read_f32(order))};
-    case TypeKind::kFloat64:
-      return Value{reader.read_f64(order)};
-    case TypeKind::kChar:
-      return Value{static_cast<char>(reader.read_u8())};
-    default:
-      throw CodecError("decode_scalar_value: not a scalar kind");
-  }
-}
-
-/// Decodes `count` scalars of `kind` into a contiguous array. The count is
-/// untrusted: it is bounded by the bytes left before anything is allocated.
-Value decode_contiguous(ChainReader& reader, TypeKind kind, std::uint32_t count, ByteOrder order) {
-  const std::size_t width = scalar_size(kind);
-  if (count > reader.remaining() / width) {
-    throw CodecError("PBIO array of " + std::to_string(count) +
-                     " elements overruns the payload");
-  }
-  return detail::widen_words(reader.read_view(std::size_t{count} * width), kind, order);
-}
-
-Value decode_record_value(ChainReader& reader, const FormatDesc& format,
-                          ByteOrder order) {
-  Value record = Value::empty_record();
-  for (const FieldDesc& field : format.fields) {
-    switch (field.arity) {
-      case Arity::kScalar:
-        if (field.kind == TypeKind::kString) {
-          const std::uint32_t len = reader.read_u32(order);
-          record.set_field(field.name, Value{reader.read_string(len)});
-        } else if (field.kind == TypeKind::kStruct) {
-          record.set_field(field.name,
-                           decode_record_value(reader, *field.struct_format, order));
-        } else {
-          record.set_field(field.name, decode_scalar_value(reader, field.kind, order));
-        }
-        break;
-      case Arity::kFixedArray:
-      case Arity::kVarArray: {
-        const std::uint32_t count = field.arity == Arity::kFixedArray
-                                        ? field.fixed_count
-                                        : reader.read_u32(order);
-        if (field.kind == TypeKind::kChar) {
-          // Bulk decode char arrays into a string Value (see encode side).
-          record.set_field(field.name, Value{reader.read_string(count)});
-          break;
-        }
-        if (field.kind != TypeKind::kStruct) {
-          record.set_field(field.name, decode_contiguous(reader, field.kind, count, order));
-          break;
-        }
-        Value array = Value::empty_array();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          array.push_back(decode_record_value(reader, *field.struct_format, order));
-        }
-        record.set_field(field.name, std::move(array));
-        break;
-      }
-    }
-  }
-  return record;
-}
-
 }  // namespace
 
 BufferChain encode_value_message_chain(const Value& value, const FormatDesc& format,
@@ -218,26 +143,6 @@ BufferChain encode_value_message_chain(const Value& value, const FormatDesc& for
     encode_record_value(value, format, writer, wire_order, anchor);
   }
   return frame_message(format.format_id(), wire_order, std::move(payload));
-}
-
-Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
-                           ByteOrder sender_order, const FormatDesc& format) {
-  const std::size_t start = reader.position();
-  Value v = decode_record_value(reader, format, sender_order);
-  if (reader.position() - start != payload_length) {
-    throw CodecError("PBIO payload length mismatch while decoding value");
-  }
-  return v;
-}
-
-Value decode_value_message(BytesView message, const FormatDesc& format) {
-  const BufferChain chain = BufferChain::borrowing(message);
-  ChainReader reader(chain);
-  const WireHeader header = read_header(reader);
-  if (header.format_id != format.format_id()) {
-    throw CodecError("value message format id mismatch");
-  }
-  return decode_value_payload(reader, header.payload_length, header.sender_order, format);
 }
 
 namespace {
@@ -272,24 +177,6 @@ Value zero_array(TypeKind kind, std::size_t count) {
   }
 }
 
-Value zero_field(const FieldDesc& field) {
-  if (field.arity == Arity::kFixedArray) {
-    if (field.kind == TypeKind::kChar) return Value{std::string(field.fixed_count, '\0')};
-    if (field.kind != TypeKind::kStruct) return zero_array(field.kind, field.fixed_count);
-    Value array = Value::empty_array();
-    for (std::uint32_t i = 0; i < field.fixed_count; ++i) {
-      array.push_back(zero_value(*field.struct_format));
-    }
-    return array;
-  }
-  if (field.arity == Arity::kVarArray) {
-    return field.kind == TypeKind::kChar ? Value{std::string{}} : Value::empty_array();
-  }
-  if (field.kind == TypeKind::kString) return Value{std::string{}};
-  if (field.kind == TypeKind::kStruct) return zero_value(*field.struct_format);
-  return zero_scalar(field.kind);
-}
-
 Value project_field(const Value& src, const FieldDesc& field) {
   if (field.kind == TypeKind::kStruct && field.arity == Arity::kScalar && src.is_record()) {
     return project_value(src, *field.struct_format);
@@ -320,6 +207,24 @@ Value project_record(const Value& value, const FormatDesc& target, std::string_v
   return out;
 }
 }  // namespace
+
+Value zero_field(const FieldDesc& field) {
+  if (field.arity == Arity::kFixedArray) {
+    if (field.kind == TypeKind::kChar) return Value{std::string(field.fixed_count, '\0')};
+    if (field.kind != TypeKind::kStruct) return zero_array(field.kind, field.fixed_count);
+    Value array = Value::empty_array();
+    for (std::uint32_t i = 0; i < field.fixed_count; ++i) {
+      array.push_back(zero_value(*field.struct_format));
+    }
+    return array;
+  }
+  if (field.arity == Arity::kVarArray) {
+    return field.kind == TypeKind::kChar ? Value{std::string{}} : Value::empty_array();
+  }
+  if (field.kind == TypeKind::kString) return Value{std::string{}};
+  if (field.kind == TypeKind::kStruct) return zero_value(*field.struct_format);
+  return zero_scalar(field.kind);
+}
 
 Value zero_value(const FormatDesc& format) {
   Value record = Value::empty_record();

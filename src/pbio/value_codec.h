@@ -1,4 +1,4 @@
-// Encoding dynamic Values to / from the PBIO wire format.
+// Encoding, projecting and zero-filling dynamic Values.
 //
 // The bytes produced here are identical to those the native-record encoder
 // produces for a struct with the same content, so a native sender can talk
@@ -6,15 +6,16 @@
 // (dynamic, WSDL-driven) interoperate with application code holding plain
 // C++ structs.
 //
-// There is one encode walk and one decode walk: the encoder writes the
-// payload into a BufferChain through a ChainWriter and frame_message puts
-// the header in front (pbio/encode.h); the decoder reads through a
-// ChainReader, so a message that arrived in segments is never flattened.
+// There is one encode walk: it writes the payload into a BufferChain
+// through a ChainWriter and frame_message puts the header in front
+// (pbio/encode.h). Decoding is the compiled plan's Value sink (pbio/plan.h,
+// included here for decode_value_payload and decode_value_message).
 #pragma once
 
 #include "common/buffer_chain.h"
 #include "common/bytes.h"
 #include "pbio/format.h"
+#include "pbio/plan.h"
 #include "pbio/value.h"
 
 namespace sbq::pbio {
@@ -31,15 +32,6 @@ BufferChain encode_value_message_chain(const Value& value, const FormatDesc& for
                                        ByteOrder wire_order = host_byte_order(),
                                        BufferChain::Anchor anchor = nullptr);
 
-/// Decodes a payload known to use `format` into a Value record, consuming
-/// exactly `payload_length` bytes from the reader. Bulk blocks that lie
-/// inside one segment are read without flattening the message.
-Value decode_value_payload(ChainReader& reader, std::size_t payload_length,
-                           ByteOrder sender_order, const FormatDesc& format);
-
-/// Decodes a full message (header + payload) held in one buffer.
-Value decode_value_message(BytesView message, const FormatDesc& format);
-
 /// Projects `value` onto `target` format: fields present in both are copied,
 /// fields only in `target` are zero/empty-filled. This is the quality layer's
 /// "copy the relevant fields and pad the rest with zeroes" primitive.
@@ -54,5 +46,9 @@ Value project_value(const Value& value, const FormatDesc& target, std::string_vi
 /// A zero/empty Value skeleton for `format` (all scalars 0, arrays empty,
 /// strings "").
 Value zero_value(const FormatDesc& format);
+
+/// The zero of one field, as zero_value() fills it: 0 of the decoded class,
+/// "" for strings and var char arrays, `fixed_count` zeros for fixed arrays.
+Value zero_field(const FieldDesc& field);
 
 }  // namespace sbq::pbio

@@ -4,6 +4,7 @@
 // UDDI-style service repository, and concurrent runtime access.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <thread>
 
 #include "core/client.h"
@@ -16,6 +17,7 @@
 #include "pbio/value_codec.h"
 #include "qos/handler_repository.h"
 #include "qos/monitors.h"
+#include "soap/envelope.h"
 #include "wsdl/repository.h"
 
 namespace sbq {
@@ -301,6 +303,48 @@ TEST(XmlWireQuality, ReducedResponseWithoutClientManagerIsAnError) {
   // Force the server into the reduced type.
   fx.server_quality->update_attribute("rtt_us", 500000.0);
   EXPECT_THROW(bare.call("fetch", Value::record({{"n", 1}})), RpcError);
+}
+
+/// A raw "fetch" request reporting `rtt` on `wire`, as a peer other than
+/// ClientStub could send it; a null `rtt` reports nothing.
+http::Request fetch_reporting(WireFormat wire, const char* rtt) {
+  const FormatPtr req = FormatBuilder("req").add_scalar("n", TypeKind::kInt32).build();
+  const Value params = Value::record({{"n", 1}});
+  http::Request request;
+  request.method = "POST";
+  request.target = "/XmlQ";
+  if (wire == WireFormat::kBinary) {
+    core::BinEnvelope envelope;
+    envelope.operation = "fetch";
+    envelope.message_type = "req";
+    envelope.reported_rtt_us = rtt == nullptr ? 0.0 : std::strtod(rtt, nullptr);
+    request.headers.set("Content-Type", std::string(core::kContentTypePbio));
+    request.body = core::encode_bin_message(
+        envelope, pbio::encode_value_message_chain(params, *req));
+  } else {
+    request.headers.set("Content-Type", std::string(core::kContentTypeXml));
+    if (rtt != nullptr) request.headers.set(std::string(core::kHeaderReportedRtt), rtt);
+    request.set_body(soap::build_request("fetch", params, *req));
+  }
+  return request;
+}
+
+/// An infinite RTT matches no rule of the quality file, not even the one
+/// ending in `inf`: published, it would make every later selection throw.
+void expect_infinite_rtt_ignored(WireFormat wire) {
+  XmlQualityFixture fx;
+  for (const char* rtt : {"inf", "1e999"}) {
+    EXPECT_EQ(fx.runtime.handle(fetch_reporting(wire, rtt)).status, 200) << rtt;
+    EXPECT_EQ(fx.runtime.handle(fetch_reporting(wire, nullptr)).status, 200) << rtt;
+  }
+}
+
+TEST(XmlWireQuality, InfiniteReportedRttIsNotPublishedOnBinaryWire) {
+  expect_infinite_rtt_ignored(WireFormat::kBinary);
+}
+
+TEST(XmlWireQuality, InfiniteReportedRttIsNotPublishedOnXmlWire) {
+  expect_infinite_rtt_ignored(WireFormat::kXml);
 }
 
 TEST(XmlWireQuality, RttMeasuredOnXmlWire) {

@@ -390,10 +390,11 @@ TEST_P(FuzzSeeds, PbioNativeDecoderSurvivesRandomAndMutatedMessages) {
   }
 }
 
-// The Value decoder under the same contract, through both overloads: the
-// flat one over a BytesView and the ChainReader one the live stack runs, the
-// latter over a chain cut into segments so blocks straddle them. Payloads
-// come in both byte orders, so the byte-swapping loops are swept too.
+// The Value decoder under the same contract, into the sender's own format
+// and into a receiver that drops a field and reverses the rest (skip and
+// by-name matching paths), each over a payload held in one segment and over
+// one cut into 7-byte segments so blocks straddle them. Payloads come in
+// both byte orders, so the byte-swapping loops are swept too.
 class ValueDecodeTarget {
  public:
   ValueDecodeTarget() {
@@ -413,6 +414,18 @@ class ValueDecodeTarget {
                   .add_var_array("blob", pbio::TypeKind::kChar)
                   .add_struct_var_array("pts", point)
                   .build();
+    // Without `pts`, whose records the receiver's plan skips unread.
+    receiver_ = pbio::FormatBuilder("vf")
+                    .add_var_array("blob", pbio::TypeKind::kChar)
+                    .add_var_array("f64", pbio::TypeKind::kFloat64)
+                    .add_fixed_array("f32", pbio::TypeKind::kFloat32, 3)
+                    .add_var_array("u64", pbio::TypeKind::kUInt64)
+                    .add_fixed_array("u32", pbio::TypeKind::kUInt32, 2)
+                    .add_var_array("i64", pbio::TypeKind::kInt64)
+                    .add_var_array("i32", pbio::TypeKind::kInt32)
+                    .add_string("s")
+                    .add_scalar("a", pbio::TypeKind::kInt32)
+                    .build();
     const pbio::Value point_value = pbio::Value::record({{"x", 0.5}, {"n", 3}});
     const pbio::Value value = pbio::Value::record(
         {{"a", 7},
@@ -425,45 +438,66 @@ class ValueDecodeTarget {
          {"f64", pbio::Value::array({1.25, 2.5})},
          {"blob", "xyz"},
          {"pts", pbio::Value::array({point_value, point_value})}});
+    pbio::PlanCache plans;
     for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
       const Bytes message = test::value_wire(value, *format_, order);
       valid_.emplace_back(message.begin() + pbio::WireHeader::kSize, message.end());
+      to_receiver_[static_cast<int>(order)] = plans.get(format_, receiver_, order);
     }
   }
 
   /// The valid payload in each byte order, little-endian first.
   [[nodiscard]] const std::vector<Bytes>& valid() const { return valid_; }
 
-  /// Decodes `payload` held in one segment and cut into 7-byte segments,
-  /// and returns how many accepted it; the rest must have thrown an
-  /// sbq::Error. When both accept, they must agree: compared as re-encoded
-  /// bytes, since a flipped bit can make a NaN, which never compares equal.
+  /// Decodes `payload` into the sender's format and into the receiver's,
+  /// each from one segment and from 7-byte segments, and returns how many
+  /// of the four accepted it; the rest must have thrown CodecError. Both
+  /// formats accept the same payloads, and accepted decodes agree: the
+  /// receiver's is the projection of the sender's. They are compared as
+  /// re-encoded bytes, since a flipped bit can make a NaN, which never
+  /// compares equal.
   int decode_all(BytesView payload, ByteOrder order) const {
-    std::optional<pbio::Value> flat;
-    std::optional<pbio::Value> chained;
-    try {
-      const BufferChain whole = BufferChain::borrowing(payload);
-      ChainReader reader(whole);
-      flat = pbio::decode_value_payload(reader, payload.size(), order, *format_);
-    } catch (const Error&) {
-    }
+    BufferChain whole = BufferChain::borrowing(payload);
     BufferChain chain;
     for (std::size_t at = 0; at < payload.size(); at += 7) {
       chain.append_view(payload.subspan(at, std::min<std::size_t>(7, payload.size() - at)));
     }
-    try {
-      ChainReader reader(chain);
-      chained = pbio::decode_value_payload(reader, payload.size(), order, *format_);
-    } catch (const Error&) {
+    std::optional<pbio::Value> own[2];  // [segmented]
+    std::optional<pbio::Value> received[2];
+    int accepted = 0;
+    for (const int segmented : {0, 1}) {
+      const BufferChain& source = segmented != 0 ? chain : whole;
+      try {
+        ChainReader reader(source);
+        own[segmented] = pbio::decode_value_payload(reader, payload.size(), order, *format_);
+        ++accepted;
+      } catch (const CodecError&) {
+      }
+      try {
+        ChainReader reader(source);
+        received[segmented] =
+            to_receiver_[static_cast<int>(order)]->execute_value(reader, payload.size());
+        ++accepted;
+      } catch (const CodecError&) {
+      }
     }
-    if (flat && chained) {
-      EXPECT_EQ(test::value_wire(*flat, *format_), test::value_wire(*chained, *format_));
-    }
-    return (flat ? 1 : 0) + (chained ? 1 : 0);
+    const auto wire = [](const std::optional<pbio::Value>& v,
+                         const pbio::FormatDesc& f) -> std::optional<Bytes> {
+      if (!v) return std::nullopt;
+      return test::value_wire(*v, f);
+    };
+    EXPECT_EQ(wire(own[0], *format_), wire(own[1], *format_));
+    EXPECT_EQ(wire(received[0], *receiver_), wire(received[1], *receiver_));
+    const std::optional<pbio::Value> projected =
+        own[0] ? std::optional{pbio::project_value(*own[0], *receiver_)} : std::nullopt;
+    EXPECT_EQ(wire(projected, *receiver_), wire(received[0], *receiver_));
+    return accepted;
   }
 
  private:
   pbio::FormatPtr format_;
+  pbio::FormatPtr receiver_;
+  pbio::PlanPtr to_receiver_[2];  // by sender byte order
   std::vector<Bytes> valid_;
 };
 
@@ -472,7 +506,7 @@ TEST_P(FuzzSeeds, PbioValueDecoderSurvivesRandomAndMutatedPayloads) {
   const ByteOrder orders[] = {ByteOrder::kLittle, ByteOrder::kBig};
   for (std::size_t o = 0; o < 2; ++o) {
     const ByteOrder order = orders[o];
-    ASSERT_EQ(target.decode_all(BytesView{target.valid()[o]}, order), 2);
+    ASSERT_EQ(target.decode_all(BytesView{target.valid()[o]}, order), 4);
     for (int i = 0; i < 60; ++i) {
       Bytes payload = target.valid()[o];
       const int mutations = 1 + static_cast<int>(rng_.next_below(5));
@@ -686,11 +720,16 @@ TEST(TruncationSweep, EveryBitFlipInPbioValuePayloadFailsCleanly) {
 
 TEST(TruncationSweep, HugeValueArrayCountThrowsBeforeAllocating) {
   // A 17-byte message (header + one u32 count) claiming 0xFFFFFFFF
-  // elements: every numeric kind, both overloads, both byte orders.
+  // elements: every numeric kind, both overloads and a plan to a receiver
+  // with one more field, both byte orders.
   for (const auto kind : {pbio::TypeKind::kInt32, pbio::TypeKind::kInt64,
                           pbio::TypeKind::kUInt32, pbio::TypeKind::kUInt64,
                           pbio::TypeKind::kFloat32, pbio::TypeKind::kFloat64}) {
     const auto format = pbio::FormatBuilder("huge").add_var_array("v", kind).build();
+    const auto receiver = pbio::FormatBuilder("huge")
+                              .add_scalar("w", pbio::TypeKind::kInt32)
+                              .add_var_array("v", kind)
+                              .build();
     for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
       ByteBuffer out;
       out.append_u64(format->format_id(), ByteOrder::kLittle);
@@ -707,6 +746,12 @@ TEST(TruncationSweep, HugeValueArrayCountThrowsBeforeAllocating) {
       const pbio::WireHeader header = pbio::read_header(reader);
       EXPECT_THROW((void)pbio::decode_value_payload(reader, header.payload_length,
                                                     header.sender_order, *format),
+                   CodecError);
+      pbio::PlanCache plans;
+      ChainReader lifted(chain);
+      (void)pbio::read_header(lifted);
+      EXPECT_THROW((void)plans.get(format, receiver, order)
+                       ->execute_value(lifted, header.payload_length),
                    CodecError);
       EXPECT_LT(g_largest_allocation.load(), std::size_t{4096})
           << pbio::kind_name(kind) << " order " << static_cast<int>(order);

@@ -5,6 +5,7 @@
 //   xml_read(xml_write(v))       == v          (XML codec, both styles)
 //   project(v, F)                is encodable under F
 //   encode(plan_S→R(encode(v)))  == encode(project(v, R))  (native decode)
+//   plan_S→R.value(encode(v))    == project(v, R)          (Value decode)
 //   project(project(v, S), F)    zero-pads exactly the fields F \ S
 //   zero_value(F)                is a fixed point of project(·, F)
 //
@@ -278,7 +279,7 @@ TEST_P(CodecProperties, ZeroValueIsProjectionFixedPoint) {
 }
 
 TEST_P(CodecProperties, PlannedDecodeMatchesInterpretive) {
-  // The compiled plan must agree with the interpretive Value path, which
+  // The compiled plan's native sink must agree with projection, which
   // shares no decode code with it: decoding through the plan and
   // re-encoding the native record gives the bytes of the value projected
   // onto the receiver format. Exercised with matching and with differing
@@ -309,6 +310,101 @@ TEST_P(CodecProperties, PlannedDecodeMatchesInterpretive) {
         << "sender: " << sender->canonical()
         << "\nreceiver: " << receiver->canonical()
         << "\norder: " << static_cast<int>(order);
+  }
+}
+
+/// A receiver derived from `sender`: its fields in reverse order, each
+/// dropped with probability 1/4, struct fields and struct arrays over
+/// receivers derived from their sub-formats, and one added field.
+FormatPtr derive_receiver(Rng& rng, const FormatDesc& sender) {
+  FormatBuilder builder("recv_" + sender.name);
+  for (std::size_t i = sender.fields.size(); i-- > 0;) {
+    FieldDesc field = sender.fields[i];
+    if (rng.chance(0.25)) continue;
+    if (field.kind == TypeKind::kStruct) {
+      field.struct_format = derive_receiver(rng, *field.struct_format);
+    }
+    add_field_like(builder, field);
+  }
+  FieldDesc added = random_format(rng, 1)->fields.front();
+  added.name = "added";
+  add_field_like(builder, added);
+  return builder.build();
+}
+
+TEST_P(CodecProperties, PlannedValueDecodeMatchesProjection) {
+  // The plan's Value sink lifts and pads in the decode itself: what it
+  // builds from a sender's message is the sent value projected onto the
+  // receiver. The sender always nests a struct and a struct array, in both
+  // byte orders, read from one segment and from 7-byte segments.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 10000);
+  const FormatPtr base = random_format(rng, 2);
+  FormatBuilder sb("sender");
+  for (const FieldDesc& field : base->fields) add_field_like(sb, field);
+  sb.add_struct("nested", random_format(rng, 1, 7));
+  sb.add_struct_var_array("nested_items", random_format(rng, 1, 8));
+  const FormatPtr sender = sb.build();
+  const FormatPtr receiver = derive_receiver(rng, *sender);
+  const Value v = random_value(rng, *sender);
+  const Value expected = project_value(v, *receiver);
+
+  PlanCache plans;
+  for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
+    const Bytes wire = value_wire(v, *sender, order);
+    BufferChain whole = BufferChain::borrowing(BytesView{wire});
+    BufferChain segmented;
+    for (std::size_t at = 0; at < wire.size(); at += 7) {
+      segmented.append_view(
+          BytesView{wire}.subspan(at, std::min<std::size_t>(7, wire.size() - at)));
+    }
+    for (const BufferChain* chain : {&whole, &segmented}) {
+      ChainReader reader(*chain);
+      const WireHeader header = read_header(reader);
+      EXPECT_EQ(plans.get(sender, receiver, header.sender_order)
+                    ->execute_value(reader, header.payload_length),
+                expected)
+          << "sender: " << sender->canonical() << "\nreceiver: " << receiver->canonical()
+          << "\norder: " << static_cast<int>(order) << ", segments "
+          << chain->segment_count();
+    }
+  }
+}
+
+TEST(PlanShapes, FieldShapesNoConversionBridgesFailToCompile) {
+  // Matched by name, these fields differ in shape, not kind: scalar vs
+  // array, struct vs non-struct, fixed vs var array, string vs char array.
+  const FormatPtr point = FormatBuilder("pt").add_scalar("x", TypeKind::kFloat64).build();
+  const std::vector<std::pair<FormatPtr, FormatPtr>> pairs = {
+      {FormatBuilder("m").add_scalar("f", TypeKind::kInt32).build(),
+       FormatBuilder("m").add_var_array("f", TypeKind::kInt32).build()},
+      {FormatBuilder("m").add_struct("f", point).build(),
+       FormatBuilder("m").add_scalar("f", TypeKind::kFloat64).build()},
+      {FormatBuilder("m").add_fixed_array("f", TypeKind::kInt32, 2).build(),
+       FormatBuilder("m").add_var_array("f", TypeKind::kInt32).build()},
+      {FormatBuilder("m").add_string("f").build(),
+       FormatBuilder("m").add_var_array("f", TypeKind::kChar).build()},
+  };
+  const Value values[] = {
+      Value::record({{"f", 1}}),
+      Value::record({{"f", Value::record({{"x", 0.5}})}}),
+      Value::record({{"f", Value::array({1, 2})}}),
+      Value::record({{"f", "text"}}),
+  };
+  PlanCache plans;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [sender, receiver] = pairs[i];
+    for (const auto& [from, to] : {pairs[i], std::pair{receiver, sender}}) {
+      EXPECT_THROW((void)plans.get(from, to, host_byte_order()), CodecError)
+          << from->canonical() << " -> " << to->canonical();
+    }
+    const BufferChain message = encode_value_message_chain(values[i], *sender);
+    ChainReader reader(message);
+    const WireHeader header = read_header(reader);
+    EXPECT_THROW(
+        (void)plans.get(sender, receiver, header.sender_order)
+            ->execute_value(reader, header.payload_length),
+        CodecError)
+        << sender->canonical();
   }
 }
 
