@@ -47,6 +47,9 @@ struct EndpointStats {
   std::uint64_t retries = 0;
   std::uint64_t degradations = 0;
   std::uint64_t recoveries = 0;
+  // Client RTT samples dropped because the server's reported preparation
+  // time was at or above the measured round trip (docs/wire-format.md §2).
+  std::uint64_t rtt_samples_dropped = 0;
 
   // Overload-protection accounting (docs/robustness.md "Overload and
   // drain"). On a server, `sheds` counts requests answered 503 by admission

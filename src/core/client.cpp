@@ -7,12 +7,7 @@
 
 #include "common/clock.h"
 #include "common/error.h"
-#include "common/strings.h"
-#include "compress/lzss.h"
-#include "pbio/encode.h"
-#include "pbio/value_codec.h"
 #include "soap/codec.h"
-#include "soap/envelope.h"
 
 namespace sbq::core {
 
@@ -204,185 +199,63 @@ pbio::Value ClientStub::exchange(const wsdl::OperationDesc& op,
   http::Request request;
   request.method = "POST";
   request.target = "/" + service_.name;
-  const bool binary = wire_format_ == WireFormat::kBinary;
-  const std::uint64_t sent_at_us = binary
-                                       ? write_bin_request(request, op, *to_send, type)
-                                       : write_xml_request(request, op, *to_send, type);
+  request.headers.set("SOAPAction", "\"" + op.name + "\"");
+  request.headers.set(std::string(kHeaderClientId), client_id_);
+  BinEnvelope meta;
+  meta.operation = op.name;
+  meta.message_type = type.name;
+  meta.timestamp_us = clock_->now_us();  // the send time RTT is measured from
+  meta.reported_rtt_us = rtt_estimate_us();
+  // The request borrows `*to_send` (the caller's params or the reduced
+  // copy above), which outlives the round trip.
+  encode_wire(wire_format_, request, meta, *to_send, type.format, format_cache_)
+      .add_to(stats_);
   stats_.bytes_sent += request.body.size();
 
   const http::Response response = transport_.round_trip(request);
+  const std::uint64_t received_at_us = clock_->now_us();
   stats_.bytes_received += response.body.size();
   throw_if_shed(response);
-  Reply reply = binary ? read_bin_reply(response) : read_xml_reply(response, sent_at_us);
+  if (response.status != 200) {
+    // An XML server's error is a SOAP Fault on its own wire, which open_wire
+    // throws as RpcError; any other error body is plain text.
+    const auto content_type = response.headers.get("Content-Type").value_or("");
+    if (wire_format_of(content_type) == wire_format_) {
+      (void)open_wire(wire_format_, response);
+    }
+    throw RpcError("server error " + std::to_string(response.status) + ": " +
+                   response.body_string());
+  }
+  OpenedMessage reply = open_wire(wire_format_, response);
 
-  // RTT sample: now minus the echoed send time, minus the server's
-  // self-reported preparation time (§IV-C.h's rectification).
-  last_rtt_us_ = qos::rtt_sample_us(reply.envelope.echoed_timestamp_us, clock_->now_us(),
-                                    reply.envelope.server_prep_us);
-  if (quality_) {
-    quality_->observe_rtt(last_rtt_us_);
+  // RTT sample: from the client's own send time, so no clock but its own
+  // enters it, minus the server's self-reported preparation time (§IV-C.h's
+  // rectification). A prep time that fills the whole round trip cannot be
+  // true: that sample is dropped rather than fed in as 0 µs.
+  const std::uint64_t prep_us = reply.meta.server_prep_us;
+  if (prep_us > 0 && prep_us >= received_at_us - meta.timestamp_us) {
+    ++stats_.rtt_samples_dropped;
   } else {
-    fallback_rtt_.update(last_rtt_us_);
+    last_rtt_us_ = qos::rtt_sample_us(meta.timestamp_us, received_at_us, prep_us);
+    if (quality_) {
+      quality_->observe_rtt(last_rtt_us_);
+    } else {
+      fallback_rtt_.update(last_rtt_us_);
+    }
   }
 
-  if (binary) {
-    decode_bin_reply(reply, op);
-  } else {
-    decode_xml_reply(reply, response, op);
-  }
+  // A reduced-quality response is padded back up to the full application
+  // type as it decodes.
+  pbio::Value result =
+      decode_wire(reply, op.output, format_cache_, plans_, quality_.get());
+  reply.costs.add_to(stats_);
   // Track degradation/recovery transitions of the response type.
-  last_response_type_ = std::move(reply.envelope.message_type);
+  last_response_type_ = std::move(reply.meta.message_type);
   const bool full = last_response_type_ == op.output->name;
   if (response_was_full_ && !full) ++stats_.degradations;
   if (!response_was_full_ && full) ++stats_.recoveries;
   response_was_full_ = full;
-  return std::move(reply.value);
-}
-
-std::uint64_t ClientStub::write_bin_request(http::Request& request,
-                                            const wsdl::OperationDesc& op,
-                                            const pbio::Value& value,
-                                            const qos::MessageType& type) {
-  // The binary wire names formats by id: a reduced type's format reaches
-  // the format server before its first message, and only then.
-  if (!format_cache_.contains(type.format->format_id())) {
-    format_cache_.announce(type.format);
-  }
-  BinEnvelope envelope;
-  envelope.operation = op.name;
-  envelope.message_type = type.name;
-  envelope.timestamp_us = clock_->now_us();
-  envelope.reported_rtt_us = rtt_estimate_us();
-
-  request.headers.set("Content-Type", std::string(kContentTypePbio));
-  request.headers.set(std::string(kHeaderClientId), client_id_);
-  request.headers.set("SOAPAction", "\"" + op.name + "\"");
-  // Bulk blocks in the PBIO message borrow from `value`, which outlives the
-  // round trip (the caller's params or exchange()'s reduced copy), so no
-  // anchor is needed; the envelope is one small owned segment spliced in
-  // front. The payload is never copied into a combined body buffer.
-  Stopwatch marshal;
-  BufferChain pbio_chain = pbio::encode_value_message_chain(value, *type.format);
-  stats_.marshal_us += marshal.elapsed_us();
-  Stopwatch env;
-  BufferChain body = encode_bin_message(envelope, std::move(pbio_chain));
-  stats_.envelope_us += env.elapsed_us();
-  stats_.segments_written += body.segment_count();
-  stats_.bytes_copied += body.bytes_copied();
-  request.body = std::move(body);
-  return envelope.timestamp_us;
-}
-
-std::uint64_t ClientStub::write_xml_request(http::Request& request,
-                                            const wsdl::OperationDesc& op,
-                                            const pbio::Value& value,
-                                            const qos::MessageType& type) {
-  Stopwatch marshal;
-  std::string request_xml = soap::build_request(op.name, value, *type.format);
-  stats_.marshal_us += marshal.elapsed_us();
-
-  // The binary envelope's metadata travels in headers.
-  request.headers.set("SOAPAction", "\"" + op.name + "\"");
-  request.headers.set(std::string(kHeaderClientId), client_id_);
-  request.headers.set(std::string(kHeaderQualityType), type.name);
-  if (rtt_estimate_us() > 0.0) {
-    request.headers.set(std::string(kHeaderReportedRtt),
-                        std::to_string(rtt_estimate_us()));
-  }
-  if (wire_format_ == WireFormat::kCompressedXml) {
-    Stopwatch sw;
-    request.set_body(lz::compress_string(request_xml));
-    stats_.compress_us += sw.elapsed_us();
-    request.headers.set("Content-Type", std::string(kContentTypeCompressedXml));
-  } else {
-    request.set_body(std::move(request_xml));
-    request.headers.set("Content-Type", std::string(kContentTypeXml));
-  }
-  return clock_->now_us();
-}
-
-ClientStub::Reply ClientStub::read_bin_reply(const http::Response& response) {
-  if (response.status != 200) {
-    throw RpcError("server error " + std::to_string(response.status) + ": " +
-                   response.body_string());
-  }
-  // Every binary response echoes the request timestamp, including 0 from a
-  // freshly started simulated clock.
-  DecodedBinChain incoming = decode_bin_message(response.body);
-  stats_.bytes_copied += incoming.bytes_copied;
-  return Reply{std::move(incoming.envelope), std::move(incoming.pbio_message), {}};
-}
-
-ClientStub::Reply ClientStub::read_xml_reply(const http::Response& response,
-                                             std::uint64_t sent_at_us) {
-  // XML echoes no timestamp: the RTT runs from the local send time. The
-  // body is read after the sample is taken.
-  Reply reply;
-  reply.envelope.echoed_timestamp_us = sent_at_us;
-  if (auto prep = response.headers.get(kHeaderServerPrep)) {
-    reply.envelope.server_prep_us = parse_u64(*prep);
-  }
-  return reply;
-}
-
-void ClientStub::decode_bin_reply(Reply& reply, const wsdl::OperationDesc& op) {
-  // A reduced-quality response is padded back up to the full application
-  // type as it decodes.
-  Stopwatch unmarshal;
-  ChainReader reader(reply.pbio_message);
-  const pbio::WireHeader header = pbio::read_header(reader);
-  const pbio::FormatPtr sender = format_cache_.resolve(header.format_id);
-  reply.value = plans_.get(sender, op.output, header.sender_order)
-                    ->execute_value(reader, header.payload_length);
-  stats_.unmarshal_us += unmarshal.elapsed_us();
-  stats_.bytes_copied += reader.bytes_copied();
-}
-
-void ClientStub::decode_xml_reply(Reply& reply, const http::Response& response,
-                                  const wsdl::OperationDesc& op) {
-  std::string response_xml;
-  if (wire_format_ == WireFormat::kCompressedXml &&
-      response.headers.get("Content-Type").value_or("") == kContentTypeCompressedXml) {
-    Stopwatch sw;
-    response_xml = lz::decompress_string(response.body);
-    stats_.compress_us += sw.elapsed_us();
-  } else {
-    response_xml = response.body_string();
-  }
-
-  // One tokenizer pass over the envelope: parse_envelope stops at the body
-  // element, and parse_fault or decode_body reads on from there and checks
-  // the rest.
-  Stopwatch unmarshal;
-  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(response_xml));
-  if (envelope.is_fault()) {
-    const soap::Fault fault = soap::parse_fault(envelope);
-    throw RpcError("SOAP fault [" + fault.code + "]: " + fault.message);
-  }
-  if (response.status != 200) {
-    throw RpcError("server error " + std::to_string(response.status));
-  }
-
-  // XML carries no format ids: a reduced response type is named in a header
-  // and resolved through the client's own quality manager, and padded back
-  // up to the full application type once decoded.
-  pbio::FormatPtr format = op.output;
-  reply.envelope.message_type = op.output->name;
-  if (auto type_name = response.headers.get(kHeaderQualityType)) {
-    reply.envelope.message_type = std::string(*type_name);
-    if (*type_name != op.output->name) {
-      if (!quality_) {
-        throw RpcError("server sent quality type '" + reply.envelope.message_type +
-                       "' but no quality manager is attached");
-      }
-      format = quality_->required_type(*type_name).format;
-    }
-  }
-  reply.value = soap::decode_body(envelope, *format);
-  if (format->format_id() != op.output->format_id()) {
-    reply.value = pbio::project_value(reply.value, *op.output);
-  }
-  stats_.unmarshal_us += unmarshal.elapsed_us();
+  return result;
 }
 
 }  // namespace sbq::core

@@ -13,12 +13,13 @@
 //                   receiving (compatibility mode, client side).
 //
 // Every call on every wire runs one exchange path: it may reduce the request
-// through the client-side quality policy, measures RTT (minus the server's
-// reported preparation time), smooths it with the α = 0.875 estimator for
-// the next request's report, and pads a reduced response back up. The wire
-// changes only how the Value and its metadata are written and read back:
-// a PBIO message behind a BinEnvelope, or a SOAP envelope with X-SOAP-*
-// headers (LZSS-compressed on the compressed wire).
+// through the client-side quality policy, measures RTT from its own send
+// time (minus the server's reported preparation time), smooths it with the
+// α = 0.875 estimator for the next request's report, and pads a reduced
+// response back up. Writing the request and reading the reply are the wire
+// codec's (core/message.h), shared with ServiceRuntime; the stub adds only
+// its own work: the send time, the shed and status checks, and the RTT
+// sample.
 #pragma once
 
 #include <cstdint>
@@ -176,7 +177,9 @@ class ClientStub {
   /// Smoothed RTT estimate in microseconds (0 before the first call).
   [[nodiscard]] double rtt_estimate_us() const;
 
-  /// RTT of the most recent call (raw sample, after prep-time subtraction).
+  /// RTT of the most recent sample (after prep-time subtraction). A reply
+  /// whose reported prep time is at or above the measured round trip gives
+  /// no sample: it is counted in stats().rtt_samples_dropped instead.
   [[nodiscard]] double last_rtt_us() const { return last_rtt_us_; }
 
   /// Message type name the server used for the most recent response.
@@ -206,31 +209,8 @@ class ClientStub {
   void reannounce_formats();
 
  private:
-  /// Filled in by two per-wire steps: reading the framing gives the
-  /// envelope metadata (from X-SOAP-* headers on the XML wires), decoding
-  /// gives the value in the operation's full output type.
-  struct Reply {
-    BinEnvelope envelope;
-    BufferChain pbio_message;  // binary wire
-    pbio::Value value;
-  };
-
   /// One attempt of a call, on every wire.
   pbio::Value exchange(const wsdl::OperationDesc& op, const pbio::Value& params);
-  // Per-wire steps of exchange(); the writers return the local send time.
-  std::uint64_t write_bin_request(http::Request& request,
-                                  const wsdl::OperationDesc& op,
-                                  const pbio::Value& value,
-                                  const qos::MessageType& type);
-  std::uint64_t write_xml_request(http::Request& request,
-                                  const wsdl::OperationDesc& op,
-                                  const pbio::Value& value,
-                                  const qos::MessageType& type);
-  Reply read_bin_reply(const http::Response& response);
-  Reply read_xml_reply(const http::Response& response, std::uint64_t sent_at_us);
-  void decode_bin_reply(Reply& reply, const wsdl::OperationDesc& op);
-  void decode_xml_reply(Reply& reply, const http::Response& response,
-                        const wsdl::OperationDesc& op);
 
   /// Records the fault in stats and feeds the loss-like penalty sample to
   /// the quality loop (or the fallback estimator).

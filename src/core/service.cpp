@@ -4,11 +4,8 @@
 #include <cmath>
 
 #include "common/clock.h"
-#include "common/strings.h"
 #include "common/error.h"
 #include "compress/lzss.h"
-#include "pbio/encode.h"
-#include "pbio/value_codec.h"
 #include "soap/codec.h"
 #include "soap/envelope.h"
 
@@ -26,17 +23,11 @@ http::Response error_response(int status, std::string message) {
 }
 
 http::Response fault_response(const std::string& code, const std::string& message,
-                              bool compressed) {
-  http::Response resp;
-  resp.status = 500;
-  resp.reason = std::string(http::reason_phrase(500));
-  std::string fault = soap::build_fault(code, message);
-  if (compressed) {
-    resp.headers.set("Content-Type", std::string(kContentTypeCompressedXml));
-    resp.set_body(lz::compress_string(fault));
-  } else {
-    resp.headers.set("Content-Type", std::string(kContentTypeXml));
-    resp.set_body(std::move(fault));
+                              WireFormat wire) {
+  http::Response resp = error_response(500, soap::build_fault(code, message));
+  resp.headers.set("Content-Type", std::string(content_type_of(wire)));
+  if (wire == WireFormat::kCompressedXml) {
+    resp.set_body(lz::compress_string(resp.body_string()));
   }
   return resp;
 }
@@ -211,12 +202,10 @@ http::Response ServiceRuntime::dispatch(const http::Request& request) {
   if (request.method != "POST") {
     return error_response(405, "SOAP endpoints accept POST only");
   }
-  const std::string content_type(request.headers.get("Content-Type").value_or(""));
   // Default: standard SOAP over text/xml.
-  const WireFormat wire = content_type.starts_with(kContentTypePbio) ? WireFormat::kBinary
-                          : content_type.starts_with(kContentTypeCompressedXml)
-                              ? WireFormat::kCompressedXml
-                              : WireFormat::kXml;
+  const WireFormat wire =
+      wire_format_of(request.headers.get("Content-Type").value_or(""))
+          .value_or(WireFormat::kXml);
   try {
     return exchange(request, wire);
   } catch (const std::exception& e) {
@@ -227,13 +216,13 @@ http::Response ServiceRuntime::dispatch(const http::Request& request) {
                         dynamic_cast<const ParseError*>(&e) != nullptr)
                            ? "soap:Client"
                            : "soap:Server";
-    return fault_response(code, e.what(), wire == WireFormat::kCompressedXml);
+    return fault_response(code, e.what(), wire);
   }
 }
 
 http::Response ServiceRuntime::exchange(const http::Request& request, WireFormat wire) {
-  const bool binary = wire == WireFormat::kBinary;
-  Received in = binary ? read_bin_request(request) : read_xml_request(request, wire);
+  OpenedMessage in = open_wire(wire, request);
+  const Operation& op = find_operation(in.meta.operation);
   const std::shared_ptr<qos::QualityManager> quality = quality_for(request);
 
   // Degrade rung: publish the smoothed server load so a quality file
@@ -243,29 +232,16 @@ http::Response ServiceRuntime::exchange(const http::Request& request, WireFormat
   }
   // Inform quality management of the client's current RTT estimate — unless
   // the policy monitors server load, which client-reported RTT must not
-  // clobber.
-  if (quality && quality->attribute_name() != qos::LoadMonitor::kAttribute) {
-    double rtt = in.envelope.reported_rtt_us;
-    if (!binary) {
-      const auto reported = request.headers.get(kHeaderReportedRtt);
-      rtt = reported ? parse_f64(*reported) : 0.0;
-    }
-    // Both reports are untrusted: an infinite one matches no quality rule.
-    if (std::isfinite(rtt) && rtt > 0.0) {
-      quality->update_attribute(quality->attribute_name(), rtt);
-    }
+  // clobber. The report is untrusted: an infinite one matches no quality rule.
+  const double rtt = in.meta.reported_rtt_us;
+  if (quality && quality->attribute_name() != qos::LoadMonitor::kAttribute &&
+      std::isfinite(rtt) && rtt > 0.0) {
+    quality->update_attribute(quality->attribute_name(), rtt);
   }
 
-  // Decode with the sender's format onto the full input type: a reduced
-  // request is lifted as it decodes.
-  Stopwatch unmarshal;
+  // A reduced request is lifted onto the full input type as it decodes.
   const pbio::Value params =
-      binary ? decode_bin_request(in) : decode_xml_request(in, request, quality.get());
-  const Operation& op = *in.op;
-  bump_stats([&](EndpointStats& s) {
-    s.unmarshal_us += unmarshal.elapsed_us();
-    s.bytes_copied += in.bytes_copied;
-  });
+      decode_wire(in, op.input, format_cache_, plans_, quality.get());
 
   // Application work, measured so the client can subtract it from RTT.
   Stopwatch prep;
@@ -279,133 +255,23 @@ http::Response ServiceRuntime::exchange(const http::Request& request, WireFormat
     type = quality->select();
     result = quality->apply(result, type);
   }
-  http::Response resp = binary ? write_bin_response(in, std::move(result), type, prep_us)
-                               : write_xml_response(in, result, type, prep_us, wire);
-  bump_stats([&](EndpointStats& s) { s.bytes_sent += resp.body.size(); });
-  return resp;
-}
-
-ServiceRuntime::Received ServiceRuntime::read_bin_request(const http::Request& request) {
-  DecodedBinChain incoming = decode_bin_message(request.body);
-  Received in;
-  in.envelope = std::move(incoming.envelope);
-  in.op = &find_operation(in.envelope.operation);
-  in.pbio_message = std::move(incoming.pbio_message);
-  in.bytes_copied = incoming.bytes_copied;
-  return in;
-}
-
-ServiceRuntime::Received ServiceRuntime::read_xml_request(const http::Request& request,
-                                                          WireFormat wire) {
-  Received in;
-  if (wire == WireFormat::kCompressedXml) {
-    Stopwatch sw;
-    in.xml = lz::decompress_string(request.body);
-    bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
-  } else {
-    in.xml = request.body_string();
-  }
-  return in;
-}
-
-pbio::Value ServiceRuntime::decode_bin_request(Received& in) {
-  // The sender's format comes from the format server (cached after the
-  // first message).
-  ChainReader reader(in.pbio_message);
-  const pbio::WireHeader header = pbio::read_header(reader);
-  const pbio::FormatPtr sender = format_cache_.resolve(header.format_id);
-  pbio::Value params = plans_.get(sender, in.op->input, header.sender_order)
-                           ->execute_value(reader, header.payload_length);
-  in.bytes_copied += reader.bytes_copied();
-  return params;
-}
-
-pbio::Value ServiceRuntime::decode_xml_request(Received& in, const http::Request& request,
-                                               const qos::QualityManager* quality) {
-  // One tokenizer pass over the envelope: parse_envelope stops at the body
-  // element, and decode_body reads on from there and checks the rest.
-  const soap::ParsedEnvelope envelope = soap::parse_envelope(std::move(in.xml));
-  in.envelope.operation = std::string(envelope.operation());
-  in.op = &find_operation(in.envelope.operation);
-
-  // XML carries no format ids: a reduced request type is named in a header
-  // and resolved through the quality manager (ignored without one).
-  pbio::FormatPtr format = in.op->input;
-  if (quality) {
-    if (auto type_name = request.headers.get(kHeaderQualityType)) {
-      if (*type_name != in.op->input->name) {
-        format = quality->required_type(*type_name).format;
-      }
-    }
-  }
-  pbio::Value params = soap::decode_body(envelope, *format);
-  if (format->format_id() != in.op->input->format_id()) {
-    params = pbio::project_value(params, *in.op->input);
-  }
-  return params;
-}
-
-http::Response ServiceRuntime::write_bin_response(Received& in, pbio::Value&& value,
-                                                  const qos::MessageType& type,
-                                                  std::uint64_t prep_us) {
-  // The binary wire names formats by id: a reduced type's format reaches
-  // the format server before its first message, and only then.
-  if (!format_cache_.contains(type.format->format_id())) {
-    format_cache_.announce(type.format);
-  }
-  BinEnvelope out;
-  out.operation = std::move(in.envelope.operation);
-  out.message_type = type.name;
-  out.timestamp_us = clock_->now_us();
-  out.echoed_timestamp_us = in.envelope.timestamp_us;
-  out.server_prep_us = prep_us;
-
+  BinEnvelope meta;
+  meta.operation = std::move(in.meta.operation);
+  meta.message_type = type.name;
+  meta.timestamp_us = clock_->now_us();
+  meta.echoed_timestamp_us = in.meta.timestamp_us;
+  meta.server_prep_us = prep_us;
   http::Response resp;
-  resp.status = 200;
-  resp.headers.set("Content-Type", std::string(kContentTypePbio));
-  // The outgoing value moves into a shared anchor: the body chain borrows
-  // its bulk buffers, and the anchor keeps them alive for as long as the
-  // response (and anything sharing its chain) exists — well past this
-  // handler frame.
-  Stopwatch marshal;
-  auto owned = std::make_shared<pbio::Value>(std::move(value));
-  BufferChain pbio_chain = pbio::encode_value_message_chain(
-      *owned, *type.format, host_byte_order(), owned);
-  bump_stats([&](EndpointStats& s) { s.marshal_us += marshal.elapsed_us(); });
-  Stopwatch env;
-  BufferChain body = encode_bin_message(out, std::move(pbio_chain));
+  // The response anchors the moved result: its chain borrows the result's
+  // bulk buffers for as long as the response (and anything sharing its
+  // chain) exists — well past this handler frame.
+  const CodecCosts out =
+      encode_wire(wire, resp, meta, std::move(result), type.format, format_cache_);
   bump_stats([&](EndpointStats& s) {
-    s.envelope_us += env.elapsed_us();
-    s.segments_written += body.segment_count();
-    s.bytes_copied += body.bytes_copied();
+    in.costs.add_to(s);
+    out.add_to(s);
+    s.bytes_sent += resp.body.size();
   });
-  resp.body = std::move(body);
-  return resp;
-}
-
-http::Response ServiceRuntime::write_xml_response(const Received& in,
-                                                  const pbio::Value& value,
-                                                  const qos::MessageType& type,
-                                                  std::uint64_t prep_us,
-                                                  WireFormat wire) {
-  Stopwatch marshal;
-  std::string response_xml = soap::build_response(in.envelope.operation, value, *type.format);
-  bump_stats([&](EndpointStats& s) { s.marshal_us += marshal.elapsed_us(); });
-
-  // The binary envelope's metadata travels in headers.
-  http::Response resp;
-  resp.status = 200;
-  resp.headers.set(std::string(kHeaderQualityType), type.name);
-  resp.headers.set(std::string(kHeaderServerPrep), std::to_string(prep_us));
-  if (wire == WireFormat::kCompressedXml) {
-    Stopwatch sw;
-    resp.set_body(lz::compress_string(response_xml));
-    bump_stats([&](EndpointStats& s) { s.compress_us += sw.elapsed_us(); });
-    resp.headers.set("Content-Type", std::string(kContentTypeCompressedXml));
-  } else {
-    resp.set_body(std::move(response_xml));
-    resp.headers.set("Content-Type", std::string(kContentTypeXml));
-  }
   return resp;
 }
 

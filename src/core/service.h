@@ -17,11 +17,14 @@
 // each response is sent the runtime selects a message type from the quality
 // file (driven by the client-reported RTT), applies the type's quality
 // handler (or the default field projection), and transmits the reduced
-// message. All three wires run one exchange path — publish load and RTT,
-// decode and lift a reduced request onto the full input type, timed invoke,
-// select and reduce — and differ only in how the body and metadata are read
-// and written (BinEnvelope vs X-SOAP-* headers; errors as HTTP 500 text vs
-// SOAP faults).
+// message. All three wires run one exchange path — open the request, look
+// up the operation, publish load and RTT, decode and lift a reduced request
+// onto the full input type, timed invoke, select and reduce, encode the
+// response. Reading and writing bodies and their metadata (BinEnvelope vs
+// X-SOAP-* headers) is the wire codec's (core/message.h), shared with
+// ClientStub; the wires differ here only in how errors are answered: HTTP
+// 500 text on the binary wire, SOAP faults on the XML wires. The codec's
+// costs of a request merge into stats() under one lock acquisition.
 #pragma once
 
 #include <atomic>
@@ -136,30 +139,9 @@ class ServiceRuntime {
   const Operation& find_operation(const std::string& name) const;
   pbio::Value invoke(const Operation& op, const pbio::Value& params);
 
-  /// A request, filled in by the per-wire read and decode steps.
-  struct Received {
-    BinEnvelope envelope;           // XML wires: only the operation
-    const Operation* op = nullptr;  // binary: from the envelope; XML: the body
-    BufferChain pbio_message;       // binary wire
-    std::string xml;                // XML wires, decompressed
-    std::uint64_t bytes_copied = 0;
-  };
-
   http::Response dispatch(const http::Request& request);
   /// One request on any wire (see the file comment).
   http::Response exchange(const http::Request& request, WireFormat wire);
-  // Per-wire steps of exchange().
-  Received read_bin_request(const http::Request& request);
-  Received read_xml_request(const http::Request& request, WireFormat wire);
-  pbio::Value decode_bin_request(Received& in);
-  pbio::Value decode_xml_request(Received& in, const http::Request& request,
-                                 const qos::QualityManager* quality);
-  http::Response write_bin_response(Received& in, pbio::Value&& value,
-                                    const qos::MessageType& type,
-                                    std::uint64_t prep_us);
-  http::Response write_xml_response(const Received& in, const pbio::Value& value,
-                                    const qos::MessageType& type,
-                                    std::uint64_t prep_us, WireFormat wire);
 
   /// Applies a mutation to the shared counters under the stats lock.
   template <typename Fn>

@@ -3,11 +3,13 @@
 // formats, with and without quality management.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "core/client.h"
 #include "core/service.h"
 #include "core/transports.h"
+#include "compress/lzss.h"
 #include "http/server.h"
 #include "net/pipe.h"
 #include "net/tcp.h"
@@ -79,6 +81,16 @@ Value sample_params() {
   return Value::record({{"scale", 2.0}, {"values", Value::array({1, 2, 3, 4})}});
 }
 
+/// The name each wire's parameterized tests run under.
+std::string wire_name(const ::testing::TestParamInfo<WireFormat>& info) {
+  switch (info.param) {
+    case WireFormat::kBinary: return "Binary";
+    case WireFormat::kXml: return "Xml";
+    case WireFormat::kCompressedXml: return "CompressedXml";
+  }
+  return "Unknown";
+}
+
 class AllWireFormats : public ::testing::TestWithParam<WireFormat> {};
 
 TEST_P(AllWireFormats, CallRoundTrips) {
@@ -121,14 +133,7 @@ TEST_P(AllWireFormats, HandlerExceptionRaisesRpcError) {
 INSTANTIATE_TEST_SUITE_P(WireFormats, AllWireFormats,
                          ::testing::Values(WireFormat::kBinary, WireFormat::kXml,
                                            WireFormat::kCompressedXml),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case WireFormat::kBinary: return "Binary";
-                             case WireFormat::kXml: return "Xml";
-                             case WireFormat::kCompressedXml: return "CompressedXml";
-                           }
-                           return "Unknown";
-                         });
+                         wire_name);
 
 TEST(BinaryWire, SmallerThanXmlWire) {
   Endpoints env;
@@ -542,6 +547,319 @@ TEST(SimTransportTest, TimingAccounting) {
             transport.timing().request_transfer_us);
   EXPECT_EQ(env.clock->now_us(), transport.timing().request_transfer_us +
                                      transport.timing().response_transfer_us);
+}
+
+// ---------------------------------------------------------------- wire codec
+
+FormatPtr payload_id_format() {
+  return FormatBuilder("payload_id").add_scalar("id", TypeKind::kInt32).build();
+}
+
+/// Both ends of one message: a sender's and a receiver's view of one format
+/// server, and a receiver's quality registry that knows the reduced type.
+struct CodecEnds {
+  std::shared_ptr<pbio::FormatServer> format_server =
+      std::make_shared<pbio::FormatServer>();
+  pbio::FormatCache sender{format_server};
+  pbio::FormatCache receiver{format_server};
+  pbio::PlanCache plans;
+  qos::QualityManager quality{qos::QualityFile::parse("0 inf - payload_full\n"), 1};
+
+  CodecEnds() {
+    quality.register_message_type("payload_full", payload_full_format());
+    quality.register_message_type("payload_id", payload_id_format());
+  }
+};
+
+BinEnvelope codec_meta(const std::string& message_type) {
+  BinEnvelope meta;
+  meta.operation = "fetch";
+  meta.message_type = message_type;
+  meta.timestamp_us = 11;
+  meta.echoed_timestamp_us = 22;
+  meta.server_prep_us = 33;
+  meta.reported_rtt_us = 44.5;
+  return meta;
+}
+
+/// A value of the full type and one of the reduced type.
+std::vector<std::pair<FormatPtr, Value>> codec_values() {
+  return {{payload_full_format(),
+           Value::record({{"id", 3}, {"data", Value{std::string("abc")}}})},
+          {payload_id_format(), Value::record({{"id", 5}})}};
+}
+
+/// The X-SOAP-* headers a message carries, in order.
+std::vector<std::string> x_soap_headers(const http::Headers& headers) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : headers.items()) {
+    if (name.starts_with("X-SOAP-")) names.push_back(name);
+  }
+  return names;
+}
+
+class WireCodec : public ::testing::TestWithParam<WireFormat> {};
+
+TEST_P(WireCodec, RequestRoundTrips) {
+  const WireFormat wire = GetParam();
+  CodecEnds ends;
+  const FormatPtr full = payload_full_format();
+  for (const auto& [type, sent] : codec_values()) {
+    SCOPED_TRACE(type->name);
+    http::Request request;
+    encode_wire(wire, request, codec_meta(type->name), sent, type, ends.sender);
+    EXPECT_EQ(request.headers.get("Content-Type"), content_type_of(wire));
+    EXPECT_EQ(x_soap_headers(request.headers),
+              (wire == WireFormat::kBinary
+                   ? std::vector<std::string>{}
+                   : std::vector<std::string>{std::string(kHeaderQualityType),
+                                              std::string(kHeaderReportedRtt)}));
+    OpenedMessage in = open_wire(wire, request);
+    EXPECT_EQ(in.meta.operation, "fetch");
+    EXPECT_EQ(in.meta.message_type, type->name);
+    EXPECT_EQ(in.meta.reported_rtt_us, 44.5);
+    if (wire == WireFormat::kBinary) {
+      EXPECT_EQ(in.meta.timestamp_us, 11u);
+      EXPECT_EQ(in.meta.echoed_timestamp_us, 22u);
+      EXPECT_EQ(in.meta.server_prep_us, 33u);
+    }
+    // A reduced request comes back lifted onto the full type.
+    EXPECT_EQ(decode_wire(in, full, ends.receiver, ends.plans, &ends.quality),
+              pbio::project_value(sent, *full));
+  }
+}
+
+TEST_P(WireCodec, ResponseRoundTrips) {
+  const WireFormat wire = GetParam();
+  CodecEnds ends;
+  const FormatPtr full = payload_full_format();
+  for (const auto& [type, sent] : codec_values()) {
+    SCOPED_TRACE(type->name);
+    http::Response response;
+    encode_wire(wire, response, codec_meta(type->name), Value(sent), type, ends.sender);
+    EXPECT_EQ(response.headers.get("Content-Type"), content_type_of(wire));
+    EXPECT_EQ(x_soap_headers(response.headers),
+              (wire == WireFormat::kBinary
+                   ? std::vector<std::string>{}
+                   : std::vector<std::string>{std::string(kHeaderQualityType),
+                                              std::string(kHeaderServerPrep)}));
+    OpenedMessage in = open_wire(wire, response);
+    EXPECT_EQ(in.meta.operation,
+              wire == WireFormat::kBinary ? "fetch" : "fetchResponse");
+    EXPECT_EQ(in.meta.message_type, type->name);
+    EXPECT_EQ(in.meta.server_prep_us, 33u);
+    if (wire == WireFormat::kBinary) {
+      EXPECT_EQ(in.meta.timestamp_us, 11u);
+      EXPECT_EQ(in.meta.echoed_timestamp_us, 22u);
+      EXPECT_EQ(in.meta.reported_rtt_us, 44.5);
+    }
+    EXPECT_EQ(decode_wire(in, full, ends.receiver, ends.plans, &ends.quality),
+              pbio::project_value(sent, *full));
+  }
+}
+
+TEST_P(WireCodec, MessageWithoutTypeIsOfTheFullType) {
+  const WireFormat wire = GetParam();
+  CodecEnds ends;
+  const auto values = codec_values();
+  const auto& [type, sent] = values.front();
+  http::Request request;
+  encode_wire(wire, request, codec_meta(""), sent, type, ends.sender);
+  OpenedMessage in = open_wire(wire, request);
+  EXPECT_EQ(decode_wire(in, type, ends.receiver, ends.plans, nullptr), sent);
+  EXPECT_EQ(in.meta.message_type, wire == WireFormat::kBinary ? "" : "payload_full");
+}
+
+INSTANTIATE_TEST_SUITE_P(WireFormats, WireCodec,
+                         ::testing::Values(WireFormat::kBinary, WireFormat::kXml,
+                                           WireFormat::kCompressedXml),
+                         wire_name);
+
+TEST(WireCodecErrors, SoapFaultBodyThrowsRpcError) {
+  for (const WireFormat wire : {WireFormat::kXml, WireFormat::kCompressedXml}) {
+    SCOPED_TRACE(static_cast<int>(wire));
+    http::Response response;
+    response.status = 500;
+    std::string fault = soap::build_fault("soap:Client", "no such widget");
+    if (wire == WireFormat::kCompressedXml) {
+      response.set_body(lz::compress_string(fault));
+    } else {
+      response.set_body(std::move(fault));
+    }
+    try {
+      (void)open_wire(wire, response);
+      FAIL() << "expected RpcError";
+    } catch (const RpcError& e) {
+      EXPECT_NE(std::string(e.what()).find("soap:Client"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("no such widget"), std::string::npos);
+    }
+  }
+}
+
+TEST(WireCodecErrors, TruncatedBinaryBodyThrowsCodecError) {
+  CodecEnds ends;
+  const auto values = codec_values();
+  const auto& [type, sent] = values.front();
+  http::Request request;
+  encode_wire(WireFormat::kBinary, request, codec_meta(type->name), sent, type,
+              ends.sender);
+  const Bytes whole = request.body.coalesce();
+  // Cut inside the envelope: open fails. Cut inside the PBIO payload: the
+  // envelope opens and the decode fails.
+  request.set_body(Bytes(whole.begin(), whole.begin() + 10));
+  EXPECT_THROW((void)open_wire(WireFormat::kBinary, request), CodecError);
+  request.set_body(Bytes(whole.begin(), whole.end() - 2));
+  OpenedMessage in = open_wire(WireFormat::kBinary, request);
+  EXPECT_THROW((void)decode_wire(in, type, ends.receiver, ends.plans, nullptr),
+               CodecError);
+}
+
+TEST(WireCodecErrors, MalformedXmlThrowsParseError) {
+  for (const char* body : {"<soap:Envelope", "<x:Envelope xmlns:x=\"u\"><x:Body>"}) {
+    http::Request request;
+    request.set_body(std::string(body));
+    EXPECT_THROW((void)open_wire(WireFormat::kXml, request), ParseError) << body;
+  }
+}
+
+// An XML message type the receiver cannot resolve is one error on both
+// sides: an RpcError naming the type, which a server answers as soap:Client.
+
+soap::Fault xml_fault_for_type(ServiceRuntime& runtime, const std::string& operation,
+                               const Value& params, const pbio::FormatDesc& format,
+                               const std::string& type_name) {
+  http::Request request;
+  request.headers.set("Content-Type", std::string(kContentTypeXml));
+  request.headers.set(std::string(kHeaderQualityType), type_name);
+  request.set_body(soap::build_request(operation, params, format));
+  const http::Response response = runtime.handle(request);
+  EXPECT_EQ(response.status, 500);
+  return soap::parse_fault(soap::parse_envelope(response.body_string()));
+}
+
+TEST(UnresolvableXmlType, ServerWithoutManagerAnswersClientFault) {
+  Endpoints env;
+  const soap::Fault fault = xml_fault_for_type(env.runtime, "sum", sample_params(),
+                                               *vec_format(), "vec_small");
+  EXPECT_EQ(fault.code, "soap:Client");
+  EXPECT_NE(fault.message.find("'vec_small'"), std::string::npos);
+}
+
+TEST(UnresolvableXmlType, ServerManagerWithoutTheTypeAnswersClientFault) {
+  QEndpoints env;
+  const FormatPtr req = FormatBuilder("req").add_scalar("n", TypeKind::kInt32).build();
+  const soap::Fault fault = xml_fault_for_type(
+      env.runtime, "fetch", Value::record({{"n", 1}}), *req, "ghost");
+  EXPECT_EQ(fault.code, "soap:Client");
+  EXPECT_NE(fault.message.find("'ghost'"), std::string::npos);
+}
+
+/// Serves a runtime in process, charging 1 ms of simulated time per round
+/// trip, and lets a test rewrite each response as a misbehaving server or
+/// proxy could.
+class RewritingTransport : public Transport {
+ public:
+  RewritingTransport(ServiceRuntime& runtime, net::SimClock& clock)
+      : runtime_(runtime), clock_(clock) {}
+
+  http::Response round_trip(const http::Request& request) override {
+    clock_.advance_us(1000);
+    http::Response response = runtime_.handle(request);
+    if (rewrite) rewrite(response);
+    return response;
+  }
+
+  std::function<void(http::Response&)> rewrite;
+
+ private:
+  ServiceRuntime& runtime_;
+  net::SimClock& clock_;
+};
+
+struct RewritingEndpoints {
+  std::shared_ptr<pbio::FormatServer> format_server =
+      std::make_shared<pbio::FormatServer>();
+  std::shared_ptr<net::SimClock> clock = std::make_shared<net::SimClock>();
+  ServiceRuntime runtime{format_server, clock};
+  RewritingTransport transport{runtime, *clock};
+
+  RewritingEndpoints() {
+    runtime.register_operation("sum", vec_format(), sum_format(), sum_handler_impl);
+  }
+};
+
+void edit_envelope(http::Response& response,
+                   const std::function<void(BinEnvelope&)>& edit) {
+  DecodedBinChain decoded = decode_bin_message(response.body);
+  edit(decoded.envelope);
+  response.body = encode_bin_message(decoded.envelope, std::move(decoded.pbio_message));
+}
+
+TEST(UnresolvableXmlType, ClientManagerWithoutTheTypeRaisesRpcError) {
+  RewritingEndpoints env;
+  env.transport.rewrite = [](http::Response& response) {
+    response.headers.set(std::string(kHeaderQualityType), "sum_small");
+  };
+  ClientStub client(env.transport, WireFormat::kXml, calc_service(), env.format_server,
+                    env.clock);
+  client.set_quality_manager(std::make_shared<qos::QualityManager>(
+      qos::QualityFile::parse("0 inf - sum\n"), 1));
+  try {
+    client.call("sum", sample_params());
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_NE(std::string(e.what()).find("'sum_small'"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------- RTT samples
+
+TEST(RttSample, EchoFromTheFutureStillReturnsTheReply) {
+  // The sample runs from the client's own send time: a server clock ahead
+  // of the client's cannot fail a call whose reply decoded.
+  RewritingEndpoints env;
+  env.transport.rewrite = [](http::Response& response) {
+    edit_envelope(response,
+                  [](BinEnvelope& e) { e.echoed_timestamp_us += 1'000'000; });
+  };
+  ClientStub client(env.transport, WireFormat::kBinary, calc_service(),
+                    env.format_server, env.clock);
+  const Value result = client.call("sum", sample_params());
+  EXPECT_EQ(result.field("total").as_i64(), 20);
+  // The 1 ms the transport charged, less the server's real prep time.
+  EXPECT_GT(client.last_rtt_us(), 0.0);
+  EXPECT_LE(client.last_rtt_us(), 1000.0);
+}
+
+/// A reported prep time at or above the measured round trip gives no
+/// sample: the estimate holds and the drop is counted.
+void expect_impossible_prep_dropped(WireFormat wire) {
+  RewritingEndpoints env;
+  ClientStub client(env.transport, wire, calc_service(), env.format_server, env.clock);
+  client.call("sum", sample_params());
+  const double estimate = client.rtt_estimate_us();
+  EXPECT_GT(estimate, 0.0);
+  std::uint64_t drops = 0;
+  for (const std::uint64_t prep : {std::uint64_t{1000}, std::uint64_t{1'000'000'000}}) {
+    env.transport.rewrite = [wire, prep](http::Response& response) {
+      if (wire == WireFormat::kBinary) {
+        edit_envelope(response, [prep](BinEnvelope& e) { e.server_prep_us = prep; });
+      } else {
+        response.headers.set(std::string(kHeaderServerPrep), std::to_string(prep));
+      }
+    };
+    EXPECT_EQ(client.call("sum", sample_params()).field("total").as_i64(), 20) << prep;
+    EXPECT_EQ(client.rtt_estimate_us(), estimate) << prep;
+    EXPECT_EQ(client.stats().rtt_samples_dropped, ++drops) << prep;
+  }
+}
+
+TEST(RttSample, ImpossiblePrepIsDroppedOnBinaryWire) {
+  expect_impossible_prep_dropped(WireFormat::kBinary);
+}
+
+TEST(RttSample, ImpossiblePrepIsDroppedOnXmlWire) {
+  expect_impossible_prep_dropped(WireFormat::kXml);
 }
 
 }  // namespace
