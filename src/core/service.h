@@ -52,7 +52,7 @@ namespace sbq::core {
 /// poll — the standard wiring between an http::Server and the runtime's
 /// load monitor. Samples carry queue depth, in-flight count, and workers,
 /// plus live connections and pending readiness events, so the monitor sees
-/// saturated runtimes even while the dispatch queue still has room.
+/// a saturated event path even while the queue still has room.
 /// The server must outlive the monitor (or at least every poll).
 qos::LoadMonitor::Source server_load_source(const http::Server& server);
 

@@ -1,5 +1,7 @@
 #include "http/parser.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -31,43 +33,111 @@ Headers parse_header_lines(std::string_view block, std::size_t max_fields) {
   return headers;
 }
 
+namespace {
+// Room guaranteed at each read_space() into the receive buffer; also the
+// smallest body remainder read in place in its segment.
+constexpr std::size_t kReadChunk = 8192;
+}  // namespace
+
+std::span<std::uint8_t> MessageReader::read_space() {
+  reading_body_ = !std::holds_alternative<std::monostate>(pending_) &&
+                  begin_ == end_ && body_owed_ >= kReadChunk;
+  if (reading_body_) return body_room();
+  if (begin_ == end_) begin_ = end_ = 0;
+  if (buffer_size_ - end_ < kReadChunk) {
+    const std::size_t live = end_ - begin_;
+    if (buffer_size_ - live >= kReadChunk) {
+      std::copy_n(buffer_.get() + begin_, live, buffer_.get());
+    } else {
+      const std::size_t size = std::max(2 * buffer_size_, live + kReadChunk);
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+      std::copy_n(buffer_.get() + begin_, live, grown.get());
+      buffer_ = std::move(grown);
+      buffer_size_ = size;
+    }
+    begin_ = 0;
+    end_ = live;
+  }
+  return {buffer_.get() + end_, buffer_size_ - end_};
+}
+
+void MessageReader::commit(std::size_t n) {
+  if (reading_body_) {
+    body_filled(n);
+  } else {
+    end_ += n;
+  }
+  reading_body_ = false;
+}
+
 bool MessageReader::fill() {
-  std::uint8_t chunk[8192];
-  const std::size_t n = stream_.read_some(chunk, sizeof chunk);
-  if (n == 0) return false;
-  buffer_.append(as_chars(BytesView{chunk, n}));
-  return true;
+  const std::span<std::uint8_t> space = read_space();
+  const std::size_t n = stream_.read_some(space.data(), space.size());
+  commit(n);
+  return n > 0;
 }
 
 void MessageReader::feed(BytesView bytes) {
-  buffer_.append(as_chars(bytes));
+  while (!bytes.empty()) {
+    const std::span<std::uint8_t> space = read_space();
+    const std::size_t n = std::min(space.size(), bytes.size());
+    std::copy_n(bytes.data(), n, space.data());
+    commit(n);
+    bytes = bytes.subspan(n);
+  }
 }
 
 MessageReader::Phase MessageReader::phase() const {
   if (!std::holds_alternative<std::monostate>(pending_)) return Phase::kBody;
-  return buffer_.empty() ? Phase::kIdle : Phase::kHead;
+  return begin_ == end_ ? Phase::kIdle : Phase::kHead;
 }
 
-std::optional<std::string> MessageReader::try_take_head() {
+std::optional<std::string_view> MessageReader::try_take_head() {
+  const std::string_view buffered =
+      as_chars(BytesView{buffer_.get() + begin_, end_ - begin_});
   // Resume where the last scan stopped, less the 3 bytes of a terminator
   // that may have been cut there, so a trickled head is scanned once.
   const std::size_t from = head_scanned_ > 3 ? head_scanned_ - 3 : 0;
-  const std::size_t end = buffer_.find("\r\n\r\n", from);
-  if (end != std::string::npos) {
-    if (end + 4 > limits_.max_header_bytes) {
-      throw ParseError("header block exceeds limit");
-    }
-    std::string head = buffer_.substr(0, end + 4);
-    buffer_.erase(0, end + 4);
-    consumed_ += head.size();
-    head_scanned_ = 0;
-    return head;
+  const std::size_t end = buffered.find("\r\n\r\n", from);
+  const std::size_t head = end == std::string_view::npos ? buffered.size() : end + 4;
+  if (head > limits_.max_header_bytes) throw ParseError("header block exceeds limit");
+  if (end == std::string_view::npos) {
+    head_scanned_ = buffered.size();
+    return std::nullopt;
   }
-  head_scanned_ = buffer_.size();
-  if (buffer_.size() > limits_.max_header_bytes) {
-    throw ParseError("header block exceeds limit");
+  begin_ += head;
+  consumed_ += head;
+  head_scanned_ = 0;
+  return buffered.substr(0, head);
+}
+
+std::span<std::uint8_t> MessageReader::body_room() {
+  if (segment_fill_ == segment_size_) {
+    segment_size_ = std::min(body_owed_, kBodySegment);
+    segment_fill_ = 0;
+    segment_ = std::make_shared_for_overwrite<std::uint8_t[]>(segment_size_);
   }
-  return std::nullopt;
+  return {segment_.get() + segment_fill_, segment_size_ - segment_fill_};
+}
+
+void MessageReader::body_filled(std::size_t n) {
+  segment_fill_ += n;
+  body_received_ += n;
+  body_owed_ -= n;
+  if (segment_fill_ == segment_size_) {
+    const BytesView full{segment_.get(), segment_size_};
+    body_.append_view(full, std::move(segment_));
+  }
+}
+
+void MessageReader::take_body_bytes() {
+  while (body_owed_ > 0 && begin_ < end_) {
+    const std::span<std::uint8_t> room = body_room();
+    const std::size_t take = std::min(end_ - begin_, room.size());
+    std::copy_n(buffer_.get() + begin_, take, room.data());
+    begin_ += take;
+    body_filled(take);
+  }
 }
 
 std::size_t MessageReader::body_length(const Headers& headers) const {
@@ -126,17 +196,17 @@ std::optional<Message> MessageReader::try_next() {
     if (!head) return std::nullopt;
     Message message;
     parse_head(*head, message);
-    body_needed_ = body_length(message.headers);
+    body_owed_ = body_length(message.headers);
     pending_ = std::move(message);
   }
-  if (buffer_.size() < body_needed_) return std::nullopt;
+  take_body_bytes();
+  if (body_owed_ > 0) return std::nullopt;
   Message message = std::get<Message>(std::move(pending_));
   pending_ = std::monostate{};
-  // The body leaves the buffer as one owned segment.
-  message.body.append(buffer_.substr(0, body_needed_));
-  buffer_.erase(0, body_needed_);
-  consumed_ += body_needed_;
-  body_needed_ = 0;
+  message.body = std::move(body_);
+  body_ = BufferChain{};
+  consumed_ += body_received_;
+  body_received_ = 0;
   return message;
 }
 

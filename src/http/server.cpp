@@ -1,39 +1,37 @@
-// http::Server: the readiness-driven multi-runtime serving front
-// (docs/event-front.md).
+// http::Server: the serving pool (docs/event-front.md).
 //
-// N event runtimes ("shards") each own:
-//   * an accept shard — their own SO_REUSEPORT listener on the shared port,
-//     so the kernel spreads incoming connections across runtimes with no
-//     user-space handoff,
-//   * a net::Poller over the shard's connections,
-//   * the per-connection state machines: resumable request parsing
-//     (MessageReader::feed / try_next_request), dispatch to the shared
-//     bounded worker pool, and the drain of any response residue on
-//     POLLOUT.
-//
-// Handler execution stays on the worker pool — application code may block.
-// When the handler returns, the worker sends the response itself with one
-// non-blocking gather write, then hands the exchange back to its runtime
-// (completion + Poller::wake()), which re-arms the connection or drains
-// the unsent residue. From dispatch until that hand-back the worker owns
-// the socket's write side, and the runtime never closes the connection.
-// The number of live connections is decoupled from every thread count.
+// One pool of `workers + runtimes` identical threads serves every
+// connection. All of them wait on the server's one net::Poller, where the
+// listener and every connection are armed one-shot, so a readiness event
+// reaches exactly one thread, and that thread owns the connection until it
+// re-arms it. The owner reads and parses the request straight into the
+// parser's buffers (MessageReader::read_space / try_next_request). If
+// fewer than `workers` handlers are running it runs the handler itself,
+// writes the response with one non-blocking gather write, and re-arms the
+// connection: read interest for the next request, or write interest to
+// drain a residue. Otherwise the parsed request waits in a bounded queue,
+// and the next thread to finish a handler takes the oldest one before it
+// waits again. So at most `workers` threads run handlers and `runtimes`
+// threads always stay free to accept, shed and drain; a request crosses
+// threads only when it had to queue.
 //
 // The overload ladder: arrivals past `max_connections`, and parsed requests
 // past `queue_depth`, get the canned 503 + Retry-After;
-// shutdown(drain_deadline_us) answers undispatched requests with the 503,
-// lets in-flight exchanges finish with `Connection: close`, and
-// force-closes stragglers only past the deadline.
+// shutdown(drain_deadline_us) answers queued requests with the 503, lets
+// running exchanges finish with `Connection: close`, and force-closes
+// stragglers only past the deadline.
 
 #include "http/server.h"
 
 #include <chrono>
-#include <condition_variable>
+#include <climits>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -44,11 +42,11 @@
 namespace sbq::http {
 
 namespace {
-constexpr std::size_t kReadChunk = 8192;
 constexpr int kListenBacklog = 256;
+constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
 
-/// The atomic counterparts of ServerStats, bumped lock-free from the event
-/// runtimes and the workers alike.
+/// The atomic counterparts of ServerStats, bumped lock-free from every
+/// pool thread.
 struct Counters {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> shed{0};
@@ -94,20 +92,6 @@ Response make_shed_response(std::uint64_t retry_after_s) {
 }
 
 struct Server::Impl {
-  struct Shard;
-
-  /// Connection state machine (docs/event-front.md):
-  ///   kReading     — POLLIN armed; bytes feed the resumable parser
-  ///   kDispatching — a parsed request runs on the worker pool; no poll
-  ///                  interest (back-pressure: the socket is left unread).
-  ///                  Until its completion is delivered the worker owns the
-  ///                  socket's write side, so the shard never closes or
-  ///                  erases the connection in this state.
-  ///   kWriting     — POLLOUT armed; the residue of a response the send
-  ///                  routine could not finish drains through non-blocking
-  ///                  gather writes, resuming after partial writes
-  enum class ConnState { kReading, kDispatching, kWriting };
-
   /// A serialized response and how far into the socket it got.
   struct Outgoing {
     Response response;     // owns the body while `wire` drains
@@ -116,65 +100,45 @@ struct Server::Impl {
     bool failed = false;   // the socket refused the write; close it
   };
 
+  /// One client connection. It has one owner at a time — the pool thread
+  /// holding its one-shot readiness event, or the exchange admitted on it,
+  /// queued or running — and only the owner touches it. The owner gives it
+  /// up by re-arming it in the poller and setting `armed`; a thread takes
+  /// it by clearing `armed`. Both happen under `conns_mu`, so a readiness
+  /// event, a deadline expiry and shutdown can race for a connection and
+  /// only one of them ever acts on it.
   struct Connection {
-    std::unique_ptr<net::TcpStream> stream;
-    MessageReader reader;
-    ConnState state = ConnState::kReading;
-    std::uint64_t gen = 0;  // guards completions against fd reuse
-    Outgoing out;           // the response draining in kWriting
-    bool close_after_write = false;
-    bool request_wants_close = false;
-    bool exchange_in_flight = false;  // counted in exchanges_in_flight_
-    bool detached = false;  // off the poller: hung up while dispatched,
-                            // closed when the completion is delivered
-    std::uint64_t deadline_ns = 0;    // 0 = none
-
     Connection(std::unique_ptr<net::TcpStream> s, const ParserLimits& limits)
-        : stream(std::move(s)), reader(*stream, limits) {}
+        : stream(std::move(s)), fd(stream->fd()), reader(*stream, limits) {}
+
+    std::unique_ptr<net::TcpStream> stream;
+    const int fd;
+    MessageReader reader;
+    Outgoing out;              // the response being sent
+    bool writing = false;      // `out` has not been fully sent yet
+    bool close_after_write = false;  // set early by `Connection: close`
+    bool exchange_in_flight = false;      // counted in exchanges_in_flight
+    std::uint64_t stall_deadline_ns = 0;  // write-progress deadline; 0 = none
+
+    bool armed = false;             // sbqlint:guarded_by(conns_mu)
+    bool missed = false;            // sbqlint:guarded_by(conns_mu)
+    std::uint64_t deadline_ns = 0;  // sbqlint:guarded_by(conns_mu)
   };
 
-  /// A finished exchange, routed back to the owning shard. With `written`
-  /// set the worker already ran the send routine, and `out` is sent whole,
-  /// a residue, or failed. Only the 503s that shutdown() posts for queued
-  /// jobs that never ran leave it unset: `out` then holds just the
-  /// response, and the shard sends it.
-  struct Completion {
-    int fd = -1;
-    std::uint64_t gen = 0;
-    Outgoing out;
-    bool written = false;
-  };
-
-  /// A parsed request waiting for (or running on) a worker.
-  struct Job {
-    Shard* shard = nullptr;
-    int fd = -1;
-    std::uint64_t gen = 0;
+  /// A parsed request admitted on its connection and, once it has run, its
+  /// response. It owns the connection from admission until next_after()
+  /// takes the response over.
+  struct Exchange {
+    Connection* conn = nullptr;
     Request request;
-    /// The connection's socket, whose write side the worker owns until
-    /// its completion is delivered. The shard hands it over at dispatch
-    /// and never reads it back.
-    net::TcpStream* direct_stream = nullptr;  // sbqlint:affine(worker)
+    Outgoing out;
   };
 
-  /// One event runtime: an accept shard plus the poller loop over its
-  /// connections. Everything except `completions` (fed by workers under
-  /// `completion_mu`) and `last_batch` is owned by the shard thread.
-  struct Shard {
-    std::size_t index = 0;
-    std::unique_ptr<net::TcpListener> listener;
-    net::Poller poller;  // not affine: workers may call poller.wake()
-    std::unordered_map<int, std::unique_ptr<Connection>> conns;  // sbqlint:affine(event-shard)
-    std::mutex completion_mu;
-    std::vector<Completion> completions;  // sbqlint:guarded_by(completion_mu)
-    std::atomic<std::size_t> last_batch{0};
-    std::thread thread;
-  };
+  enum class Admission { kRun, kQueued, kShed };
 
-  /// The one send routine, run by workers for handler responses and by
-  /// the shard for its canned 400 and 503: serialise, make one
-  /// non-blocking gather write, and return what the kernel did not take
-  /// as the residue (`wire` from `sent`).
+  /// The one send routine, for handler responses and the canned 400 and
+  /// 503 alike: serialise, make one non-blocking gather write, and return
+  /// what the kernel did not take as the residue (`wire` from `sent`).
   static Outgoing send_response(net::TcpStream& stream, Response&& response) {
     Outgoing out;
     out.response = std::move(response);
@@ -196,450 +160,456 @@ struct Server::Impl {
     options.workers = std::max<std::size_t>(1, options.workers);
     options.queue_depth = std::max<std::size_t>(1, options.queue_depth);
     options.max_connections = std::max<std::size_t>(1, options.max_connections);
+    for (const std::uint64_t us :
+         {options.idle_timeout_us, options.read_timeout_us, options.write_timeout_us}) {
+      if (us > 0) {
+        wait_cap_ms = static_cast<int>(std::min<std::uint64_t>(
+            wait_cap_ms, std::max<std::uint64_t>(us / 1000, 1)));
+      }
+    }
 
     net::TcpListener::Options lopts;
-    lopts.reuse_port = true;
     lopts.nonblocking = true;
     lopts.backlog = kListenBacklog;
-    shards.reserve(options.runtimes);
-    for (std::size_t i = 0; i < options.runtimes; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->index = i;
-      // The first listener resolves an ephemeral port; its siblings bind the
-      // same resolved port, each owning a kernel-side accept shard.
-      shard->listener =
-          std::make_unique<net::TcpListener>(i == 0 ? port : port_, lopts);
-      if (i == 0) port_ = shard->listener->port();
-      shard->poller.add(shard->listener->fd(), /*read=*/true, /*write=*/false);
-      shards.push_back(std::move(shard));
-    }
-    workers.reserve(options.workers);
-    for (std::size_t i = 0; i < options.workers; ++i) {
-      workers.emplace_back([this] { worker_loop(); });
-    }
-    for (auto& shard : shards) {
-      Shard* s = shard.get();
-      s->thread = std::thread([this, s] { shard_loop(*s); });
+    listener = std::make_unique<net::TcpListener>(port, lopts);
+    port_ = listener->port();
+    listener_fd = listener->fd();
+    listener_armed = true;
+    poller.add(listener_fd, /*read=*/true, /*write=*/false);
+    pool.reserve(options.workers + options.runtimes);
+    for (std::size_t i = 0; i < options.workers + options.runtimes; ++i) {
+      pool.emplace_back([this] { pool_loop(); });
     }
   }
 
-  // ----------------------------------------------------------- shard loop
+  /// A pool thread: a poll step and an exchange, in turn, until shutdown.
+  void pool_loop() {
+    Exchange ex;
+    while (poll_step(ex)) run_exchange(ex);
+  }
+
+  // ------------------------------------------------------------ poll step
   //
-  // Everything below down to the worker-pool section runs on the shard's
-  // own thread only — the sbqlint:affine(event-shard) annotations make the
-  // analyzer prove no other thread root can reach these functions.
+  // Everything from here down to run_exchange() is the poll step: it may
+  // block only in the poller's wait. The sbqlint:affine(poll) annotations
+  // make the analyzer prove that the exchange half never reaches it.
 
-  // sbqlint:affine(event-shard)
-  void shard_loop(Shard& s) {
-    for (;;) {
-      auto events = s.poller.wait(shard_timeout_ms(s));
-      s.last_batch.store(events.size());
-      if (accept_closed.load()) maybe_close_listener(s);
-      deliver_completions(s);
-      if (stopping.load()) {
-        teardown(s);
-        return;
-      }
-      const int lfd = s.listener ? s.listener->fd() : -1;
-      for (const net::PollEvent& ev : events) {
-        if (lfd >= 0 && ev.fd == lfd) {
-          accept_ready(s);
-          continue;
-        }
-        auto it = s.conns.find(ev.fd);
-        if (it == s.conns.end()) continue;  // stale event for a closed fd
-        Connection& conn = *it->second;
-        if (ev.readable && conn.state == ConnState::kReading) {
-          handle_readable(s, ev.fd);
-        } else if (ev.writable && conn.state == ConnState::kWriting) {
-          flush_writes(s, ev.fd);
-        } else if (ev.hangup) {
-          close_connection(s, ev.fd);
-        }
-      }
-      expire_deadlines(s);
+  /// Finishes the exchange this thread just ran, if any, then finds the
+  /// next one: a pipelined request on the same connection, the oldest
+  /// queued request, or a readiness event. Events that yield no exchange —
+  /// accepts, partial reads, residue drains, hang-ups — are served on the
+  /// way, and expired deadlines are swept. Returns false once the server
+  /// stops.
+  // sbqlint:affine(poll)
+  bool poll_step(Exchange& ex) {
+    if (ex.conn != nullptr && next_after(ex)) return true;
+    while (!stopping.load()) {
+      const std::uint64_t due = next_deadline_ns.load();
+      if (due != kNoDeadline && steady_now_ns() >= due) expire_deadlines();
+      const std::optional<net::PollEvent> event = poller.wait(wait_timeout_ms());
+      if (!event) continue;  // timeout or shutdown wake
+      events_in_hand.fetch_add(1);
+      const bool run = serve_event(*event, ex);
+      events_in_hand.fetch_sub(1);
+      if (run) return true;
     }
+    return false;
   }
 
-  /// Poll timeout to the nearest connection deadline (-1 = no deadline).
-  // sbqlint:affine(event-shard)
-  int shard_timeout_ms(const Shard& s) const {
-    std::uint64_t nearest = 0;
-    for (const auto& [fd, conn] : s.conns) {
-      (void)fd;
-      if (conn->deadline_ns == 0) continue;
-      if (nearest == 0 || conn->deadline_ns < nearest) nearest = conn->deadline_ns;
-    }
-    if (nearest == 0) return -1;
+  /// Poller timeout to the nearest connection deadline, capped at the
+  /// shortest configured timeout (-1 = no deadlines). Another thread may arm
+  /// a nearer deadline while this one waits; a deadline lies at least that
+  /// far ahead of its arming, so any waiting thread wakes in time to see it.
+  // sbqlint:affine(poll)
+  int wait_timeout_ms() const {
+    const std::uint64_t due = next_deadline_ns.load();
+    if (due == kNoDeadline) return wait_cap_ms;
     const std::uint64_t now = steady_now_ns();
-    if (nearest <= now) return 0;
-    return static_cast<int>((nearest - now + 999'999) / 1'000'000);
+    if (due <= now) return 0;
+    return static_cast<int>(std::min<std::uint64_t>(
+        (due - now + 999'999) / 1'000'000, static_cast<std::uint64_t>(wait_cap_ms)));
   }
 
-  // sbqlint:affine(event-shard)
-  void maybe_close_listener(Shard& s) {
-    if (!s.listener) return;
-    const int lfd = s.listener->fd();
-    if (lfd >= 0) {
-      s.poller.remove(lfd);
-      s.listener->close();
-    }
-  }
-
-  // sbqlint:affine(event-shard)
-  void accept_ready(Shard& s) {
-    for (;;) {
-      bool would_block = false;
-      std::unique_ptr<net::TcpStream> stream;
-      try {
-        stream = s.listener->try_accept(would_block);
-      } catch (const TransportError&) {
-        return;  // transient accept failure; the next event retries
+  /// Serves one readiness event. Returns true with `ex` filled when it
+  /// yields a request this thread runs now.
+  // sbqlint:affine(poll)
+  bool serve_event(const net::PollEvent& event, Exchange& ex) {
+    if (event.fd == listener_fd) {
+      bool mine = false;
+      {
+        std::lock_guard lock(conns_mu);
+        mine = std::exchange(listener_armed, false);  // unless shutdown closed it
       }
-      if (!stream) return;  // would-block or listener closed
-      counters.accepted.fetch_add(1);
-      stream->set_nonblocking(true);
-      const int fd = stream->fd();
-      auto conn = std::make_unique<Connection>(std::move(stream), options.limits);
-      conn->gen = next_gen.fetch_add(1);
-      const std::size_t live = live_connections.fetch_add(1) + 1;
-      Counters::raise(counters.peak_connections, live);
-      s.poller.add(fd, /*read=*/true, /*write=*/false);
-      Connection& placed = *(s.conns[fd] = std::move(conn));
-      if (live > options.max_connections || draining.load()) {
-        // Admission control: past the cap (or mid-drain) the connection gets
-        // the canned 503 before a single request byte is read.
-        counters.shed.fetch_add(1);
-        queue_response(s, fd,
-                       send_response(*placed.stream,
-                                     make_shed_response(options.shed_retry_after_s)),
-                       /*close_after=*/true);
+      if (mine) accept_ready();
+      return false;
+    }
+    Connection* conn = take(event.fd);
+    if (conn == nullptr) return false;
+    if (conn->writing && !flush(*conn)) return false;
+    std::optional<Request> request = resume(*conn, /*read=*/!conn->writing);
+    if (!request) return false;
+    const Admission admission = admit(*conn, std::move(*request), ex);
+    // The queue is full (or closed by a drain): shed before the handler
+    // pays any decode cost.
+    if (admission == Admission::kShed) shed(*conn);
+    return admission == Admission::kRun;
+  }
+
+  /// Takes the connection a readiness event named, if it is armed: the
+  /// event's thread becomes its owner. An event for a connection that is
+  /// owned is recorded in `missed`, so the owner re-arms it once more
+  /// before it parks; one for a closed fd is dropped.
+  // sbqlint:affine(poll)
+  Connection* take(int fd) {
+    std::lock_guard lock(conns_mu);
+    const auto it = conns.find(fd);
+    if (it == conns.end()) return nullptr;
+    Connection& conn = *it->second;
+    if (!conn.armed) {
+      conn.missed = true;
+      return nullptr;
+    }
+    conn.armed = false;
+    return &conn;
+  }
+
+  /// Gives an owned connection back to the poller, armed one-shot for read
+  /// or write interest under the matching deadline. A readiness event that
+  /// came while the connection was owned found it unarmed and was dropped;
+  /// re-arming once more makes the poller report that readiness again.
+  // sbqlint:affine(poll)
+  void arm(Connection& conn, bool write) {
+    std::uint64_t deadline = conn.stall_deadline_ns;
+    if (!write) {
+      const std::uint64_t timeout_us =
+          conn.reader.phase() == MessageReader::Phase::kBody
+              ? options.read_timeout_us
+              : options.idle_timeout_us;
+      deadline = timeout_us > 0 ? steady_now_ns() + timeout_us * 1000 : 0;
+    }
+    for (;;) {
+      poller.modify(conn.fd, /*read=*/!write, /*write=*/write);
+      std::lock_guard lock(conns_mu);
+      if (conn.missed) {
+        conn.missed = false;
         continue;
       }
-      arm_read_deadline(placed);
+      conn.armed = true;
+      conn.deadline_ns = deadline;
+      if (deadline != 0 && deadline < next_deadline_ns.load()) {
+        next_deadline_ns.store(deadline);
+      }
+      return;
     }
   }
 
-  // sbqlint:affine(event-shard)
-  void handle_readable(Shard& s, int fd) {
-    std::uint8_t buf[kReadChunk];
+  /// Drives an owned connection until it parks — re-armed, or closed — or
+  /// yields its next request, which the caller admits. `read` lets it read
+  /// the socket first: a readiness event said bytes are there.
+  // sbqlint:affine(poll)
+  std::optional<Request> resume(Connection& conn, bool read) {
     for (;;) {
-      auto it = s.conns.find(fd);
-      if (it == s.conns.end()) return;
-      Connection& conn = *it->second;
-      if (conn.state != ConnState::kReading) return;  // back-pressure
+      if (conn.writing) {
+        if (conn.out.sent < conn.out.wire.size()) {
+          arm(conn, /*write=*/true);
+          return std::nullopt;
+        }
+        if (!end_exchange(conn)) return std::nullopt;
+      }
+      try {
+        if (std::optional<Request> request = conn.reader.try_next_request()) {
+          conn.close_after_write =
+              request->headers.get("Connection").value_or("") == "close";
+          return request;
+        }
+      } catch (const Error& e) {
+        // Malformed input is the client's fault: 400 and hang up (the read
+        // position inside the bad message is unrecoverable).
+        Response bad;
+        bad.status = 400;
+        bad.reason = std::string(reason_phrase(400));
+        bad.headers.set("Connection", "close");
+        bad.set_body(e.what());
+        refuse(conn, std::move(bad));
+        return std::nullopt;
+      }
+      if (!read) {
+        arm(conn, /*write=*/false);
+        return std::nullopt;
+      }
+      // One non-blocking read, straight into the parser's buffers.
+      const std::span<std::uint8_t> space = conn.reader.read_space();
       bool would_block = false;
       std::size_t n = 0;
       try {
-        n = conn.stream->read_some_nonblocking(buf, sizeof buf, would_block);
+        n = conn.stream->read_some_nonblocking(space.data(), space.size(), would_block);
       } catch (const TransportError&) {
-        close_connection(s, fd);
-        return;
+        n = 0;  // a read error ends the connection like EOF
       }
-      if (would_block) return;
-      if (n == 0) {
+      conn.reader.commit(n);
+      read = !would_block;
+      if (n == 0 && !would_block) {
         // EOF — clean between messages or truncation inside one; either way
         // there is nothing to answer on this connection anymore.
-        close_connection(s, fd);
-        return;
-      }
-      conn.reader.feed(BytesView{buf, n});
-      if (!advance_parse(s, fd)) return;
-    }
-  }
-
-  /// Tries to parse (and dispatch) the next request from buffered bytes.
-  /// Returns false when the connection was closed.
-  // sbqlint:affine(event-shard)
-  bool advance_parse(Shard& s, int fd) {
-    auto it = s.conns.find(fd);
-    if (it == s.conns.end()) return false;
-    Connection& conn = *it->second;
-    if (conn.state != ConnState::kReading) return true;
-    std::optional<Request> request;
-    try {
-      request = conn.reader.try_next_request();
-    } catch (const Error& e) {
-      // Malformed input is the client's fault: 400 and hang up (the read
-      // position inside the bad message is unrecoverable).
-      Response bad;
-      bad.status = 400;
-      bad.reason = std::string(reason_phrase(400));
-      bad.headers.set("Connection", "close");
-      bad.set_body(e.what());
-      queue_response(s, fd, send_response(*conn.stream, std::move(bad)),
-                     /*close_after=*/true);
-      return s.conns.count(fd) > 0;
-    }
-    if (!request) {
-      arm_read_deadline(conn);
-      return true;
-    }
-    conn.request_wants_close =
-        request->headers.get("Connection").value_or("") == "close";
-    dispatch(s, fd, std::move(*request));
-    return s.conns.count(fd) > 0;
-  }
-
-  // sbqlint:affine(event-shard)
-  void dispatch(Shard& s, int fd, Request&& request) {
-    Connection& conn = *s.conns.at(fd);
-    bool admitted = false;
-    std::size_t depth = 0;
-    {
-      std::lock_guard lock(dispatch_mu);
-      if (!jobs_closed && jobs.size() < options.queue_depth) {
-        jobs.push_back(
-            Job{&s, fd, conn.gen, std::move(request), conn.stream.get()});
-        depth = jobs.size();
-        admitted = true;
+        close_connection(conn);
+        return std::nullopt;
       }
     }
-    if (!admitted) {
-      // The worker queue is full (or closed by a drain): shed before the
-      // handler pays any decode cost.
-      counters.shed.fetch_add(1);
-      queue_response(s, fd,
-                     send_response(*conn.stream,
-                                   make_shed_response(options.shed_retry_after_s)),
-                     /*close_after=*/true);
-      return;
-    }
-    Counters::raise(counters.queue_high_water, depth);
-    conn.state = ConnState::kDispatching;
-    conn.deadline_ns = 0;  // the bounded pool, not the peer, sets the pace
-    conn.exchange_in_flight = true;
-    exchanges_in_flight.fetch_add(1);
-    s.poller.modify(fd, /*read=*/false, /*write=*/false);
-    dispatch_cv.notify_one();
   }
 
-  /// Takes over a response the send routine has already tried once. One
-  /// that went out whole ends the exchange; a residue drains on POLLOUT
-  /// under the write-stall deadline.
-  // sbqlint:affine(event-shard)
-  void queue_response(Shard& s, int fd, Outgoing&& out, bool close_after) {
-    Connection& conn = *s.conns.at(fd);
-    conn.state = ConnState::kWriting;
-    if (out.failed) {
-      close_connection(s, fd);
-      return;
-    }
-    conn.close_after_write =
-        close_after || conn.request_wants_close ||
-        out.response.headers.get("Connection").value_or("") == "close";
-    conn.out = std::move(out);
-    if (conn.out.sent == conn.out.wire.size()) {
-      finish_exchange(s, fd);
-      return;
-    }
-    conn.deadline_ns = options.write_timeout_us > 0
-                           ? steady_now_ns() + options.write_timeout_us * 1000
-                           : 0;
-    s.poller.modify(fd, /*read=*/false, /*write=*/true);
-  }
-
-  /// Drains as much of the residue as the kernel will take.
-  // sbqlint:affine(event-shard)
-  void flush_writes(Shard& s, int fd) {
-    Connection& conn = *s.conns.at(fd);
+  /// Drains as much of the residue as the kernel will take. Returns false
+  /// when the write failed and the connection closed.
+  // sbqlint:affine(poll)
+  bool flush(Connection& conn) {
     bool would_block = false;
     std::size_t n = 0;
     try {
-      n = conn.stream->write_chain_some(conn.out.wire, conn.out.sent,
-                                        would_block);
+      n = conn.stream->write_chain_some(conn.out.wire, conn.out.sent, would_block);
     } catch (const TransportError&) {
-      close_connection(s, fd);
-      return;
+      close_connection(conn);
+      return false;
     }
     conn.out.sent += n;
-    if (conn.out.sent < conn.out.wire.size()) {
-      // Partial write: resume on the next POLLOUT. Progress re-arms the
-      // write-stall deadline; zero progress lets it keep counting down.
-      if (n > 0 && options.write_timeout_us > 0) {
-        conn.deadline_ns = steady_now_ns() + options.write_timeout_us * 1000;
-      }
-      return;
+    // Progress re-arms the write-stall deadline; zero progress lets it keep
+    // counting down.
+    if (n > 0 && options.write_timeout_us > 0) {
+      conn.stall_deadline_ns = steady_now_ns() + options.write_timeout_us * 1000;
     }
-    finish_exchange(s, fd);
+    return true;
+  }
+
+  /// Takes over a response the send routine has already tried once; the
+  /// next resume() ends the exchange if it went out whole, or drains the
+  /// residue under write interest and the write-stall deadline. Returns
+  /// false when the write failed and the connection closed.
+  // sbqlint:affine(poll)
+  bool take_response(Connection& conn, Outgoing&& out, bool close_after) {
+    if (out.failed) {
+      close_connection(conn);
+      return false;
+    }
+    conn.close_after_write =
+        close_after || conn.close_after_write ||
+        out.response.headers.get("Connection").value_or("") == "close";
+    conn.out = std::move(out);
+    conn.writing = true;
+    conn.stall_deadline_ns =
+        options.write_timeout_us > 0 && conn.out.sent < conn.out.wire.size()
+            ? steady_now_ns() + options.write_timeout_us * 1000
+            : 0;
+    return true;
+  }
+
+  /// Answers an owned connection with a canned response and hangs up once
+  /// it is sent.
+  // sbqlint:affine(poll)
+  void refuse(Connection& conn, Response&& response) {
+    if (take_response(conn, send_response(*conn.stream, std::move(response)),
+                      /*close_after=*/true)) {
+      (void)resume(conn, /*read=*/false);
+    }
+  }
+
+  // sbqlint:affine(poll)
+  void shed(Connection& conn) {
+    counters.shed.fetch_add(1);
+    refuse(conn, make_shed_response(options.shed_retry_after_s));
   }
 
   /// The response is fully handed to the kernel: close, or go back to
-  /// reading.
-  // sbqlint:affine(event-shard)
-  void finish_exchange(Shard& s, int fd) {
-    Connection& conn = *s.conns.at(fd);
+  /// reading. Returns false when the connection closed.
+  // sbqlint:affine(poll)
+  bool end_exchange(Connection& conn) {
+    if (conn.close_after_write) {
+      close_connection(conn);
+      return false;
+    }
     if (conn.exchange_in_flight) {
       exchanges_in_flight.fetch_sub(1);
       conn.exchange_in_flight = false;
     }
-    if (conn.close_after_write) {
-      close_connection(s, fd);
-      return;
-    }
-    conn.state = ConnState::kReading;
+    conn.writing = false;
     conn.out = Outgoing{};
-    conn.request_wants_close = false;
-    s.poller.modify(fd, /*read=*/true, /*write=*/false);
-    arm_read_deadline(conn);
-    // A pipelined next request may already be sitting in the parse buffer.
-    advance_parse(s, fd);
+    return true;
   }
 
-  // sbqlint:affine(event-shard)
-  void deliver_completions(Shard& s) {
-    std::vector<Completion> batch;
+  /// Admits a parsed request on an owned connection: this thread runs it
+  /// now if a handler slot is free and nothing is queued ahead of it;
+  /// otherwise it waits in the bounded queue, or is shed past it.
+  // sbqlint:affine(poll)
+  Admission admit(Connection& conn, Request&& request, Exchange& ex) {
+    std::lock_guard lock(queue_mu);
+    if (jobs_closed) return Admission::kShed;
+    const bool run = jobs.empty() && running < options.workers;
+    if (!run && jobs.size() >= options.queue_depth) return Admission::kShed;
+    conn.exchange_in_flight = true;
+    exchanges_in_flight.fetch_add(1);
+    if (run) {
+      ++running;
+      ex.conn = &conn;
+      ex.request = std::move(request);
+      return Admission::kRun;
+    }
+    jobs.push_back(Exchange{&conn, std::move(request), {}});
+    Counters::raise(counters.queue_high_water, jobs.size());
+    return Admission::kQueued;
+  }
+
+  /// Ends the exchange this thread just ran and picks its next one, keeping
+  /// its handler slot: a pipelined request already buffered on the same
+  /// connection joins the queue's tail, and the thread takes the queue's
+  /// head (that request itself when nothing was queued). With neither, it
+  /// gives the slot back. Returns true with `ex` refilled when it has an
+  /// exchange to run.
+  // sbqlint:affine(poll)
+  bool next_after(Exchange& ex) {
+    Connection& conn = *ex.conn;
+    std::optional<Request> next;
+    if (take_response(conn, std::move(ex.out), /*close_after=*/false)) {
+      next = resume(conn, /*read=*/false);
+    }
+    ex = Exchange{};
+    bool shed_next = false;
     {
-      std::lock_guard lock(s.completion_mu);
-      batch.swap(s.completions);
-    }
-    for (Completion& done : batch) {
-      auto it = s.conns.find(done.fd);
-      if (it == s.conns.end() || it->second->gen != done.gen) {
-        // Defence in depth: a dispatched connection is never erased, so
-        // its completion always finds it. Were it gone, the exchange would
-        // end here.
-        exchanges_in_flight.fetch_sub(1);
-        continue;
+      std::lock_guard lock(queue_mu);
+      if (next && jobs_closed) {
+        shed_next = true;
+      } else if (next) {
+        conn.exchange_in_flight = true;
+        exchanges_in_flight.fetch_add(1);
+        jobs.push_back(Exchange{&conn, std::move(*next), {}});
       }
-      Connection& conn = *it->second;
-      conn.state = ConnState::kWriting;  // the write side is the shard's again
-      if (conn.detached) {
-        close_connection(s, done.fd);  // the peer hung up while its handler ran
-        continue;
-      }
-      if (!done.written) {
-        done.out = send_response(*conn.stream, std::move(done.out.response));
-      }
-      queue_response(s, done.fd, std::move(done.out), /*close_after=*/false);
-    }
-  }
-
-  // sbqlint:affine(event-shard)
-  void arm_read_deadline(Connection& conn) const {
-    const std::uint64_t timeout_us =
-        conn.reader.phase() == MessageReader::Phase::kBody
-            ? options.read_timeout_us
-            : options.idle_timeout_us;
-    conn.deadline_ns = timeout_us > 0 ? steady_now_ns() + timeout_us * 1000 : 0;
-  }
-
-  // sbqlint:affine(event-shard)
-  void expire_deadlines(Shard& s) {
-    const std::uint64_t now = steady_now_ns();
-    std::vector<int> expired;
-    for (const auto& [fd, conn] : s.conns) {
-      if (conn->deadline_ns != 0 && conn->deadline_ns <= now) {
-        expired.push_back(fd);
+      if (jobs.empty()) {
+        --running;
+      } else {
+        ex = std::move(jobs.front());
+        jobs.pop_front();
       }
     }
-    // Expiry means the *peer* stalled (idle keep-alive, trickled message,
-    // or unread response); the connection is dropped.
-    for (const int fd : expired) close_connection(s, fd);
+    if (shed_next) shed(conn);
+    return ex.conn != nullptr;
   }
 
-  /// Closes and forgets a connection — except a dispatched one, whose
-  /// worker owns the socket's write side until its completion is
-  /// delivered: closing now could hand the fd number to a new connection
-  /// under the worker's write. That one only leaves the poller (a
-  /// level-triggered EPOLLHUP would otherwise spin) and closes on delivery.
-  // sbqlint:affine(event-shard)
-  void close_connection(Shard& s, int fd) {
-    auto it = s.conns.find(fd);
-    if (it == s.conns.end()) return;
-    Connection& conn = *it->second;
-    if (!conn.detached) s.poller.remove(fd);
-    if (conn.state == ConnState::kDispatching) {
-      conn.detached = true;
+  /// Accepts every pending connection, then re-arms the listener — or
+  /// closes it, if shutdown asked for that while this thread held it.
+  // sbqlint:affine(poll)
+  void accept_ready() {
+    for (;;) {
+      bool would_block = false;
+      std::unique_ptr<net::TcpStream> stream;
+      try {
+        stream = listener->try_accept(would_block);
+      } catch (const TransportError&) {
+        break;  // transient accept failure; the next event retries
+      }
+      if (!stream) break;  // would-block
+      add_connection(std::move(stream));
+    }
+    std::lock_guard lock(conns_mu);
+    if (accept_closed) {
+      poller.remove(listener_fd);
+      listener->close();
       return;
     }
-    if (conn.exchange_in_flight) exchanges_in_flight.fetch_sub(1);
-    conn.stream->close();
-    s.conns.erase(it);
+    poller.modify(listener_fd, /*read=*/true, /*write=*/false);
+    listener_armed = true;
+  }
+
+  // sbqlint:affine(poll)
+  void add_connection(std::unique_ptr<net::TcpStream> stream) {
+    counters.accepted.fetch_add(1);
+    stream->set_nonblocking(true);
+    auto owned = std::make_unique<Connection>(std::move(stream), options.limits);
+    Connection& conn = *owned;
+    const std::size_t live = live_connections.fetch_add(1) + 1;
+    Counters::raise(counters.peak_connections, live);
+    poller.add(conn.fd, /*read=*/false, /*write=*/false);
+    {
+      std::lock_guard lock(conns_mu);
+      conns.emplace(conn.fd, std::move(owned));
+    }
+    if (live > options.max_connections || draining.load()) {
+      // Admission control: past the cap (or mid-drain) the connection gets
+      // the canned 503 before a single request byte is read.
+      shed(conn);
+      return;
+    }
+    arm(conn, /*write=*/false);
+  }
+
+  /// Drops every armed connection whose deadline has passed — its peer
+  /// stalled: an idle keep-alive, a trickled message, or an unread
+  /// response — and recomputes the nearest deadline.
+  // sbqlint:affine(poll)
+  void expire_deadlines() {
+    std::vector<Connection*> expired;
+    {
+      std::lock_guard lock(conns_mu);
+      const std::uint64_t now = steady_now_ns();
+      std::uint64_t nearest = kNoDeadline;
+      for (const auto& [fd, conn] : conns) {
+        (void)fd;
+        if (!conn->armed || conn->deadline_ns == 0) continue;
+        if (conn->deadline_ns <= now) {
+          conn->armed = false;
+          expired.push_back(conn.get());
+        } else {
+          nearest = std::min(nearest, conn->deadline_ns);
+        }
+      }
+      next_deadline_ns.store(nearest);
+    }
+    for (Connection* conn : expired) close_connection(*conn);
+  }
+
+  /// Closes and forgets an owned connection.
+  // sbqlint:affine(poll)
+  void close_connection(Connection& conn) {
+    poller.remove(conn.fd);
+    std::unique_ptr<Connection> gone;
+    {
+      std::lock_guard lock(conns_mu);
+      const auto it = conns.find(conn.fd);
+      gone = std::move(it->second);
+      conns.erase(it);
+    }
+    gone->stream->close();
+    if (gone->exchange_in_flight) exchanges_in_flight.fetch_sub(1);
     live_connections.fetch_sub(1);
   }
 
-  // sbqlint:affine(event-shard)
-  void teardown(Shard& s) {
-    const bool drain = drain_mode.load();
-    std::vector<int> fds;
-    fds.reserve(s.conns.size());
-    for (const auto& [fd, conn] : s.conns) {
-      (void)conn;
-      fds.push_back(fd);
-    }
-    for (const int fd : fds) {
-      if (drain) counters.forced_closes.fetch_add(1);
-      Connection& conn = *s.conns.at(fd);
-      // A dispatched connection's worker may still write: shutting the
-      // socket makes that write fail cleanly, and shutdown() closes the fd
-      // once every worker is joined.
-      if (conn.state == ConnState::kDispatching) conn.stream->shutdown_io();
-      close_connection(s, fd);
-    }
-  }
+  // ------------------------------------------------------------- exchange
 
-  // ---------------------------------------------------------- worker pool
-
-  void worker_loop() {
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock lock(dispatch_mu);
-        dispatch_cv.wait(lock, [this] { return !jobs.empty() || jobs_closed; });
-        if (jobs.empty()) return;  // queue closed and drained
-        job = std::move(jobs.front());
-        jobs.pop_front();
-      }
-      // peak_in_flight is handler-pool occupancy (bounded by `workers`),
-      // not exchanges awaiting their response flush — those are drain
-      // bookkeeping, not load.
-      const std::size_t busy = handlers_busy.fetch_add(1) + 1;
-      Counters::raise(counters.peak_in_flight, busy);
-      Response response;
-      try {
-        response = handler(job.request);
-      } catch (const std::exception& e) {
-        response = Response{};
-        response.status = 500;
-        response.reason = std::string(reason_phrase(500));
-        response.set_body(e.what());
-      } catch (...) {  // sbqlint:allow(no-swallow): converted to a canned 500 + ServerStats::worker_errors
-        counters.worker_errors.fetch_add(1);
-        response = Response{};
-        response.status = 500;
-        response.reason = std::string(reason_phrase(500));
-        response.set_body("non-standard exception escaped handler");
-      }
-      handlers_busy.fetch_sub(1);
-      hand_back(job, std::move(response));
+  /// The pool thread's handler half: runs the handler, then writes the
+  /// response with one non-blocking gather write, so the client has its
+  /// reply before the thread does anything else. It reaches its connection
+  /// only through the exchange, never through the connection table.
+  // sbqlint:affine(exchange)
+  void run_exchange(Exchange& ex) {
+    // peak_in_flight is handler occupancy (bounded by `workers`), not
+    // exchanges awaiting their response flush.
+    const std::size_t busy = handlers_busy.fetch_add(1) + 1;
+    Counters::raise(counters.peak_in_flight, busy);
+    Response response;
+    try {
+      response = handler(ex.request);
+    } catch (const std::exception& e) {
+      response = Response{};
+      response.status = 500;
+      response.reason = std::string(reason_phrase(500));
+      response.set_body(e.what());
+    } catch (...) {  // sbqlint:allow(no-swallow): converted to a canned 500 + ServerStats::worker_errors
+      counters.worker_errors.fetch_add(1);
+      response = Response{};
+      response.status = 500;
+      response.reason = std::string(reason_phrase(500));
+      response.set_body("non-standard exception escaped handler");
     }
-  }
-
-  /// The worker's end of an exchange: the response goes straight to the
-  /// socket, so the client has its reply before the shard wakes; the
-  /// completion then only tells the shard what is left to do. A response
-  /// written mid-drain says `Connection: close`, and the shard closes the
-  /// connection once it is sent.
-  // sbqlint:affine(worker)
-  void hand_back(Job& job, Response&& response) {
+    handlers_busy.fetch_sub(1);
+    // A response written mid-drain says `Connection: close`; the connection
+    // closes once it is sent.
     if (draining.load()) response.headers.set("Connection", "close");
-    Completion done;
-    done.fd = job.fd;
-    done.gen = job.gen;
-    done.out = send_response(*job.direct_stream, std::move(response));
-    done.written = true;
-    post(*job.shard, std::move(done));
-  }
-
-  /// Queues `done` for its shard and wakes the shard's poller — the only
-  /// Poller call made off the shard thread.
-  void post(Shard& s, Completion&& done) {
-    {
-      std::lock_guard lock(s.completion_mu);
-      s.completions.push_back(std::move(done));
-    }
-    s.poller.wake();
+    ex.out = send_response(*ex.conn->stream, std::move(response));
   }
 
   // ------------------------------------------------------------- shutdown
@@ -647,31 +617,33 @@ struct Server::Impl {
   void shutdown(std::uint64_t drain_deadline_us) {
     if (shutdown_started.exchange(true)) return;
     const bool drain = drain_deadline_us > 0;
-    drain_mode.store(drain);
-    draining.store(true);  // in-flight responses get Connection: close
+    draining.store(true);  // running exchanges answer with Connection: close
     if (drain) counters.drains.fetch_add(1);
-    accept_closed.store(true);
-    for (auto& s : shards) s->poller.wake();
-
-    // Requests parsed but never dispatched get the canned 503 (with
-    // Connection: close) rather than silence.
-    std::deque<Job> unserved;
     {
-      std::lock_guard lock(dispatch_mu);
+      std::lock_guard lock(conns_mu);
+      accept_closed = true;
+      if (listener_armed) {  // else its owner closes it when done accepting
+        listener_armed = false;
+        poller.remove(listener_fd);
+        listener->close();
+      }
+    }
+
+    // Requests parsed but never run get the canned 503 (with
+    // Connection: close) rather than silence. The queue owned their
+    // connections; now this thread does.
+    std::deque<Exchange> unserved;
+    {
+      std::lock_guard lock(queue_mu);
       jobs_closed = true;
       unserved.swap(jobs);
     }
-    dispatch_cv.notify_all();
-    for (Job& job : unserved) {
-      Completion done;
-      done.fd = job.fd;
-      done.gen = job.gen;
-      done.out.response = make_shed_response(options.shed_retry_after_s);
-      post(*job.shard, std::move(done));
+    for (Exchange& job : unserved) {
+      refuse(*job.conn, make_shed_response(options.shed_retry_after_s));
     }
 
     if (drain) {
-      // Let in-flight exchanges finish (handler + response drain), but only
+      // Let running exchanges finish (handler + response drain), but only
       // until the deadline; whatever is left gets force-closed below.
       const std::uint64_t deadline_ns =
           steady_now_ns() + drain_deadline_us * 1000;
@@ -681,19 +653,33 @@ struct Server::Impl {
     }
 
     stopping.store(true);
-    for (auto& s : shards) s->poller.wake();
-    for (auto& s : shards) {
-      if (s->thread.joinable()) s->thread.join();
+    poller.wake();
+    // Force-close what is still open. An owned connection is shut down,
+    // not closed: its owner may still write to it, and that write now
+    // fails cleanly.
+    std::vector<Connection*> idle;
+    {
+      std::lock_guard lock(conns_mu);
+      for (const auto& [fd, conn] : conns) {
+        (void)fd;
+        if (drain) counters.forced_closes.fetch_add(1);
+        if (conn->armed) {
+          conn->armed = false;
+          idle.push_back(conn.get());
+        } else {
+          conn->stream->shutdown_io();
+        }
+      }
     }
-    for (auto& w : workers) {
-      if (w.joinable()) w.join();
+    for (Connection* conn : idle) close_connection(*conn);
+    for (auto& thread : pool) {
+      if (thread.joinable()) thread.join();
     }
-    // Only connections dispatched at teardown outlive it, shut down but
-    // not closed; with every worker joined nothing writes to them now.
-    for (auto& s : shards) {
-      live_connections.fetch_sub(s->conns.size());
-      s->conns.clear();
-    }
+    // With every pool thread joined, nothing touches what is left: the
+    // connections that were owned during the sweep above.
+    std::lock_guard lock(conns_mu);
+    live_connections.fetch_sub(conns.size());
+    conns.clear();
   }
 
   // ----------------------------------------------------------- load signal
@@ -701,7 +687,7 @@ struct Server::Impl {
   ServerLoad load() {
     ServerLoad snapshot;
     {
-      std::lock_guard lock(dispatch_mu);
+      std::lock_guard lock(queue_mu);
       snapshot.queue_depth = jobs.size();
     }
     snapshot.queue_capacity = options.queue_depth;
@@ -709,11 +695,9 @@ struct Server::Impl {
     // awaiting a response flush.
     snapshot.in_flight = handlers_busy.load();
     snapshot.workers = options.workers;
-    snapshot.runtimes = shards.size();
+    snapshot.runtimes = options.runtimes;
     snapshot.connections = live_connections.load();
-    std::size_t pending = 0;
-    for (const auto& s : shards) pending += s->last_batch.load();
-    snapshot.pending_events = pending;
+    snapshot.pending_events = events_in_hand.load();
     return snapshot;
   }
 
@@ -725,22 +709,32 @@ struct Server::Impl {
   std::atomic<bool> draining{false};  // in-flight responses get Connection: close
 
   std::uint16_t port_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::vector<std::thread> workers;
+  net::Poller poller;
+  std::unique_ptr<net::TcpListener> listener;
+  int listener_fd = -1;
+  int wait_cap_ms = INT_MAX;  // shortest configured timeout; INT_MAX = none
 
-  std::mutex dispatch_mu;
-  std::condition_variable dispatch_cv;
-  std::deque<Job> jobs;      // sbqlint:guarded_by(dispatch_mu)
-  bool jobs_closed = false;  // sbqlint:guarded_by(dispatch_mu)
+  std::mutex conns_mu;
+  // sbqlint:affine(poll)
+  std::unordered_map<int, std::unique_ptr<Connection>> conns;  // sbqlint:guarded_by(conns_mu)
+  bool listener_armed = false;  // sbqlint:guarded_by(conns_mu)
+  bool accept_closed = false;   // sbqlint:guarded_by(conns_mu)
+  // Nearest armed deadline, written under conns_mu and read lock-free.
+  std::atomic<std::uint64_t> next_deadline_ns{kNoDeadline};
 
-  std::atomic<std::uint64_t> next_gen{1};
+  std::mutex queue_mu;
+  std::deque<Exchange> jobs;  // sbqlint:guarded_by(queue_mu)
+  bool jobs_closed = false;   // sbqlint:guarded_by(queue_mu)
+  // Handler slots held: admitted exchanges running or about to run.
+  std::size_t running = 0;  // sbqlint:guarded_by(queue_mu)
+
   std::atomic<std::size_t> live_connections{0};
   std::atomic<std::size_t> exchanges_in_flight{0};
   std::atomic<std::size_t> handlers_busy{0};
-  std::atomic<bool> accept_closed{false};
+  std::atomic<std::size_t> events_in_hand{0};  // readiness events being served
   std::atomic<bool> stopping{false};
-  std::atomic<bool> drain_mode{false};
   std::atomic<bool> shutdown_started{false};
+  std::vector<std::thread> pool;  // last: the threads use every member above
 };
 
 Server::Server(std::uint16_t port, Handler handler, ServerOptions options)

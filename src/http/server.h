@@ -1,15 +1,16 @@
-// HTTP/1.1 server: the readiness-driven multi-runtime serving front
-// (docs/event-front.md). N event runtimes each own an accept shard
-// (SO_REUSEPORT) and a net::Poller over their connections, driving
-// per-connection state machines (reading → dispatching → writing) with
-// resumable parsing. Handler execution runs on a bounded worker pool, so
-// application code may block; the worker then writes the response with one
-// non-blocking gather write and hands any unsent residue back to the
-// runtime, which drains it on POLLOUT. Concurrency is capped by memory, not
-// threads.
+// HTTP/1.1 server: the serving pool (docs/event-front.md). One pool of
+// `workers + runtimes` identical threads waits on one net::Poller, where
+// the listener and every connection are armed one-shot: the thread that
+// receives a connection's readiness event owns it, reads and parses the
+// request with the resumable parser, runs the handler itself while fewer
+// than `workers` handlers are running (application code may block), writes
+// the response with one non-blocking gather write, and re-arms the
+// connection — for the next request, or to drain a residue. Past `workers`
+// running handlers, parsed requests wait in a bounded queue that finishing
+// threads drain oldest first. Concurrency is capped by memory, not threads.
 //
-// Overload protection (docs/robustness.md "Overload and drain"): pool size,
-// dispatch-queue depth, connection cap, and per-connection deadlines are
+// Overload protection (docs/robustness.md "Overload and drain"): handler
+// slots, queue depth, connection cap, and per-connection deadlines are
 // bounded by ServerOptions; arrivals past the caps get a canned
 // `503 Service Unavailable` + `Retry-After` — the last rung of the
 // degradation ladder after quality management (qos::LoadMonitor) has
@@ -41,15 +42,17 @@ enum class FrontMode { kEvent };
 /// to the latency budget (a deep queue is just latency nobody asked for).
 struct ServerOptions {
   FrontMode front = FrontMode::kEvent;
-  /// Event runtimes (accept shards). At least 1.
+  /// Pool threads held back from handlers: with `workers` handlers
+  /// running, this many threads still accept, shed and drain. The pool has
+  /// `workers + runtimes` threads. At least 1.
   std::size_t runtimes = 2;
-  /// Fixed worker pool size (threads running the handler). At least 1.
+  /// Handler slots: at most this many handlers run at once. At least 1.
   std::size_t workers = 8;
-  /// Parsed requests allowed to wait for a free worker. Arrivals past it
-  /// are shed with the canned 503.
+  /// Parsed requests allowed to wait for a free handler slot. Arrivals
+  /// past it are shed with the canned 503.
   std::size_t queue_depth = 64;
   /// Cap on live connections. Arrivals past it are shed even when the
-  /// dispatch queue itself has room.
+  /// queue itself has room.
   std::size_t max_connections = 256;
   /// Keep-alive idle deadline: how long a connection may sit between
   /// requests (and while its next request head trickles in) before the
@@ -70,18 +73,18 @@ struct ServerOptions {
 
 /// Point-in-time load signal, the raw material of qos::LoadMonitor.
 struct ServerLoad {
-  std::size_t queue_depth = 0;     // parsed requests waiting for a worker
+  std::size_t queue_depth = 0;     // parsed requests waiting for a slot
   std::size_t queue_capacity = 0;
   std::size_t in_flight = 0;       // handlers running right now
   std::size_t workers = 0;
-  std::size_t runtimes = 0;        // event runtimes (accept shards)
-  std::size_t connections = 0;     // live connections across all shards
-  std::size_t pending_events = 0;  // readiness events in the last loop turns,
-                                   // summed across shards (event-queue depth)
+  std::size_t runtimes = 0;        // pool threads held back from handlers
+  std::size_t connections = 0;     // live connections
+  std::size_t pending_events = 0;  // readiness events the pool is serving
+                                   // right now (reads, parses, drains)
 };
 
 /// Lifetime counters. Snapshots are taken from atomics — reading stats
-/// never contends with the accept path or the event runtimes.
+/// never contends with the accept path or the pool.
 struct ServerStats {
   std::uint64_t accepted = 0;          // connections the server saw
   std::uint64_t shed = 0;              // answered with the canned 503
@@ -101,7 +104,7 @@ Response make_shed_response(std::uint64_t retry_after_s);
 /// TCP server bound to 127.0.0.1.
 class Server {
  public:
-  /// Binds (port 0 = ephemeral) and starts the event runtimes and workers.
+  /// Binds (port 0 = ephemeral) and starts the pool.
   Server(std::uint16_t port, Handler handler, ServerOptions options = {});
 
   ~Server();
@@ -113,29 +116,29 @@ class Server {
 
   /// Stops the server. With `drain_deadline_us` 0: force-closes every
   /// connection immediately (the old hard shutdown). Otherwise a graceful
-  /// drain: stop accepting, answer parsed-but-undispatched requests with the
+  /// drain: stop accepting, answer queued requests that never ran with the
   /// canned 503 (`Connection: close`), let in-flight exchanges finish with
   /// responses marked `Connection: close`, and only once the deadline has
-  /// passed force-close whatever is still open. Every worker and runtime
-  /// is joined exactly once; safe to call repeatedly and concurrently
-  /// (later calls are no-ops).
+  /// passed force-close whatever is still open. Every pool thread is
+  /// joined exactly once; safe to call repeatedly and concurrently (later
+  /// calls are no-ops).
   void shutdown(std::uint64_t drain_deadline_us = 0);
 
-  /// Current load signal (queue depth, in-flight count, pool size,
-  /// runtimes, live connections, pending events).
+  /// Current load signal (queue depth, in-flight count, handler slots,
+  /// held-back threads, live connections, pending events).
   [[nodiscard]] ServerLoad load() const;
 
   /// Lock-free counter snapshot (never contends with accepts).
   [[nodiscard]] ServerStats stats() const;
 
-  /// Live connections across all shards. Exposed so tests can assert that
+  /// Live connections. Exposed so tests can assert that
   /// closed connections stop being tracked.
   [[nodiscard]] std::size_t tracked_connections() const;
 
   [[nodiscard]] bool draining() const;
 
  private:
-  struct Impl;  // the event runtimes and the worker pool (server.cpp)
+  struct Impl;  // the serving pool (server.cpp)
   std::unique_ptr<Impl> impl_;
 };
 

@@ -1,18 +1,13 @@
 #include "net/poller.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <string>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#endif
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "common/error.h"
 
@@ -24,181 +19,83 @@ namespace {
   throw TransportError(what + ": " + std::strerror(errno));
 }
 
-void set_cloexec_nonblock(int fd) {
-  ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+epoll_event one_shot(int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLONESHOT | (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  return ev;
 }
 
 }  // namespace
 
-Poller::Poller(Backend backend) {
-#if defined(__linux__)
-  const bool want_epoll = backend != Backend::kPoll;
-#else
-  (void)backend;
-#endif
-#if defined(__linux__)
-  if (want_epoll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) throw_errno("epoll_create1");
-    wake_read_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (wake_read_ < 0) {
-      ::close(epoll_fd_);
-      throw_errno("eventfd");
-    }
-    wake_write_ = wake_read_;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_read_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_read_, &ev) != 0) {
-      ::close(wake_read_);
-      ::close(epoll_fd_);
-      throw_errno("epoll_ctl(wake)");
-    }
-    return;
+Poller::Poller() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw_errno("epoll_create1");
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    ::close(epoll_fd_);
+    throw_errno("eventfd");
   }
-#endif
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) throw_errno("pipe(wake)");
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-  set_cloexec_nonblock(wake_read_);
-  set_cloexec_nonblock(wake_write_);
+  // Level-triggered and never read: once wake() has made it readable,
+  // every wait() reports it.
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    ::close(wake_fd_);
+    ::close(epoll_fd_);
+    throw_errno("epoll_ctl(wake)");
+  }
 }
 
 Poller::~Poller() {
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_read_ >= 0) ::close(wake_read_);
-  if (wake_write_ >= 0 && wake_write_ != wake_read_) ::close(wake_write_);
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
 }
 
 void Poller::add(int fd, bool want_read, bool want_write) {
   if (fd < 0) throw TransportError("Poller::add on negative fd");
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      throw_errno("epoll_ctl(add)");
-    }
-    ++watched_;
-    return;
+  epoll_event ev = one_shot(fd, want_read, want_write);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl(add)");
   }
-#endif
-  for (const Watch& w : watches_) {
-    if (w.fd == fd) throw TransportError("Poller::add: fd already watched");
-  }
-  watches_.push_back(Watch{fd, want_read, want_write});
   ++watched_;
 }
 
 void Poller::modify(int fd, bool want_read, bool want_write) {
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      throw_errno("epoll_ctl(mod)");
-    }
-    return;
+  epoll_event ev = one_shot(fd, want_read, want_write);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
+    throw_errno("epoll_ctl(mod)");
   }
-#endif
-  for (Watch& w : watches_) {
-    if (w.fd == fd) {
-      w.want_read = want_read;
-      w.want_write = want_write;
-      return;
-    }
-  }
-  throw TransportError("Poller::modify: fd not watched");
 }
 
 void Poller::remove(int fd) {
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
-      throw_errno("epoll_ctl(del)");
-    }
-    --watched_;
-    return;
-  }
-#endif
-  const auto before = watches_.size();
-  std::erase_if(watches_, [fd](const Watch& w) { return w.fd == fd; });
-  if (watches_.size() == before) {
-    throw TransportError("Poller::remove: fd not watched");
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
+    throw_errno("epoll_ctl(del)");
   }
   --watched_;
 }
 
-void Poller::drain_wake_channel() {
-  // Both channels are non-blocking: read until empty.
-  std::uint8_t scratch[64];
-  while (::read(wake_read_, scratch, sizeof scratch) > 0) {
-  }
-}
-
-std::vector<PollEvent> Poller::wait(int timeout_ms) {
-  std::vector<PollEvent> out;
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_event events[128];
-    int n;
-    do {
-      n = ::epoll_wait(epoll_fd_, events, 128, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) throw_errno("epoll_wait");
-    out.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == wake_read_) {
-        drain_wake_channel();
-        continue;
-      }
-      PollEvent ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & EPOLLIN) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.hangup = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(ev);
-    }
-    return out;
-  }
-#endif
-  std::vector<pollfd> pfds;
-  pfds.reserve(watches_.size() + 1);
-  pfds.push_back(pollfd{wake_read_, POLLIN, 0});
-  for (const Watch& w : watches_) {
-    short interest = 0;
-    if (w.want_read) interest |= POLLIN;
-    if (w.want_write) interest |= POLLOUT;
-    pfds.push_back(pollfd{w.fd, interest, 0});
-  }
+std::optional<PollEvent> Poller::wait(int timeout_ms) {
+  epoll_event event{};
   int n;
   do {
-    n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    n = ::epoll_wait(epoll_fd_, &event, 1, timeout_ms);
   } while (n < 0 && errno == EINTR);
-  if (n < 0) throw_errno("poll");
-  if ((pfds[0].revents & POLLIN) != 0) drain_wake_channel();
-  for (std::size_t i = 1; i < pfds.size(); ++i) {
-    if (pfds[i].revents == 0) continue;
-    PollEvent ev;
-    ev.fd = pfds[i].fd;
-    ev.readable = (pfds[i].revents & POLLIN) != 0;
-    ev.writable = (pfds[i].revents & POLLOUT) != 0;
-    ev.hangup = (pfds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-    out.push_back(ev);
-  }
-  return out;
+  if (n < 0) throw_errno("epoll_wait");
+  if (n == 0 || event.data.fd == wake_fd_) return std::nullopt;
+  PollEvent ev;
+  ev.fd = event.data.fd;
+  ev.readable = (event.events & EPOLLIN) != 0;
+  ev.writable = (event.events & EPOLLOUT) != 0;
+  ev.hangup = (event.events & (EPOLLERR | EPOLLHUP)) != 0;
+  return ev;
 }
 
 void Poller::wake() {
   const std::uint64_t one = 1;
-  // eventfd wants exactly 8 bytes; the self-pipe is happy with them too.
-  // EAGAIN (pipe full / counter saturated) still means a pending wake-up.
-  [[maybe_unused]] const ssize_t w = ::write(wake_write_, &one, sizeof one);
+  // EAGAIN (counter saturated) still leaves the eventfd readable.
+  [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof one);
 }
 
 }  // namespace sbq::net

@@ -1,31 +1,30 @@
-// Readiness notification for the event-driven serving front.
+// Readiness notification for the serving pool (docs/event-front.md).
 //
 // A Poller watches a set of file descriptors and reports which became
-// readable or writable — the primitive that lets one thread own thousands
-// of connections instead of parking one thread per blocking read. Two
-// backends behind one interface:
+// readable or writable — the primitive that lets a few threads serve
+// thousands of connections instead of parking one thread per blocking
+// read. It is epoll(7), Linux only.
 //
-//   * kEpoll — epoll(7), Linux only; O(ready) wakeups, the production path.
-//   * kPoll  — poll(2), portable; O(watched) per wait, and the reference
-//     implementation the epoll backend must agree with (tests run both).
+// Every registration is one-shot: a report disarms its descriptor until
+// modify() re-arms it. Any number of threads may block in wait() on one
+// Poller at once, and each wait() takes at most one report, so a ready
+// descriptor goes to exactly one thread and cannot reach a second one
+// until its owner re-arms it. That is how the serving pool gives each
+// connection one owner at a time without a lock around the wait.
 //
-// wait() can be interrupted from another thread with wake() (eventfd under
-// epoll, a self-pipe under poll) — how worker threads hand completed
-// responses back to an event runtime blocked in the kernel, and how
-// shutdown interrupts every runtime at once.
-//
-// Thread model: add/modify/remove and wait() belong to the owning runtime
-// thread; only wake() is safe to call from anywhere.
+// wake() is for shutdown: it makes every wait(), now and later, return at
+// once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
-#include <vector>
+#include <optional>
 
 namespace sbq::net {
 
 /// One readiness report. `hangup` covers both error and peer-closed
-/// conditions (EPOLLERR/EPOLLHUP, POLLERR/POLLHUP/POLLNVAL): the owner
-/// should tear the connection down rather than retry I/O forever.
+/// conditions (EPOLLERR/EPOLLHUP): the owner should tear the connection
+/// down rather than retry I/O forever.
 struct PollEvent {
   int fd = -1;
   bool readable = false;
@@ -35,62 +34,44 @@ struct PollEvent {
 
 class Poller {
  public:
-  enum class Backend {
-    kAuto,   // epoll where available, poll otherwise
-    kPoll,   // portable poll(2) backend
-#if defined(__linux__)
-    kEpoll,  // epoll(7) backend
-#endif
-  };
-
-  explicit Poller(Backend backend = Backend::kAuto);
+  Poller();
   ~Poller();
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  /// Registers `fd` with the given interest set. A descriptor with neither
-  /// interest is still watched for hangup/error.
+  /// Registers `fd`, armed one-shot for the given interest set. A
+  /// descriptor with neither interest is registered disarmed, though an
+  /// error or hangup may still be reported once.
   void add(int fd, bool want_read, bool want_write);
 
-  /// Replaces the interest set of a registered descriptor.
+  /// Re-arms a registered descriptor, one-shot, with a new interest set.
   void modify(int fd, bool want_read, bool want_write);
 
-  /// Stops watching `fd`. Must be called before the descriptor is closed
-  /// (a closed fd silently vanishes from epoll but not from the poll set).
+  /// Stops watching `fd`. Call it before the descriptor is closed.
   void remove(int fd);
 
-  /// Blocks until at least one descriptor is ready, the timeout elapses
-  /// (`timeout_ms` < 0 waits forever, 0 polls), or another thread calls
-  /// wake(). A wake-up or timeout may return an empty vector.
-  std::vector<PollEvent> wait(int timeout_ms);
+  /// Blocks until one armed descriptor is ready, the timeout elapses
+  /// (`timeout_ms` < 0 waits forever, 0 polls), or wake() has been called.
+  /// Returns that descriptor's report and disarms it; empty on timeout or
+  /// wake. Safe to call from many threads at once.
+  std::optional<PollEvent> wait(int timeout_ms);
 
-  /// Interrupts a concurrent (or the next) wait(). Thread-safe; multiple
-  /// wakes before a wait coalesce into one early return.
+  /// Makes every concurrent and later wait() return at once, empty.
+  /// Thread-safe; the server calls it only from shutdown.
   void wake();
 
   /// Descriptors currently registered (excludes the internal wake channel).
-  [[nodiscard]] std::size_t watched() const { return watched_; }
+  [[nodiscard]] std::size_t watched() const { return watched_.load(); }
 
  private:
-  void drain_wake_channel();
-
-  // add/modify/remove/wait (and the state they touch) belong to the
-  // owning runtime thread — the event shard loop; only wake() and the
-  // write end it uses are safe to call from anywhere.
-  std::size_t watched_ = 0;  // sbqlint:affine(event-shard)
-  int epoll_fd_ = -1;    // epoll backend; -1 under poll
-  int wake_read_ = -1;   // sbqlint:affine(event-shard)
-  int wake_write_ = -1;  // self-pipe write end; == wake_read_ for eventfd
-
-  // poll backend state: the registered interest table, rebuilt into a
-  // pollfd array per wait().
-  struct Watch {
-    int fd;
-    bool want_read;
-    bool want_write;
-  };
-  std::vector<Watch> watches_;  // sbqlint:affine(event-shard)
+  // Nothing here belongs to one thread: every pool thread waits on the
+  // same Poller and registers, re-arms and removes its own connections.
+  // The two descriptors are fixed in the constructor, and the count is
+  // atomic, so no member carries a thread-affinity annotation.
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd, level-triggered and never drained
+  std::atomic<std::size_t> watched_{0};
 };
 
 }  // namespace sbq::net

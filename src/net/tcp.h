@@ -103,7 +103,7 @@ class TcpListener {
  public:
   struct Options {
     /// SO_REUSEPORT: lets N listeners bind the same port, each receiving an
-    /// accept shard from the kernel — one listener per event runtime.
+    /// accept shard from the kernel.
     bool reuse_port = false;
     /// O_NONBLOCK on the listening socket (accept via try_accept()).
     bool nonblocking = false;

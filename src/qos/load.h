@@ -33,8 +33,8 @@ struct LoadSample {
   std::size_t queue_capacity = 1;
   std::size_t in_flight = 0;
   std::size_t workers = 1;
-  std::size_t connections = 0;     // live connections across all runtimes
-  std::size_t pending_events = 0;  // readiness events in the last loop turns
+  std::size_t connections = 0;     // live connections
+  std::size_t pending_events = 0;  // readiness events being served now
 };
 
 class LoadMonitor {
@@ -56,8 +56,8 @@ class LoadMonitor {
   /// utilization is the mean of worker occupancy (in_flight / workers) and
   /// backlog pressure: workers alone saturate it to 0.5, a filling backlog
   /// pushes it toward 1. Backlog pressure is the max of queue fullness (queue_depth / queue_capacity) and event
-  /// pressure (pending_events / connections) — runtimes whose poll batches
-  /// approach their connection counts are saturated even while the dispatch
+  /// pressure (pending_events / connections) — a server serving readiness
+  /// events on most of its connections at once is saturated even while its
   /// queue still has room.
   double observe(const LoadSample& sample);
 

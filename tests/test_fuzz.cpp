@@ -759,6 +759,53 @@ TEST(TruncationSweep, HugeValueArrayCountThrowsBeforeAllocating) {
   }
 }
 
+// A head claiming a 200 MiB body followed by one byte: the body is
+// received in segments of at most MessageReader::kBodySegment, so the claim
+// allocates no more than one segment (and the segment's shared control
+// block) ahead of the byte that arrived — whether the bytes are fed or read
+// off the stream.
+TEST(TruncationSweep, HugeContentLengthAllocatesAtMostOneBodySegment) {
+  constexpr std::size_t kCap = http::MessageReader::kBodySegment + 256;
+  const std::string head =
+      "POST /svc HTTP/1.1\r\nContent-Length: " + std::to_string(200u << 20) + "\r\n\r\n";
+  {
+    auto [unused, feed_end] = net::make_pipe();
+    http::MessageReader reader(*feed_end);
+    g_largest_allocation = 0;
+    reader.feed(as_bytes(head + "x"));
+    EXPECT_FALSE(reader.try_next_request().has_value());
+    EXPECT_EQ(reader.phase(), http::MessageReader::Phase::kBody);
+    EXPECT_LE(g_largest_allocation.load(), kCap);
+  }
+  auto [a, b] = net::make_pipe();
+  a->write_all(as_bytes(head + "x"));
+  a->close();
+  http::MessageReader reader(*b);
+  g_largest_allocation = 0;
+  EXPECT_THROW((void)reader.read_request(), TransportError);
+  EXPECT_LE(g_largest_allocation.load(), kCap);
+}
+
+// A body past one segment parses back byte for byte as a chain of
+// kBodySegment-sized segments, read in place.
+TEST(TruncationSweep, LargeBodyArrivesAsWholeSegments) {
+  Rng rng(29);
+  http::Request request;
+  request.method = "POST";
+  Bytes payload(http::MessageReader::kBodySegment * 2 + 1234);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_below(256));
+  request.set_body(Bytes(payload));
+  auto [a, b] = net::make_pipe();
+  test::write_message(*a, request);
+  a->close();
+  http::MessageReader reader(*b);
+  const auto parsed = reader.read_request();
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->body.segment_count(), 3u);
+  EXPECT_EQ(parsed->body.coalesce(), payload);
+  EXPECT_FALSE(reader.read_request().has_value());
+}
+
 TEST(TruncationSweep, EveryHttpRequestPrefixFailsCleanly) {
   http::Request valid;
   valid.method = "POST";

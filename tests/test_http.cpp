@@ -1035,5 +1035,211 @@ TEST(WorkerWriteTest, PeerThatNeverReadsIsCutByTheWriteTimeout) {
   server.shutdown();
 }
 
+// ------------------------------------------------------- the serving pool
+//
+// The pool's invariants: one owner per connection, at most `workers`
+// handlers at once, `runtimes` threads always free to accept, and deadline
+// expiry that never acts on a connection its readiness event already took.
+
+// Requests pipelined on one connection run one at a time and are answered
+// in order, even with idle handler slots and pool threads to spare.
+TEST(ServingPoolTest, PipelinedRequestsNeverOverlapAndAnswerInOrder) {
+  std::atomic<int> active{0};
+  std::atomic<bool> overlapped{false};
+  Server server(0,
+                [&](const Request& req) {
+                  if (active.fetch_add(1) > 0) overlapped.store(true);
+                  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                  active.fetch_sub(1);
+                  Response resp;
+                  resp.set_body("echo:" + req.body_string());
+                  return resp;
+                },
+                event_options(/*workers=*/4, /*runtimes=*/2));
+
+  auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+  constexpr int kRequests = 12;
+  // One write per request, so each can arrive as its own readiness event
+  // while an earlier one is still running.
+  for (int i = 0; i < kRequests; ++i) {
+    Request req;
+    req.set_body("p" + std::to_string(i));
+    test::write_message(*stream, req);
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  stream->set_read_timeout_us(10'000'000);
+  MessageReader reader(*stream);
+  for (int i = 0; i < kRequests; ++i) {
+    const auto resp = reader.read_response();
+    ASSERT_TRUE(resp.has_value()) << "response " << i;
+    EXPECT_EQ(resp->body_string(), "echo:p" + std::to_string(i));
+  }
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(server.stats().peak_in_flight, 1u);
+  server.shutdown();
+}
+
+// A 32-connection burst against two handler slots: while the handlers are
+// held, the rest queue, and neither the live load signal nor the lifetime
+// peak ever shows more than `workers` handlers running.
+TEST(ServingPoolTest, BurstNeverRunsMoreHandlersThanWorkers) {
+  constexpr std::size_t kWorkers = 2;
+  constexpr int kClients = 32;
+  Gate gate;
+  ServerOptions options = event_options(kWorkers, /*runtimes=*/2);
+  options.queue_depth = 64;
+  Server server(0, gated_echo_handler(gate), options);
+  OpenOnExit release{gate};
+
+  std::vector<std::unique_ptr<net::TcpStream>> streams;
+  for (int i = 0; i < kClients; ++i) {
+    streams.push_back(net::TcpStream::connect("127.0.0.1", server.port()));
+    Request req;
+    req.set_body("block");
+    test::write_message(*streams.back(), req);
+  }
+  std::size_t most_in_flight = 0;
+  const bool all_parsed = eventually([&] {
+    const ServerLoad load = server.load();
+    most_in_flight = std::max(most_in_flight, load.in_flight);
+    return load.queue_depth == kClients - kWorkers && load.in_flight == kWorkers;
+  });
+  EXPECT_TRUE(all_parsed) << "queue depth " << server.load().queue_depth;
+  EXPECT_LE(most_in_flight, kWorkers);
+  EXPECT_EQ(server.stats().queue_high_water, static_cast<std::uint64_t>(kClients - kWorkers));
+
+  gate.open();
+  for (auto& stream : streams) {
+    stream->set_read_timeout_us(10'000'000);
+    MessageReader reader(*stream);
+    const auto resp = reader.read_response();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, 200);
+    EXPECT_EQ(resp->body_string(), "echo:block");
+  }
+  EXPECT_LE(server.stats().peak_in_flight, kWorkers);
+  EXPECT_EQ(server.stats().shed, 0u);
+  server.shutdown();
+}
+
+// With every handler slot blocked, the held-back thread still accepts: a
+// new connection's request is queued up to `queue_depth`, and the one past
+// it is answered 503 at once.
+TEST(ServingPoolTest, BlockedHandlersLeaveAThreadToAcceptQueueAndShed) {
+  Gate gate;
+  ServerOptions options = event_options(/*workers=*/2, /*runtimes=*/1);
+  options.queue_depth = 2;
+  Server server(0, gated_echo_handler(gate), options);
+  OpenOnExit release{gate};
+
+  const auto send = [&](std::string_view body) {
+    auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+    stream->set_read_timeout_us(10'000'000);
+    Request req;
+    req.set_body(std::string(body));
+    test::write_message(*stream, req);
+    return stream;
+  };
+  auto first = send("block");
+  auto second = send("block");
+  ASSERT_TRUE(gate.await_entered(2));
+
+  auto queued_a = send("a");
+  ASSERT_TRUE(eventually([&] { return server.load().queue_depth == 1; }));
+  auto queued_b = send("b");
+  ASSERT_TRUE(eventually([&] { return server.load().queue_depth == 2; }));
+  EXPECT_EQ(server.stats().accepted, 4u);
+
+  auto shed = send("c");
+  MessageReader shed_reader(*shed);
+  const auto refused = shed_reader.read_response();
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->status, 503);
+  EXPECT_EQ(server.stats().shed, 1u);
+
+  gate.open();
+  for (auto* stream : {first.get(), second.get()}) {
+    MessageReader reader(*stream);
+    EXPECT_EQ(reader.read_response()->body_string(), "echo:block");
+  }
+  MessageReader reader_a(*queued_a);
+  EXPECT_EQ(reader_a.read_response()->body_string(), "echo:a");
+  MessageReader reader_b(*queued_b);
+  EXPECT_EQ(reader_b.read_response()->body_string(), "echo:b");
+  server.shutdown();
+}
+
+// An idle deadline fires on time while the only handler slot is blocked.
+// The pool thread that armed the deadline goes on to run the blocking
+// handler, so the held-back thread must see a deadline armed after it began
+// waiting.
+TEST(ServingPoolTest, IdleDeadlineFiresWhileEveryHandlerIsBlocked) {
+  Gate gate;
+  ServerOptions options = event_options(/*workers=*/1, /*runtimes=*/1);
+  options.idle_timeout_us = 100'000;
+  Server server(0, gated_echo_handler(gate), options);
+  OpenOnExit release{gate};
+
+  auto silent = net::TcpStream::connect("127.0.0.1", server.port());
+  auto busy = net::TcpStream::connect("127.0.0.1", server.port());
+  Request req;
+  req.set_body("block");
+  test::write_message(*busy, req);
+  ASSERT_TRUE(gate.await_entered(1));
+
+  // Say nothing: the idle deadline must drop the connection (EOF here)
+  // before the handler is released.
+  silent->set_read_timeout_us(2'000'000);
+  char byte;
+  EXPECT_EQ(silent->read_some(&byte, 1), 0u);
+  gate.open();
+  MessageReader reader(*busy);
+  EXPECT_EQ(reader.read_response()->body_string(), "echo:block");
+  server.shutdown();
+}
+
+// An idle deadline racing the next request: the request either gets its
+// whole reply, or its connection closes before a single reply byte. Expiry
+// and the readiness event never both act on the connection — no crash, no
+// double close, and every connection is released.
+TEST(ServingPoolTest, IdleDeadlineRacingTheNextRequestEitherAnswersOrCloses) {
+  ServerOptions options = event_options(/*workers=*/2, /*runtimes=*/2);
+  options.idle_timeout_us = 1'000;
+  Server server(0, echo_handler(), options);
+
+  // Sends one request; true when it was answered, false when the
+  // connection closed first.
+  const auto exchange = [](net::Stream& stream, MessageReader& reader,
+                           const std::string& body) {
+    Request req;
+    req.set_body(std::string(body));
+    try {
+      test::write_message(stream, req);
+      const auto resp = reader.read_response();
+      if (!resp.has_value()) return false;
+      EXPECT_EQ(resp->status, 200);
+      EXPECT_EQ(resp->body_string(), "echo:" + body);
+      return true;
+    } catch (const TransportError&) {
+      // A reset (the server closed with the request unread) is a close,
+      // but only before any byte of the reply.
+      EXPECT_EQ(reader.phase(), MessageReader::Phase::kIdle) << "partial reply to " << body;
+      return false;
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+    stream->set_read_timeout_us(10'000'000);
+    MessageReader reader(*stream);
+    if (!exchange(*stream, reader, "first" + std::to_string(i))) continue;
+    // Sleep around the re-armed deadline, so the next request lands
+    // before, at and after it.
+    std::this_thread::sleep_for(std::chrono::microseconds((i % 21) * 100));
+    (void)exchange(*stream, reader, "next" + std::to_string(i));
+  }
+  EXPECT_TRUE(eventually([&] { return server.tracked_connections() == 0; }));
+  server.shutdown();
+}
+
 }  // namespace
 }  // namespace sbq::http

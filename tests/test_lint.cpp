@@ -1034,14 +1034,14 @@ std::vector<Finding> lint_seeded(const SourceFile& seed,
 TEST(LintSeeded, BlockingCallInEventReachableFunctionIsCaught) {
   const auto findings = lint_seeded(
       {"src/http/seeded_evt.cpp",
-       "// sbqlint:edge(Server::Impl::advance_parse -> seeded_block)\n"
+       "// sbqlint:edge(Server::Impl::resume -> seeded_block)\n"
        "namespace sbq::http {\n"
        "void seeded_block() { wait_on(source, 5); }\n"
        "}\n"},
       "event-loop-blocking");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/http/seeded_evt.cpp");
-  EXPECT_NE(findings[0].message.find("shard_loop"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("poll_step"), std::string::npos);
 }
 
 TEST(LintSeeded, AbbaLockPairIsCaught) {
@@ -1121,22 +1121,21 @@ TEST(LintSeeded, WrongMutexOnTheOnlyPathInIsCaught) {
 }
 
 TEST(LintSeeded, WorkerCallingShardAffineFunctionIsCaught) {
-  // A worker-pool function crossing into event-shard-affine code: the
-  // path witness must lead from the worker root to the affine callee.
+  // The exchange half of a pool thread crossing into poll-affine code:
+  // the path witness must lead from the exchange root to the affine callee.
   const auto findings = lint_seeded(
       {"src/http/seeded_affinity.cpp",
-       "// sbqlint:edge(Server::Impl::worker_loop -> seeded_touch_shard)\n"
+       "// sbqlint:edge(Server::Impl::run_exchange -> seeded_touch_shard)\n"
        "namespace sbq::http {\n"
-       "// sbqlint:affine(event-shard)\n"
+       "// sbqlint:affine(poll)\n"
        "void seeded_touch_shard() {}\n"
        "}\n"},
       "thread-affinity");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/http/seeded_affinity.cpp");
-  EXPECT_NE(findings[0].message.find("affine to 'event-shard'"),
-            std::string::npos);
-  EXPECT_NE(findings[0].message.find("'worker' root"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("worker_loop"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("affine to 'poll'"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("'exchange' root"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("run_exchange"), std::string::npos);
   EXPECT_NE(findings[0].message.find("seeded_touch_shard"), std::string::npos);
 }
 

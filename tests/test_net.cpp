@@ -1,9 +1,12 @@
 // Unit tests for the network substrate: clocks, link models, cross-traffic,
 // pipes, TCP loopback, readiness polling, and the non-blocking socket
-// surface that the event-driven serving front drives.
+// surface that the serving pool drives.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,16 +176,6 @@ TEST(TcpTest, CloseUnblocksAccept) {
 
 // --------------------------------------------------------------- Poller
 
-// Every Poller test runs both backends: poll(2) is the portable reference
-// implementation the epoll backend must agree with.
-std::vector<Poller::Backend> poller_backends() {
-  std::vector<Poller::Backend> backends{Poller::Backend::kPoll};
-#if defined(__linux__)
-  backends.push_back(Poller::Backend::kEpoll);
-#endif
-  return backends;
-}
-
 /// A connected loopback TCP pair for readiness tests.
 struct TcpPair {
   TcpPair() {
@@ -195,63 +188,102 @@ struct TcpPair {
 };
 
 TEST(PollerTest, ReportsReadableThenWritableOnBothBackends) {
-  for (const auto backend : poller_backends()) {
-    Poller poller(backend);
-    TcpPair pair;
-    poller.add(pair.served->fd(), /*want_read=*/true, /*want_write=*/false);
-    EXPECT_EQ(poller.watched(), 1u);
+  Poller poller;
+  TcpPair pair;
+  poller.add(pair.served->fd(), /*want_read=*/true, /*want_write=*/false);
+  EXPECT_EQ(poller.watched(), 1u);
 
-    // Nothing to read yet: a zero-timeout wait reports nothing.
-    EXPECT_TRUE(poller.wait(0).empty());
+  // Nothing to read yet: a zero-timeout wait reports nothing.
+  EXPECT_FALSE(poller.wait(0).has_value());
 
-    pair.client->write_all(std::string_view{"ping"});
-    const auto events = poller.wait(2000);
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].fd, pair.served->fd());
-    EXPECT_TRUE(events[0].readable);
-    EXPECT_FALSE(events[0].writable);
+  pair.client->write_all(std::string_view{"ping"});
+  const auto event = poller.wait(2000);
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->fd, pair.served->fd());
+  EXPECT_TRUE(event->readable);
+  EXPECT_FALSE(event->writable);
 
-    // Switch interest to writability: an idle socket is writable at once.
-    poller.modify(pair.served->fd(), /*want_read=*/false, /*want_write=*/true);
-    const auto writable = poller.wait(2000);
-    ASSERT_EQ(writable.size(), 1u);
-    EXPECT_TRUE(writable[0].writable);
+  // Switch interest to writability: an idle socket is writable at once.
+  poller.modify(pair.served->fd(), /*want_read=*/false, /*want_write=*/true);
+  const auto writable = poller.wait(2000);
+  ASSERT_TRUE(writable.has_value());
+  EXPECT_TRUE(writable->writable);
 
-    poller.remove(pair.served->fd());
-    EXPECT_EQ(poller.watched(), 0u);
-    EXPECT_TRUE(poller.wait(0).empty());
-  }
+  poller.remove(pair.served->fd());
+  EXPECT_EQ(poller.watched(), 0u);
+  EXPECT_FALSE(poller.wait(0).has_value());
 }
 
 TEST(PollerTest, WakeInterruptsABlockedWait) {
-  for (const auto backend : poller_backends()) {
-    Poller poller(backend);
-    std::thread waker([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      poller.wake();
-    });
-    // Without the wake this would block five seconds; the wake must cut it
-    // short (an empty event batch is the documented result).
-    const auto events = poller.wait(5000);
-    EXPECT_TRUE(events.empty());
-    waker.join();
-    // Wakes coalesce and are fully drained: the next wait blocks again.
-    EXPECT_TRUE(poller.wait(0).empty());
-  }
+  Poller poller;
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    poller.wake();
+  });
+  // Without the wake this would block five seconds; the wake must cut it
+  // short (an empty report is the documented result).
+  EXPECT_FALSE(poller.wait(5000).has_value());
+  waker.join();
+  // A wake is for shutdown and stays: every later wait returns at once.
+  EXPECT_FALSE(poller.wait(5000).has_value());
 }
 
 TEST(PollerTest, PeerCloseSurfacesAsReadableOrHangup) {
-  for (const auto backend : poller_backends()) {
-    Poller poller(backend);
-    TcpPair pair;
-    poller.add(pair.served->fd(), /*want_read=*/true, /*want_write=*/false);
-    pair.client->close();
-    const auto events = poller.wait(2000);
-    ASSERT_EQ(events.size(), 1u);
-    // EOF may be reported as plain readability (read returns 0) or as an
-    // explicit hangup; the owner handles both the same way.
-    EXPECT_TRUE(events[0].readable || events[0].hangup);
+  Poller poller;
+  TcpPair pair;
+  poller.add(pair.served->fd(), /*want_read=*/true, /*want_write=*/false);
+  pair.client->close();
+  const auto event = poller.wait(2000);
+  ASSERT_TRUE(event.has_value());
+  // EOF may be reported as plain readability (read returns 0) or as an
+  // explicit hangup; the owner handles both the same way.
+  EXPECT_TRUE(event->readable || event->hangup);
+}
+
+// A report disarms its descriptor: readiness that persists is not reported
+// again until modify() re-arms it.
+TEST(PollerTest, OneShotReportWaitsForRearm) {
+  Poller poller;
+  TcpPair pair;
+  poller.add(pair.served->fd(), /*want_read=*/true, /*want_write=*/false);
+  pair.client->write_all(std::string_view{"ping"});
+  ASSERT_TRUE(poller.wait(2000).has_value());
+  // The bytes are still unread, but the descriptor is disarmed.
+  EXPECT_FALSE(poller.wait(50).has_value());
+  poller.modify(pair.served->fd(), /*want_read=*/true, /*want_write=*/false);
+  const auto again = poller.wait(2000);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(again->readable);
+}
+
+// Threads waiting on one Poller at once each take a different ready
+// descriptor; none is reported twice.
+TEST(PollerTest, ConcurrentWaitersEachTakeADifferentDescriptor) {
+  constexpr int kPairs = 4;
+  Poller poller;
+  std::vector<std::unique_ptr<TcpPair>> pairs;
+  std::vector<int> expected;
+  for (int i = 0; i < kPairs; ++i) {
+    pairs.push_back(std::make_unique<TcpPair>());
+    expected.push_back(pairs.back()->served->fd());
+    poller.add(expected.back(), /*want_read=*/true, /*want_write=*/false);
   }
+  std::mutex mu;
+  std::vector<int> taken;
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kPairs; ++i) {
+    waiters.emplace_back([&] {
+      const auto event = poller.wait(5000);
+      std::lock_guard lock(mu);
+      taken.push_back(event ? event->fd : -1);
+    });
+  }
+  for (auto& pair : pairs) pair->client->write_all(std::string_view{"x"});
+  for (auto& waiter : waiters) waiter.join();
+  std::sort(taken.begin(), taken.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(taken, expected);
+  EXPECT_FALSE(poller.wait(0).has_value());
 }
 
 // ------------------------------------------- non-blocking socket surface
@@ -285,8 +317,7 @@ TEST(TcpNonblockingTest, ReusePortAllowsSiblingListeners) {
   options.nonblocking = true;
   TcpListener first(0, options);
   // A second listener on the same port must bind cleanly — each one owns an
-  // accept shard of the shared port (how the event front spreads accepts
-  // across runtimes).
+  // accept shard of the shared port.
   TcpListener second(first.port(), options);
   EXPECT_EQ(second.port(), first.port());
 }

@@ -100,10 +100,10 @@ void check_event_loop_blocking(const CallGraph& graph, const Config& config,
         reporter.report(
             def, def->file, call.line, "event-loop-blocking",
             "'" + call_name(call) +
-                "' may block the event runtime (reachable: " +
+                "' may block the poll step (reachable: " +
                 graph.path_to(static_cast<int>(n), parent) +
-                "); nothing on the poller path may block — hand the work "
-                "to a worker or use the nonblocking surface");
+                "); nothing on the poller path may block — move the work "
+                "into the exchange or use the nonblocking surface");
       }
     }
   }

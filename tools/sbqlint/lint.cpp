@@ -416,10 +416,11 @@ Config default_config() {
                                "nanosleep"};
 
   // --- graph rules -------------------------------------------------------
-  // The event runtime: each http::Server shard thread drives a Poller; its
-  // loop (and everything it reaches) must never block — handlers run on
-  // the worker pool, which may.
-  config.event_roots = {"Server::Impl::shard_loop"};
+  // The serving pool: each http::Server pool thread alternates a poll step
+  // and an exchange. The poll step (and everything it reaches) must never
+  // block except in the poller's wait — the exchange runs the handler,
+  // which may.
+  config.event_roots = {"Server::Impl::poll_step"};
   // The repo's blocking surface, by name. Bodies of these primitives are
   // implementation detail (read_some's poll() IS the primitive); the rule
   // fires on reaching a call to one.
@@ -448,11 +449,13 @@ Config default_config() {
   config.hot_allocation_calls = {"coalesce", "append_copy", "to_string"};
   // Thread roots for the thread-affinity rule. Each names the entry
   // points that run on that thread family; sbqlint:affine(<root>)
-  // annotations refer to these keys. The worker root is the pool that
-  // runs handler code.
+  // annotations refer to these keys. Every pool thread runs both server
+  // roots in turn, so they split code paths, not threads: `poll` owns the
+  // connection table and the connection state machine, `exchange` runs
+  // handler code and reaches its connection only through the exchange.
   config.affinity_roots = {
-      {"event-shard", {"Server::Impl::shard_loop"}},
-      {"worker", {"Server::Impl::worker_loop"}},
+      {"poll", {"Server::Impl::poll_step"}},
+      {"exchange", {"Server::Impl::run_exchange"}},
       {"client", {"ResilientStub::call"}},
   };
   return config;
