@@ -53,42 +53,43 @@ void xdr_put_value(const Value& v, const FormatDesc& format, rpc::XdrEncoder& en
   }
 }
 
+// Decodes as the PBIO plan's Value sink does: each record is one field
+// vector in format order and each scalar array one contiguous vector, so
+// both sides of the comparison build the same Values the same way.
 Value xdr_get_value(const FormatDesc& format, rpc::XdrDecoder& dec) {
-  Value record = Value::empty_record();
-  for (const FieldDesc& f : format.fields) {
+  std::vector<Value::NamedValue> fields(format.fields.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const FieldDesc& f = format.fields[i];
+    fields[i].name = f.name;
+    Value& out = fields[i].value;
     if (f.arity != Arity::kScalar) {
       const std::uint32_t n = dec.get_array_header();
-      Value array = Value::empty_array();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (f.kind == TypeKind::kStruct) {
-          array.push_back(xdr_get_value(*f.struct_format, dec));
-        } else if (f.kind == TypeKind::kFloat64) {
-          array.push_back(Value{dec.get_f64()});
-        } else {
-          array.push_back(Value{static_cast<std::int64_t>(dec.get_i32())});
+      if (f.kind == TypeKind::kStruct) {
+        std::vector<Value> records;
+        for (std::uint32_t e = 0; e < n; ++e) {
+          records.push_back(xdr_get_value(*f.struct_format, dec));
         }
+        out = Value{std::move(records)};
+      } else if (f.kind == TypeKind::kFloat64) {
+        Value::F64Array elems(n);
+        for (double& e : elems) e = dec.get_f64();
+        out = Value{std::move(elems)};
+      } else {
+        Value::I64Array elems(n);
+        for (std::int64_t& e : elems) e = dec.get_i32();
+        out = Value{std::move(elems)};
       }
-      record.set_field(f.name, std::move(array));
       continue;
     }
     switch (f.kind) {
-      case TypeKind::kStruct:
-        record.set_field(f.name, xdr_get_value(*f.struct_format, dec));
-        break;
-      case TypeKind::kString:
-        record.set_field(f.name, Value{dec.get_string()});
-        break;
-      case TypeKind::kFloat64:
-        record.set_field(f.name, Value{dec.get_f64()});
-        break;
-      case TypeKind::kFloat32:
-        record.set_field(f.name, Value{static_cast<double>(dec.get_f32())});
-        break;
-      default:
-        record.set_field(f.name, Value{static_cast<std::int64_t>(dec.get_i32())});
+      case TypeKind::kStruct: out = xdr_get_value(*f.struct_format, dec); break;
+      case TypeKind::kString: out = Value{dec.get_string()}; break;
+      case TypeKind::kFloat64: out = Value{dec.get_f64()}; break;
+      case TypeKind::kFloat32: out = Value{static_cast<double>(dec.get_f32())}; break;
+      default: out = Value{static_cast<std::int64_t>(dec.get_i32())};
     }
   }
-  return record;
+  return Value{std::move(fields)};
 }
 
 /// Sun RPC echo round trip; returns total µs (CPU measured, transfer

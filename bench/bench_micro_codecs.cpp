@@ -1,12 +1,10 @@
 // Microbenchmarks (google-benchmark) — raw codec throughput underlying every
-// figure: PBIO encode/decode (dynamic and native paths), XML encode/parse,
-// XDR, LZSS, and the XML↔binary conversion handlers.
+// figure: PBIO encode/decode, XML encode/parse, XDR, LZSS, and the
+// XML↔binary conversion handlers.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "compress/lzss.h"
-#include "pbio/encode.h"
-#include "pbio/plan.h"
 #include "pbio/value_codec.h"
 #include "rpc/xdr.h"
 #include "soap/codec.h"
@@ -41,46 +39,6 @@ void BM_PbioDecodeArray(benchmark::State& state) {
                           static_cast<std::int64_t>(message.size()));
 }
 BENCHMARK(BM_PbioDecodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
-
-void BM_PbioNativeEncodeArray(benchmark::State& state) {
-  // The native path: a C struct with a VarArray<int32> — PBIO's zero-
-  // transformation fast path.
-  struct Native {
-    pbio::VarArray<std::int32_t> values;
-  };
-  const auto count = static_cast<std::size_t>(state.range(0)) / 4;
-  std::vector<std::int32_t> data(count);
-  for (std::size_t i = 0; i < count; ++i) data[i] = static_cast<std::int32_t>(i);
-  const Native native{{static_cast<std::uint32_t>(count), data.data()}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pbio::encode_message_chain(&native, *int_array_format()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_PbioNativeEncodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
-
-void BM_PbioNativeDecodeArray(benchmark::State& state) {
-  struct Native {
-    pbio::VarArray<std::int32_t> values;
-  };
-  const auto count = static_cast<std::size_t>(state.range(0)) / 4;
-  std::vector<std::int32_t> data(count, 7);
-  const Native native{{static_cast<std::uint32_t>(count), data.data()}};
-  const pbio::FormatPtr format = int_array_format();
-  const Bytes wire = pbio::encode_message_chain(&native, *format).coalesce();
-  // The plan compiles once, outside the timed loop, as a receiver keeps it.
-  pbio::PlanCache plans;
-  (void)plans.get(format, format, host_byte_order());
-  for (auto _ : state) {
-    Arena arena;
-    benchmark::DoNotOptimize(
-        pbio::decode_message(BytesView{wire}, format, format, plans, arena));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(wire.size()));
-}
-BENCHMARK(BM_PbioNativeDecodeArray)->Arg(1024)->Arg(102400)->Arg(1048576);
 
 void BM_XmlEncodeArray(benchmark::State& state) {
   const pbio::Value v = make_int_array(static_cast<std::size_t>(state.range(0)));

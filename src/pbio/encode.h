@@ -1,18 +1,18 @@
-// PBIO native-record encoding.
+// PBIO message framing.
 //
-// The sender hands the encoder a pointer to a record in its own native
-// layout; the encoder walks the format's fields and emits a compact,
-// padding-free payload in the sender's byte order, prefixed by a small
-// header. No up-translation happens on the send side — that is PBIO's
-// "sender sends native, receiver makes right" discipline.
+// Every PBIO message is a small header in front of a compact, padding-free
+// payload in the sender's byte order. No up-translation happens on the send
+// side — that is PBIO's "sender sends its own order, receiver makes right"
+// discipline.
 //
 // Wire layout (header fields are always little-endian so the header itself
 // is unambiguous; the PAYLOAD uses the sender's declared order):
 //   [u64 format_id][u8 sender_byte_order][u32 payload_length][payload]
 //
-// Every encoder writes its payload into a BufferChain in one walk; the
-// header is then spliced in front of it as its own segment (frame_message),
-// so the payload never has to be sized first.
+// The encoder (encode_value_message_chain, pbio/value_codec.h) writes its
+// payload into a BufferChain in one walk; the header is then spliced in
+// front of it as its own segment (frame_message), so the payload never has
+// to be sized first.
 #pragma once
 
 #include "common/buffer_chain.h"
@@ -38,17 +38,5 @@ WireHeader read_header(ChainReader& reader);
 /// one owned WireHeader::kSize-byte segment, with the payload's segments
 /// spliced behind it uncopied.
 BufferChain frame_message(FormatId format_id, ByteOrder sender_order, BufferChain&& payload);
-
-/// Encodes the record at `record` (native layout per `format`) as header +
-/// payload. Small fields accumulate in staging segments; same-order scalar
-/// runs large enough to matter are appended as *borrowed* views straight
-/// into the record's native arrays — the caller must keep `record` (and the
-/// arrays its VarArrays point to) alive for the chain's lifetime.
-///
-/// `wire_order` defaults to the host order — passing the other order
-/// simulates a foreign-endian sender, which exercises the receiver-side
-/// conversion path without heterogeneous hardware.
-BufferChain encode_message_chain(const void* record, const FormatDesc& format,
-                                 ByteOrder wire_order = host_byte_order());
 
 }  // namespace sbq::pbio

@@ -41,29 +41,23 @@ std::string_view kind_name(TypeKind kind) {
   return "?";
 }
 
-std::uint32_t FieldDesc::element_size() const {
-  switch (kind) {
-    case TypeKind::kString:
-      return sizeof(const char*);
-    case TypeKind::kStruct:
-      if (!struct_format) throw CodecError("struct field without format: " + name);
-      return struct_format->native_size;
-    default:
-      return scalar_size(kind);
+std::size_t min_wire_bytes(const FormatDesc& format) {
+  // Each field's size and the running total saturate at 2^32: a peer's
+  // format can nest fixed arrays past 2^64 bytes, and a wrapped size could
+  // reach 0. With both terms capped the sum cannot wrap.
+  constexpr std::size_t kCap = std::size_t{1} << 32;
+  std::size_t total = 0;
+  for (const FieldDesc& f : format.fields) {
+    std::size_t bytes = 4;  // count or length prefix
+    if (f.arity != Arity::kVarArray && f.kind != TypeKind::kString) {
+      const std::size_t elem = f.kind == TypeKind::kStruct
+                                   ? min_wire_bytes(*f.struct_format)
+                                   : scalar_size(f.kind);
+      bytes = f.arity == Arity::kFixedArray ? f.fixed_count * elem : elem;
+    }
+    total = std::min(total + std::min(bytes, kCap), kCap);
   }
-}
-
-std::uint32_t FieldDesc::alignment() const {
-  if (arity == Arity::kVarArray) return alignof(VarArray<int>);
-  switch (kind) {
-    case TypeKind::kString:
-      return alignof(const char*);
-    case TypeKind::kStruct:
-      if (!struct_format) throw CodecError("struct field without format: " + name);
-      return struct_format->native_align;
-    default:
-      return scalar_size(kind);
-  }
+  return total;
 }
 
 std::string FormatDesc::canonical() const {
@@ -195,37 +189,11 @@ FormatBuilder& FormatBuilder::add_struct_fixed_array(std::string name,
 
 FormatPtr FormatBuilder::build() {
   if (desc_.fields.empty()) throw CodecError("format with no fields: " + desc_.name);
-  // Offsets and sizes are laid out in 64 bits and must fit the uint32_t
-  // fields: a peer's format (deserialize_format) may describe a layout past
-  // 4 GB, which would otherwise wrap and let a receiver write past its record.
-  const auto fit = [this](std::uint64_t bytes) {
-    if (bytes > UINT32_MAX) {
-      throw CodecError("format '" + desc_.name + "' has a native layout past 4 GB");
-    }
-    return static_cast<std::uint32_t>(bytes);
-  };
-  std::uint64_t offset = 0;
-  std::uint32_t max_align = 1;
-  for (auto& f : desc_.fields) {
-    const std::uint32_t align = f.alignment();
-    max_align = std::max(max_align, align);
-    offset = (offset + align - 1) & ~std::uint64_t{align - 1};
-    f.offset = fit(offset);
-    switch (f.arity) {
-      case Arity::kScalar:
-        f.size = f.element_size();
-        break;
-      case Arity::kFixedArray:
-        f.size = fit(std::uint64_t{f.element_size()} * f.fixed_count);
-        break;
-      case Arity::kVarArray:
-        f.size = sizeof(VarArray<int>);
-        break;
-    }
-    offset += f.size;
+  // A peer's format (deserialize_format) may describe records no payload
+  // can hold; reject it here rather than size anything from it.
+  if (min_wire_bytes(desc_) > UINT32_MAX) {
+    throw CodecError("format '" + desc_.name + "' needs more than 4 GB per record");
   }
-  desc_.native_align = max_align;
-  desc_.native_size = fit((offset + max_align - 1) & ~std::uint64_t{max_align - 1});
   // FNV-1a 64-bit over the canonical rendering.
   FormatId id = 0xCBF29CE484222325ull;
   for (const unsigned char ch : desc_.canonical()) {

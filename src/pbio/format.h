@@ -1,16 +1,16 @@
 // PBIO format descriptors ("formats").
 //
 // A format plays the role an XML schema plays for a document: it describes
-// how a structured record is laid out. PBIO ("Portable Binary Input/Output",
-// Eisenhauer et al., the paper's native data representation) lets the sender
-// transmit records in its own native layout; the receiver converts only if
-// its layout differs — the "receiver makes right" discipline.
+// the fields of a structured record and so the shape of its PBIO payload.
+// PBIO ("Portable Binary Input/Output", Eisenhauer et al.) lets the sender
+// transmit records in its own byte order; the receiver converts only if its
+// order or its format differs — the "receiver makes right" discipline.
+// Records are held as pbio::Value trees (pbio/value.h); a format carries no
+// C memory layout.
 //
 // Differences from the historical C library, documented per DESIGN.md §3:
-//  * variable-length arrays are represented natively as an inline
-//    {count, pointer} pair (see VarArray<T>) instead of referencing a
-//    separate integer length field by name; this keeps the native and
-//    dynamic (Value) paths symmetric,
+//  * a variable-length array carries its own u32 count on the wire instead
+//    of referencing a separate integer length field by name,
 //  * formats are identified by a 64-bit structural hash rather than a
 //    server-assigned ordinal; two structurally identical formats share an id,
 //    which is exactly the caching behavior the format server needs.
@@ -36,25 +36,15 @@ enum class TypeKind : std::uint8_t {
   kFloat32 = 4,
   kFloat64 = 5,
   kChar = 6,
-  kString = 7,   // native: const char*, NUL-terminated
-  kStruct = 8,   // native: embedded sub-struct
+  kString = 7,   // u32 length + bytes
+  kStruct = 8,   // embedded sub-record
 };
 
 /// How many instances of the base kind a field holds.
 enum class Arity : std::uint8_t {
   kScalar = 0,
   kFixedArray = 1,  // `count` elements embedded inline
-  kVarArray = 2,    // native: VarArray<T> {count, data}
-};
-
-/// Native representation of a variable-length array field.
-///
-/// The pointed-to data is NOT owned by the record; encode reads through the
-/// pointer, decode allocates the element storage from the caller's Arena.
-template <typename T>
-struct VarArray {
-  std::uint32_t count = 0;
-  const T* data = nullptr;
+  kVarArray = 2,    // u32 count + that many elements
 };
 
 struct FormatDesc;  // forward
@@ -66,27 +56,17 @@ struct FieldDesc {
   Arity arity = Arity::kScalar;
   std::uint32_t fixed_count = 0;  // kFixedArray only
   std::shared_ptr<const FormatDesc> struct_format;  // kStruct only
-
-  std::uint32_t offset = 0;  // byte offset in the native struct
-  std::uint32_t size = 0;    // native size of the whole field (incl. arrays)
-
-  /// Native size of a single element of this field.
-  [[nodiscard]] std::uint32_t element_size() const;
-  /// Native alignment of this field.
-  [[nodiscard]] std::uint32_t alignment() const;
 };
 
 /// Identifier under which a format is registered with the format server.
 using FormatId = std::uint64_t;
 
-/// A complete format: named, ordered fields plus the native struct size.
-/// Formats are shared (FormatPtr); shared_from_this() recovers the owner of
-/// one held by reference.
+/// A complete format: named, ordered fields. Formats are shared
+/// (FormatPtr); shared_from_this() recovers the owner of one held by
+/// reference.
 struct FormatDesc : std::enable_shared_from_this<FormatDesc> {
   std::string name;
   std::vector<FieldDesc> fields;
-  std::uint32_t native_size = 0;
-  std::uint32_t native_align = 1;
 
   /// Structural 64-bit id (FNV-1a over the canonical rendering), computed
   /// once by FormatBuilder::build(). Stable across processes, so both peers
@@ -113,9 +93,7 @@ struct FormatDesc : std::enable_shared_from_this<FormatDesc> {
 
 using FormatPtr = std::shared_ptr<const FormatDesc>;
 
-/// Builds a FormatDesc, computing natural-alignment offsets automatically
-/// (matching what a C++ compiler produces for a struct with the same member
-/// order, which lets native structs round-trip through offsetof checks).
+/// Builds a FormatDesc.
 class FormatBuilder {
  public:
   explicit FormatBuilder(std::string name);
@@ -129,7 +107,9 @@ class FormatBuilder {
   FormatBuilder& add_struct_fixed_array(std::string name, FormatPtr format,
                                         std::uint32_t count);
 
-  /// Finalizes offsets/sizes and returns the immutable format.
+  /// Computes the format id and returns the immutable format. Throws
+  /// CodecError for a format one record of which needs more wire bytes than
+  /// a PBIO payload length (u32) can carry.
   [[nodiscard]] FormatPtr build();
 
  private:
@@ -141,6 +121,11 @@ class FormatBuilder {
 /// Size in bytes of one scalar of `kind` (strings/structs have no fixed
 /// scalar size and throw CodecError).
 std::uint32_t scalar_size(TypeKind kind);
+
+/// Fewest wire bytes one record of `format` can occupy, saturated at 2^32
+/// (more than any payload). Every field takes at least one byte, so this is
+/// >= 1 for any format FormatBuilder accepts.
+std::size_t min_wire_bytes(const FormatDesc& format);
 
 /// Human-readable kind name ("i32", "f64", "string", ...).
 std::string_view kind_name(TypeKind kind);

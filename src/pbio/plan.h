@@ -2,9 +2,8 @@
 // dynamic-code-generation analogue, and the only PBIO decoder.
 //
 // The receiver decodes a payload described by the SENDER's format into the
-// shape of the RECEIVER's format. When the two formats are structurally
-// identical and the byte orders match, this is a straight sequential copy;
-// otherwise the decoder swaps byte order per scalar, matches fields by NAME
+// shape of the RECEIVER's format. The decoder reads the payload once, in
+// order; it swaps byte order when the sender's differs, matches fields by NAME
 // (senders and receivers may disagree about field order or about which
 // fields exist), and zero-fills receiver fields the sender did not supply —
 // the mechanism SOAP-binQ's quality layer reuses to lift a reduced request
@@ -13,22 +12,18 @@
 // The original PBIO used DILL dynamic binary code generation to emit a
 // specialized conversion routine per (sender format, receiver format) pair.
 // Portable C++ cannot JIT, but it can compile the conversion *decisions*
-// (field matching by name, kind conversions, byte-order handling,
-// contiguous-run detection) once into a flat operation list, and execute
-// that list with a tight interpreter: metadata work happens once per format
-// pair, not per message.
+// (field matching by name, byte-order handling, skips, zero-fills) once into
+// a flat operation list, one op per sender field, and execute that list
+// with a tight interpreter: metadata work happens once per format pair, not
+// per message.
 //
-// One plan feeds two sinks, both reading through a ChainReader so a message
-// that arrived in segments is never flattened:
-//   * execute() builds a native record in the receiver's layout, converting
-//     numeric kinds (i32 → i64, ...) and capping fixed arrays to the
-//     receiver's count;
-//   * execute_value() builds a Value record of the receiver's fields in its
-//     order. A matched field keeps what the sender sent (kind class and
-//     element count); receiver-only fields are filled as zero_value() fills
-//     them.
-// Shapes no conversion bridges (scalar vs array, struct vs non-struct, fixed
-// vs var array, string vs non-string) fail to compile with CodecError.
+// The plan has one sink, execute_value(), reading through a ChainReader so
+// a message that arrived in segments is never flattened. It builds a Value
+// record of the receiver's fields in its order. A matched field keeps what
+// the sender sent (kind class and element count); receiver-only fields are
+// filled as zero_value() fills them. Shapes no conversion bridges (scalar vs
+// array, struct vs non-struct, fixed vs var array, string vs non-string)
+// fail to compile with CodecError.
 //
 // A plan is specific to sender format + receiver format + sender byte
 // order; PlanCache memoizes all three and compiles each shared sub-format
@@ -37,10 +32,8 @@
 // operation type × byte order: sender formats resolve only through the
 // format server, so a peer cannot make it compile plans for unknown formats.
 //
-// A native record's storage (struct bytes, array elements, string
-// characters) comes from the caller's Arena. Array counts read off the wire
-// are checked against the bytes left before any element storage is
-// allocated.
+// Array counts read off the wire are checked against the bytes left before
+// any element storage is allocated.
 #pragma once
 
 #include <memory>
@@ -48,7 +41,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/buffer_chain.h"
 #include "pbio/format.h"
 #include "pbio/value.h"
@@ -62,47 +54,30 @@ using PlanPtr = std::shared_ptr<const DecodePlan>;
 /// A compiled conversion routine. Thread-safe to execute concurrently.
 class DecodePlan {
  public:
-  /// Native sink: decodes the `payload_length`-byte payload at `reader` (no
-  /// wire header) into a receiver-layout record allocated from `arena`.
-  void* execute(ChainReader& reader, std::size_t payload_length, Arena& arena) const;
-
-  /// Value sink: decodes the same payload into a Value record of the
-  /// receiver's fields (see the file comment).
+  /// Decodes the `payload_length`-byte payload at `reader` (no wire header)
+  /// into a Value record of the receiver's fields (see the file comment).
   Value execute_value(ChainReader& reader, std::size_t payload_length) const;
-
-  /// Introspection for tests/benches: number of flat operations, and how
-  /// many bytes are moved by block-copy (the memcpy fast path).
-  [[nodiscard]] std::size_t op_count() const { return ops_.size(); }
-  [[nodiscard]] std::size_t block_copy_bytes() const;
 
  private:
   friend class PlanCache;
 
+  /// One sender field.
   struct Op {
     enum class Kind : std::uint8_t {
-      kBlockCopy,        // wire_bytes → record+native_offset, verbatim
-      kScalar,           // one scalar, possibly swapped/converted
-      kSkipScalar,       // consume one scalar, no destination
-      kString,           // u32 len + bytes → arena C string (or skip)
-      kScalarArray,      // [count] scalars (fixed or var) → inline/arena
-      kStruct,           // embedded struct via sub-plan (or skip)
-      kStructArray,      // fixed or var array of structs via sub-plan
+      kScalar,       // one scalar
+      kString,       // u32 length + bytes
+      kScalarArray,  // [count] scalars, fixed or var
+      kStruct,       // embedded struct via sub-plan (or skip)
+      kStructArray,  // fixed or var array of structs via sub-plan (or skip)
     };
-    Kind kind = Kind::kBlockCopy;
+    Kind kind = Kind::kScalar;
     TypeKind wire_kind = TypeKind::kInt32;
-    TypeKind native_kind = TypeKind::kInt32;
-    std::uint32_t wire_field = 0;     // sender field index (a block copy's first)
-    std::uint32_t wire_fields = 1;    // kBlockCopy: sender fields merged into it
-    std::uint32_t wire_bytes = 0;     // kBlockCopy: bytes to copy
-    std::int64_t native_offset = -1;  // -1 = no destination (skip)
-    std::uint32_t fixed_count = 0;    // fixed arrays; 0 = read u32 count
-    std::uint32_t native_elem_size = 0;
-    std::uint32_t native_fixed_capacity = 0;  // fixed-array destination slots
-    std::size_t min_elem_wire = 0;    // arrays: fewest wire bytes per element
-                                      // (exact for scalar elements)
-    bool bulk_copy_elements = false;  // same kind + host order: memcpy
+    std::int32_t slot = -1;         // receiver field; -1 = skipped
+    std::uint32_t fixed_count = 0;  // fixed arrays; 0 = read u32 count
+    std::size_t min_elem_wire = 0;  // arrays: fewest wire bytes per element
+                                    // (exact for scalar elements)
     const FormatDesc* wire_format = nullptr;  // struct ops: sender sub-format
-    PlanPtr sub_plan;  // struct ops with a destination
+    PlanPtr sub_plan;  // struct ops that are not skipped
   };
 
   DecodePlan(FormatPtr sender, FormatPtr receiver, ByteOrder order)
@@ -113,25 +88,15 @@ class DecodePlan {
   static PlanPtr compile(FormatPtr sender, FormatPtr receiver, ByteOrder order,
                          PlanCache& cache);
 
-  void execute_into(ChainReader& reader, std::uint8_t* record, Arena& arena) const;
-  /// The Value sink's walk over one record; sub-plans run it for nested ones.
+  /// The walk over one record; sub-plans run it for nested ones.
   [[nodiscard]] Value value_record(ChainReader& reader) const;
   /// Reads an array op's element count, rejecting one the message cannot hold.
   std::uint32_t read_count(const Op& op, ChainReader& reader) const;
-  /// Destination elements of an array op: arena storage for a var array
-  /// (linked into the record), the inline slots for a fixed one.
-  struct Slots {
-    std::uint8_t* data = nullptr;
-    std::uint32_t count = 0;  // elements past this are read and dropped
-  };
-  static Slots array_slots(const Op& op, std::uint32_t count, std::uint8_t* record,
-                           Arena& arena);
 
   FormatPtr sender_;  // owns the sub-formats that ops' wire_format point into
   FormatPtr receiver_;
   ByteOrder order_;
   std::vector<Op> ops_;
-  std::vector<std::int32_t> value_slots_;  // receiver field per sender field; -1 = dropped
   std::vector<std::uint32_t> zero_fields_;  // receiver fields the sender lacks
 };
 
@@ -164,24 +129,6 @@ class PlanCache {
   std::size_t hits_ = 0;
   std::size_t compiles_ = 0;
 };
-
-/// Decodes a full message (header + payload). `sender_format` must be the
-/// format announced under the header's format id (callers resolve it through
-/// their FormatCache). Returns the record in `receiver_format` layout, via
-/// the plan for the header's byte order, compiled on first use in `cache`.
-void* decode_message(BytesView message, const FormatPtr& sender_format,
-                     const FormatPtr& receiver_format, PlanCache& cache,
-                     Arena& arena);
-
-/// Typed convenience wrapper.
-template <typename T>
-const T* decode_message_as(BytesView message, const FormatPtr& sender_format,
-                           const FormatPtr& receiver_format, PlanCache& cache,
-                           Arena& arena) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return static_cast<const T*>(
-      decode_message(message, sender_format, receiver_format, cache, arena));
-}
 
 /// Decodes a payload known to use `format` into a Value record, consuming
 /// exactly `payload_length` bytes from the reader, through the plan from

@@ -1,10 +1,10 @@
 // Dynamic record model.
 //
 // The SOAP-binQ runtime learns parameter types from WSDL at runtime, so it
-// cannot use compile-time native structs. Value is the dynamic counterpart:
-// a tree of scalars, strings, arrays and records that encodes to exactly the
-// same PBIO wire bytes as a native struct with the same format — tests
-// assert byte-for-byte equality between the two paths.
+// cannot use compile-time structs. Value is the one record model: a tree of
+// scalars, strings, arrays and records, which every PBIO message is encoded
+// from and decoded to (pbio/value_codec.h, pbio/plan.h) and which the XML
+// codecs and the quality handlers read and build.
 //
 // A Value holds one std::variant, so exactly one alternative is live: null,
 // a widened scalar, a string, an array, or a record stored as an ordered

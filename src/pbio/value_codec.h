@@ -1,14 +1,8 @@
 // Encoding, projecting and zero-filling dynamic Values.
 //
-// The bytes produced here are identical to those the native-record encoder
-// produces for a struct with the same content, so a native sender can talk
-// to a dynamic receiver and vice versa — that is what lets the SOAP runtime
-// (dynamic, WSDL-driven) interoperate with application code holding plain
-// C++ structs.
-//
-// There is one encode walk: it writes the payload into a BufferChain
-// through a ChainWriter and frame_message puts the header in front
-// (pbio/encode.h). Decoding is the compiled plan's Value sink (pbio/plan.h,
+// This is the only PBIO encoder, one walk: it writes the payload into a
+// BufferChain through a ChainWriter and frame_message puts the header in
+// front (pbio/encode.h). Decoding is the compiled plan (pbio/plan.h,
 // included here for decode_value_payload and decode_value_message).
 #pragma once
 

@@ -2,9 +2,10 @@
 //
 // The paper's prototype "generates the client-side and server-side stubs as
 // well as a file with support functions and a header". This generator emits
-// the same artifacts for C++: a header declaring native structs matching the
-// compiled PBIO formats, typed client-stub wrappers over the dynamic
-// runtime, and a server skeleton with one virtual method per operation.
+// the same artifacts for C++: a header declaring one accessor per compiled
+// PBIO format, typed client-stub wrappers over the dynamic runtime, and a
+// server skeleton with one virtual method per operation; the support file
+// builds the formats. Parameters are pbio::Values.
 // The `wsdlc` tool (tools/wsdlc.cpp) is the command-line front end.
 #pragma once
 

@@ -8,21 +8,28 @@
 #include "common/bytes.h"
 #include "pbio/encode.h"
 #include "pbio/format.h"
+#include "pbio/plan.h"
 #include "pbio/value.h"
 #include "pbio/value_codec.h"
 
 namespace sbq::test {
 
-/// Header + payload of a native record, in one buffer.
-inline Bytes native_wire(const void* record, const pbio::FormatDesc& format,
-                         ByteOrder order = host_byte_order()) {
-  return pbio::encode_message_chain(record, format, order).coalesce();
-}
-
 /// Header + payload of a Value record, in one buffer.
 inline Bytes value_wire(const pbio::Value& value, const pbio::FormatDesc& format,
                         ByteOrder order = host_byte_order()) {
   return pbio::encode_value_message_chain(value, format, order).coalesce();
+}
+
+/// Decodes a message held in one buffer, sent in `sender`'s format, into a
+/// record of `receiver`'s fields through the plan `plans` holds for the
+/// header's byte order (what ServiceRuntime and ClientStub run).
+inline pbio::Value decode_wire(BytesView message, const pbio::FormatPtr& sender,
+                               const pbio::FormatPtr& receiver, pbio::PlanCache& plans) {
+  const BufferChain chain = BufferChain::borrowing(message);
+  ChainReader reader(chain);
+  const pbio::WireHeader header = pbio::read_header(reader);
+  return plans.get(sender, receiver, header.sender_order)
+      ->execute_value(reader, header.payload_length);
 }
 
 }  // namespace sbq::test

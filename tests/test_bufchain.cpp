@@ -335,45 +335,6 @@ TEST(PbioChain, ChainDecodeEqualsFlatDecodeUnderRandomSegmentation) {
   }
 }
 
-TEST(PbioChain, NativeMessageChainMatchesFlatEncoding) {
-  struct Record {
-    std::int32_t id;
-    double xs[4];
-    pbio::VarArray<std::uint32_t> counts;
-  };
-  const auto format = FormatBuilder("native_rec")
-                          .add_scalar("id", TypeKind::kInt32)
-                          .add_fixed_array("xs", TypeKind::kFloat64, 4)
-                          .add_var_array("counts", TypeKind::kUInt32)
-                          .build();
-  std::vector<std::uint32_t> counts(5000);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = static_cast<std::uint32_t>(i * i);
-  }
-  Record rec{};
-  rec.id = 11;
-  for (int i = 0; i < 4; ++i) rec.xs[i] = i * 0.25;
-  rec.counts = {static_cast<std::uint32_t>(counts.size()), counts.data()};
-
-  const BufferChain chain = pbio::encode_message_chain(&rec, *format);
-  // The dynamic encoder of the same record is the reference.
-  Value counts_value = Value::empty_array();
-  for (const std::uint32_t c : counts) counts_value.push_back(Value{std::uint64_t{c}});
-  const Value value = Value::record({{"id", 11},
-                                     {"xs", Value::array({0.0, 0.25, 0.5, 0.75})},
-                                     {"counts", std::move(counts_value)}});
-  EXPECT_EQ(chain.coalesce(), pbio::encode_value_message_chain(value, *format).coalesce());
-  expect_well_framed(chain, value, *format, host_byte_order());
-  // The bulk array rides as a borrowed view into the record's own storage.
-  bool borrowed = false;
-  for (BytesView segment : chain) {
-    if (segment.data() == reinterpret_cast<const std::uint8_t*>(counts.data())) {
-      borrowed = true;
-    }
-  }
-  EXPECT_TRUE(borrowed);
-}
-
 // --- envelope over chains --------------------------------------------------
 
 TEST(CoreChain, BinMessageChainMatchesFlatAndDecodesBack) {

@@ -305,12 +305,12 @@ TEST_P(FuzzSeeds, PbioDecoderSurvivesRandomAndMutatedMessages) {
   }
 }
 
-// The native decoder (compiled plans) under the same contract, for two
-// receivers: one equal to the sender (block-copy fast paths) and one that
+// The plan decoder between a sender's and a receiver's format under the
+// same contract, for two receivers: one equal to the sender and one that
 // drops a field and reorders the rest (skip and by-name matching paths).
-class NativeDecodeTarget {
+class PlanDecodeTarget {
  public:
-  NativeDecodeTarget() {
+  PlanDecodeTarget() {
     const auto point = pbio::FormatBuilder("pt")
                            .add_scalar("x", pbio::TypeKind::kFloat64)
                            .add_scalar("n", pbio::TypeKind::kInt32)
@@ -346,9 +346,8 @@ class NativeDecodeTarget {
   int decode_all(BytesView wire) {
     int decoded = 0;
     for (const pbio::FormatPtr& receiver : receivers_) {
-      Arena arena;
       try {
-        (void)pbio::decode_message(wire, sender_, receiver, plans_, arena);
+        (void)test::decode_wire(wire, sender_, receiver, plans_);
         ++decoded;
       } catch (const Error&) {
       }
@@ -364,7 +363,7 @@ class NativeDecodeTarget {
 };
 
 TEST_P(FuzzSeeds, PbioNativeDecoderSurvivesRandomAndMutatedMessages) {
-  NativeDecodeTarget target;
+  PlanDecodeTarget target;
   ASSERT_EQ(target.decode_all(BytesView{target.valid()}), 2);
   for (int i = 0; i < 60; ++i) {
     Bytes wire = target.valid();
@@ -671,7 +670,7 @@ TEST(TruncationSweep, EveryBitFlipInBinEnvelopeFailsCleanly) {
 }
 
 TEST(TruncationSweep, EveryPbioNativePrefixThrowsTypedError) {
-  NativeDecodeTarget target;
+  PlanDecodeTarget target;
   const Bytes& wire = target.valid();
   for (std::size_t n = 0; n < wire.size(); ++n) {
     EXPECT_EQ(target.decode_all(BytesView(wire.data(), n)), 0)
@@ -680,7 +679,7 @@ TEST(TruncationSweep, EveryPbioNativePrefixThrowsTypedError) {
 }
 
 TEST(TruncationSweep, EveryBitFlipInPbioNativeMessageFailsCleanly) {
-  NativeDecodeTarget target;
+  PlanDecodeTarget target;
   const Bytes& wire = target.valid();
   for (std::size_t i = 0; i < wire.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -719,42 +718,55 @@ TEST(TruncationSweep, EveryBitFlipInPbioValuePayloadFailsCleanly) {
 }
 
 TEST(TruncationSweep, HugeValueArrayCountThrowsBeforeAllocating) {
-  // A 17-byte message (header + one u32 count) claiming 0xFFFFFFFF
-  // elements: every numeric kind, both overloads and a plan to a receiver
-  // with one more field, both byte orders.
-  for (const auto kind : {pbio::TypeKind::kInt32, pbio::TypeKind::kInt64,
-                          pbio::TypeKind::kUInt32, pbio::TypeKind::kUInt64,
-                          pbio::TypeKind::kFloat32, pbio::TypeKind::kFloat64}) {
-    const auto format = pbio::FormatBuilder("huge").add_var_array("v", kind).build();
-    const auto receiver = pbio::FormatBuilder("huge")
-                              .add_scalar("w", pbio::TypeKind::kInt32)
-                              .add_var_array("v", kind)
-                              .build();
+  // A 17-byte message (header + one u32 count) claiming millions of
+  // elements: every numeric kind and a struct array, both overloads and a
+  // plan to a receiver with one more field, both byte orders.
+  const auto point = pbio::FormatBuilder("pt")
+                         .add_scalar("x", pbio::TypeKind::kFloat64)
+                         .add_scalar("n", pbio::TypeKind::kInt32)
+                         .build();
+  const auto with_array = [&](pbio::FormatBuilder builder,
+                              std::optional<pbio::TypeKind> kind) {
+    if (kind) return builder.add_var_array("v", *kind).build();
+    return builder.add_struct_var_array("v", point).build();
+  };
+  const std::vector<std::optional<pbio::TypeKind>> elements = {
+      pbio::TypeKind::kInt32,   pbio::TypeKind::kInt64,   pbio::TypeKind::kUInt32,
+      pbio::TypeKind::kUInt64,  pbio::TypeKind::kFloat32, pbio::TypeKind::kFloat64,
+      std::nullopt};
+  for (const auto& kind : elements) {
+    const auto format = with_array(pbio::FormatBuilder("huge"), kind);
+    pbio::FormatBuilder receiver_builder("huge");
+    receiver_builder.add_scalar("w", pbio::TypeKind::kInt32);
+    const auto receiver = with_array(std::move(receiver_builder), kind);
     for (const ByteOrder order : {ByteOrder::kLittle, ByteOrder::kBig}) {
-      ByteBuffer out;
-      out.append_u64(format->format_id(), ByteOrder::kLittle);
-      out.append_u8(static_cast<std::uint8_t>(order));
-      out.append_u32(4, ByteOrder::kLittle);
-      out.append_u32(0xFFFFFFFFu, order);
-      ASSERT_EQ(out.size(), 17u);
-      BufferChain chain;
-      chain.append_view(out.view());
+      for (const std::uint32_t count : {0x04000000u, 0xFFFFFFFFu}) {
+        ByteBuffer out;
+        out.append_u64(format->format_id(), ByteOrder::kLittle);
+        out.append_u8(static_cast<std::uint8_t>(order));
+        out.append_u32(4, ByteOrder::kLittle);
+        out.append_u32(count, order);
+        ASSERT_EQ(out.size(), 17u);
+        BufferChain chain;
+        chain.append_view(out.view());
 
-      g_largest_allocation = 0;
-      EXPECT_THROW((void)pbio::decode_value_message(out.view(), *format), CodecError);
-      ChainReader reader(chain);
-      const pbio::WireHeader header = pbio::read_header(reader);
-      EXPECT_THROW((void)pbio::decode_value_payload(reader, header.payload_length,
-                                                    header.sender_order, *format),
-                   CodecError);
-      pbio::PlanCache plans;
-      ChainReader lifted(chain);
-      (void)pbio::read_header(lifted);
-      EXPECT_THROW((void)plans.get(format, receiver, order)
-                       ->execute_value(lifted, header.payload_length),
-                   CodecError);
-      EXPECT_LT(g_largest_allocation.load(), std::size_t{4096})
-          << pbio::kind_name(kind) << " order " << static_cast<int>(order);
+        g_largest_allocation = 0;
+        EXPECT_THROW((void)pbio::decode_value_message(out.view(), *format), CodecError);
+        ChainReader reader(chain);
+        const pbio::WireHeader header = pbio::read_header(reader);
+        EXPECT_THROW((void)pbio::decode_value_payload(reader, header.payload_length,
+                                                      header.sender_order, *format),
+                     CodecError);
+        pbio::PlanCache plans;
+        ChainReader lifted(chain);
+        (void)pbio::read_header(lifted);
+        EXPECT_THROW((void)plans.get(format, receiver, order)
+                         ->execute_value(lifted, header.payload_length),
+                     CodecError);
+        EXPECT_LT(g_largest_allocation.load(), std::size_t{4096})
+            << format->canonical() << " order " << static_cast<int>(order) << " count "
+            << count;
+      }
     }
   }
 }

@@ -1,10 +1,11 @@
 // Golden wire bytes for the PBIO binary codec: every case below must encode
 // to exactly the bytes checked in under tests/data/golden_pbio/<name>.bin,
-// and every Value case must decode and re-encode to the same bytes. The
-// files were produced from these same inputs at commit b133d6f, where the
-// flat ByteBuffer encoders and the BufferChain encoders were checked to
-// agree on every case, so the test pins the wire format the flat reference
-// used to pin.
+// and must decode and re-encode to the same bytes. The files were produced
+// from these same inputs at commit b133d6f, where the flat ByteBuffer
+// encoders and the BufferChain encoders were checked to agree on every case,
+// so the test pins the wire format the flat reference used to pin. The
+// native_* files were captured from a native-struct encoder (since removed)
+// and are now produced from Values with the same content.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,15 +26,7 @@
 namespace sbq::pbio {
 namespace {
 
-// Native records whose layouts the FormatBuilder reproduces.
-struct Sensor {
-  std::int32_t id;
-  double reading;
-  char flag;
-  const char* label;
-  VarArray<std::int32_t> samples;
-};
-
+// Records a C sender would hold as structs (the native_* cases).
 FormatPtr sensor_format() {
   return FormatBuilder("sensor")
       .add_scalar("id", TypeKind::kInt32)
@@ -44,11 +37,17 @@ FormatPtr sensor_format() {
       .build();
 }
 
-struct Point {
-  double x;
-  double y;
-  double z;
-};
+Value sensor_value() {
+  Value::I64Array samples(160);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = static_cast<std::int64_t>(i * i) - 3000;
+  }
+  return Value::record({{"id", 7},
+                        {"reading", 2.5},
+                        {"flag", 'x'},
+                        {"label", "probe-7"},
+                        {"samples", Value{std::move(samples)}}});
+}
 
 FormatPtr point_format() {
   return FormatBuilder("point")
@@ -58,18 +57,23 @@ FormatPtr point_format() {
       .build();
 }
 
-struct Molecule {
-  std::int32_t atom_count;
-  Point center;
-  VarArray<Point> atoms;
-};
-
 FormatPtr molecule_format() {
   return FormatBuilder("molecule")
       .add_scalar("atom_count", TypeKind::kInt32)
       .add_struct("center", point_format())
       .add_struct_var_array("atoms", point_format())
       .build();
+}
+
+Value molecule_value() {
+  const auto point = [](double x, double y, double z) {
+    return Value::record({{"x", x}, {"y", y}, {"z", z}});
+  };
+  return Value::record(
+      {{"atom_count", 3},
+       {"center", point(0.5, -0.5, 2.0)},
+       {"atoms", Value::array({point(1.0, 2.0, 3.0), point(-4.5, 0.0, 1e-9),
+                               point(7.25, -8.0, 9.5)})}});
 }
 
 FormatPtr scalars_format() {
@@ -218,6 +222,13 @@ struct ValueCase {
   Value value;
 };
 
+std::vector<ValueCase> native_cases() {
+  std::vector<ValueCase> cases;
+  cases.push_back({"native_sensor", sensor_format(), sensor_value()});
+  cases.push_back({"native_molecule", molecule_format(), molecule_value()});
+  return cases;
+}
+
 std::vector<ValueCase> value_cases() {
   std::vector<ValueCase> cases;
   cases.push_back({"value_scalars", scalars_format(), scalars_value()});
@@ -236,21 +247,9 @@ constexpr ByteOrder kOrders[] = {ByteOrder::kLittle, ByteOrder::kBig};
 // Every case as it encodes today, by golden file name.
 std::vector<std::pair<std::string, Bytes>> encoded_cases() {
   std::vector<std::pair<std::string, Bytes>> out;
-  std::vector<std::int32_t> samples(160);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i] = static_cast<std::int32_t>(i * i) - 3000;
-  }
-  const Sensor sensor{7, 2.5, 'x', "probe-7",
-                      {static_cast<std::uint32_t>(samples.size()), samples.data()}};
-  const Point atoms[] = {{1.0, 2.0, 3.0}, {-4.5, 0.0, 1e-9}, {7.25, -8.0, 9.5}};
-  const Molecule molecule{3, {0.5, -0.5, 2.0}, {3, atoms}};
-  for (ByteOrder order : kOrders) {
-    out.emplace_back(std::string("native_sensor") + order_suffix(order),
-                     encode_message_chain(&sensor, *sensor_format(), order).coalesce());
-    out.emplace_back(std::string("native_molecule") + order_suffix(order),
-                     encode_message_chain(&molecule, *molecule_format(), order).coalesce());
-  }
-  for (const ValueCase& c : value_cases()) {
+  std::vector<ValueCase> cases = native_cases();
+  for (ValueCase& c : value_cases()) cases.push_back(std::move(c));
+  for (const ValueCase& c : cases) {
     for (ByteOrder order : kOrders) {
       out.emplace_back(std::string(c.name) + order_suffix(order),
                        encode_value_message_chain(c.value, *c.format, order).coalesce());
@@ -308,8 +307,10 @@ TEST(GoldenPbio, HeaderCarriesFormatOrderAndPayloadLength) {
   }
 }
 
-TEST(GoldenPbio, ValueCasesDecodeAndReencodeToTheSameBytes) {
-  for (const ValueCase& c : value_cases()) {
+// Each case's golden files decode to its value and re-encode to the same
+// bytes, in both orders.
+void expect_decodes_and_reencodes(const std::vector<ValueCase>& cases) {
+  for (const ValueCase& c : cases) {
     for (ByteOrder order : kOrders) {
       const std::string name = std::string(c.name) + order_suffix(order);
       const Bytes golden = read_golden(name);
@@ -322,24 +323,14 @@ TEST(GoldenPbio, ValueCasesDecodeAndReencodeToTheSameBytes) {
   }
 }
 
+TEST(GoldenPbio, ValueCasesDecodeAndReencodeToTheSameBytes) {
+  expect_decodes_and_reencodes(value_cases());
+}
+
 TEST(GoldenPbio, NativeAndValueEncodingsOfOneRecordAgree) {
-  // The dynamic path reproduces the native sender's bytes, in both orders.
-  const Point atoms[] = {{1.0, 2.0, 3.0}, {-4.5, 0.0, 1e-9}, {7.25, -8.0, 9.5}};
-  Value atom_values = Value::empty_array();
-  for (const Point& p : atoms) {
-    atom_values.push_back(Value::record({{"x", p.x}, {"y", p.y}, {"z", p.z}}));
-  }
-  const Value molecule = Value::record(
-      {{"atom_count", 3},
-       {"center", Value::record({{"x", 0.5}, {"y", -0.5}, {"z", 2.0}})},
-       {"atoms", std::move(atom_values)}});
-  for (ByteOrder order : kOrders) {
-    const std::string name = std::string("native_molecule") + order_suffix(order);
-    EXPECT_TRUE(same_bytes(
-        encode_value_message_chain(molecule, *molecule_format(), order).coalesce(),
-        read_golden(name)))
-        << name;
-  }
+  // The bytes a native-struct sender produced are the Value encoding of the
+  // same record: they decode to it and re-encode to themselves.
+  expect_decodes_and_reencodes(native_cases());
 }
 
 TEST(GoldenPbio, BinBodySplitsIntoEnvelopeAndMessage) {

@@ -281,10 +281,11 @@ TEST(Stubgen, EmitsExpectedArtifacts) {
   const ServiceDesc svc = parse_wsdl(kImageWsdl);
   const StubFiles stubs = generate_stubs(svc);
 
-  // Header: structs, format accessors, client stub, skeleton.
-  EXPECT_NE(stubs.header.find("struct image_request {"), std::string::npos);
-  EXPECT_NE(stubs.header.find("struct image {"), std::string::npos);
-  EXPECT_NE(stubs.header.find("sbq::pbio::VarArray<char> pixels;"), std::string::npos);
+  // Header: format accessors, client stub, skeleton; no C structs.
+  EXPECT_NE(stubs.header.find("sbq::pbio::FormatPtr format_image_request();"),
+            std::string::npos);
+  EXPECT_NE(stubs.header.find("sbq::pbio::FormatPtr format_image();"), std::string::npos);
+  EXPECT_EQ(stubs.header.find("struct "), std::string::npos);
   EXPECT_NE(stubs.header.find("class ImageServiceClient {"), std::string::npos);
   EXPECT_NE(stubs.header.find("class ImageServiceSkeleton {"), std::string::npos);
   EXPECT_NE(stubs.header.find("virtual sbq::pbio::Value getImage"), std::string::npos);

@@ -395,8 +395,6 @@ Config default_config() {
       "src/common/buffer_chain.cpp",  // owned-storage views + coalesce copy
       "src/net/tcp.cpp",           // sockaddr casts for the BSD socket API
       "src/net/poller.cpp",        // epoll_data / eventfd counter plumbing
-      "src/pbio/encode.cpp",       // wire codec: native-layout encode
-      "src/pbio/plan.cpp",         // wire codec: receiver-makes-right decode
   };
   config.clock_allowlist = {"src/common/clock.h"};
   config.clock_banned = {
